@@ -43,6 +43,7 @@ from .jointdp import (
     fewones_count,
     fewones_peak,
     joint_rs_report,
+    joint_rs_report_table,
     joint_table,
     rs_numerator_approx,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "finite_vs_asymptote",
     "growth_constant",
     "joint_rs_report",
+    "joint_rs_report_table",
     "joint_table",
     "mean_asymptote",
     "oracle_moment",

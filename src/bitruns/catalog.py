@@ -60,7 +60,30 @@ class BitsumTriple:
     c: RationalGF
 
 
+_SOLUS_DEN = _p(1, -1, -1)
+
 _BITSUM_TRIPLES = {
+    StringClass.UNCONSTRAINED: BitsumTriple(
+        StringClass.UNCONSTRAINED,
+        a=RationalGF(_Z, poly_mul(_p(1, -2), _p(1, -2))),
+        b=RationalGF(_Z, poly_mul(_p(1, -2), poly_mul(_p(1, -2), _p(1, -2)))),
+        c=RationalGF(_Z, poly_mul(_p(1, -4), _p(1, -4))),
+    ),
+    StringClass.SOLUS: BitsumTriple(
+        StringClass.SOLUS,
+        a=RationalGF(_Z, poly_mul(_SOLUS_DEN, _SOLUS_DEN)),
+        b=RationalGF(
+            poly_mul(_Z, _p(1, -1, 1)),
+            poly_mul(_SOLUS_DEN, poly_mul(_SOLUS_DEN, _SOLUS_DEN)),
+        ),
+        c=RationalGF(
+            poly_mul(_Z, _p(1, -1)),
+            poly_mul(
+                poly_mul(_p(1, 1), poly_mul(_p(1, 1), _p(1, 1))),
+                poly_mul(_p(1, -3, 1), _p(1, -3, 1)),
+            ),
+        ),
+    ),
     StringClass.BIMULTUS: BitsumTriple(
         StringClass.BIMULTUS,
         a=RationalGF(poly_mul(_Z2, _p(2, -1)), poly_mul(_p(1, -1, -1), _p(1, -1, -1))),
@@ -98,14 +121,45 @@ _BITSUM_TRIPLES = {
 
 
 def bitsum_triple(string_class: StringClass) -> BitsumTriple:
-    """The (a, b, c) bitsum GFs; only bimultus and persolus have closed
-    forms here (the solus/multus ones live in earlier work)."""
+    """The (a, b, c) bitsum GFs; every class but multus has closed forms
+    here."""
     try:
         return _BITSUM_TRIPLES[string_class]
     except KeyError:
         raise UnsupportedClass(
             f"no bitsum generating functions for {string_class}"
         ) from None
+
+
+#: The H_k denominator without its z^(k+1) term, for the classes with a
+#: bitsum-marked run GF.
+_BITSUM_HK_DEN = {
+    StringClass.UNCONSTRAINED: _p(1, -2),
+    StringClass.SOLUS: _SOLUS_DEN,
+}
+
+
+def bitsum_hk(string_class: StringClass, k: int) -> RationalGF:
+    """GF of the total bitsum over class strings whose longest 0-run is
+    shorter than k (each 1 marked by u, differentiated at u = 1).
+
+    Cutting a string at its marked 1 leaves two strings with no 0-run of
+    k, so the GF is z H_k^2 for unconstrained strings and z (H_k / (1+z))^2
+    for solus, where the pieces may not touch the marked 1 with a 1.  Both
+    reduce to z (1 - z^k)^2 / D_k^2 with D_k the H_k denominator.  Through
+    z^n it equals the triple's ``a`` once k > n.
+    """
+    if k < 1:
+        raise ValueError("run thresholds must be >= 1")
+    try:
+        base = _BITSUM_HK_DEN[string_class]
+    except KeyError:
+        raise UnsupportedClass(
+            f"no bitsum-marked run generating function for {string_class}"
+        ) from None
+    one_minus = poly_add(_p(1), poly_scale(monomial(k), -1))
+    den = poly_add(base, monomial(k + 1))
+    return RationalGF(poly_mul(_Z, poly_mul(one_minus, one_minus)), poly_mul(den, den))
 
 
 @dataclass(frozen=True)

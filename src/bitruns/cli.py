@@ -33,9 +33,8 @@ from .errors import BitrunsError, NonUnitConstantTerm, OracleBoundExceeded
 from .jointdp import (
     fewones_closed_form,
     fewones_count,
-    joint_rs_report,
+    joint_rs_report_table,
     joint_table,
-    layer_builder,
 )
 from .moments import run_variance_report
 from .render import format_float, format_fraction, signed_sqrt_ratio
@@ -165,23 +164,14 @@ def _cmd_table1(args) -> int:
 def _cmd_table2(args) -> int:
     p = args.precision
     classes = (StringClass.UNCONSTRAINED, StringClass.SOLUS)
-    if args.resume and args.cache_dir:
-        for cls in classes:
-            layer_builder(cls).load(args.cache_dir)
+    cols = {cls: joint_rs_report_table(args.lengths, cls) for cls in classes}
     rows = []
-    reports = {}
-    for cls in classes:
-        for n in sorted(args.lengths):
-            reports[(cls, n)] = joint_rs_report(n, cls)
-    for n in args.lengths:
+    for i, n in enumerate(args.lengths):
         row = [n]
         for cls in classes:
-            r = reports[(cls, n)]
+            r = cols[cls][i]
             row.append(signed_sqrt_ratio(r.covariance, r.var_run * r.var_bitsum, p))
         rows.append(row)
-    if args.cache_dir:
-        for cls in classes:
-            layer_builder(cls).save(args.cache_dir)
     _emit(
         args,
         "table2",
@@ -375,10 +365,6 @@ def build_parser() -> _Parser:
 
     p = add_parser("table2", help="correlation of longest zero run and bitsum")
     p.add_argument("--lengths", type=_lengths, default=[100, 200, 300, 400])
-    p.add_argument("--cache-dir", help="directory for table layer files")
-    p.add_argument(
-        "--resume", action="store_true", help="load cached layers before computing"
-    )
     p.set_defaults(fn=_cmd_table2)
 
     p = add_parser("joint", help="(zeros, longest zero run) table")
@@ -428,7 +414,7 @@ def main(argv=None) -> int:
     except (OracleBoundExceeded, NonUnitConstantTerm) as exc:
         sys.stderr.write(f"bitruns: {exc}\n")
         return EXIT_LIMIT
-    except BitrunsError as exc:
+    except (BitrunsError, ValueError) as exc:
         sys.stderr.write(f"bitruns: {exc}\n")
         return EXIT_USAGE
 

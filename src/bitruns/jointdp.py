@@ -1,4 +1,12 @@
-"""Joint distribution of (zero count, longest zero run) by dynamic programming.
+"""Joint distribution of (zero count, longest zero run) by dynamic programming,
+and the run-bitsum correlation.
+
+The correlation of the longest zero run with the bitsum is computed from
+bitsum-marked generating functions (``moments.rs_numerator`` and the
+catalog's bitsum triples) in O(n^2) big-integer operations.  The dynamic
+program below is the independent route that checks it: it builds the
+full joint table, which the ``joint`` command, ``verify --scope
+joint-dp`` and the few-ones counts read.
 
 F_n(x, y) counts length-n strings with x zeros whose longest zero run is
 exactly y.  One recursion covers two ensembles through a flag kappa and a
@@ -27,13 +35,15 @@ available as well.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import Sequence
 
+from .catalog import bitsum_triple
 from .ensembles import StringClass
 from .errors import DegenerateVariance, OutOfFormulaRange, UnsupportedClass
+from .moments import _counts_cached, _numerator_cached, rs_numerator
 from .render import signed_sqrt_ratio
 from .series import TruncatedSeries
 
@@ -54,10 +64,9 @@ def lam_solus(n: int, y: int) -> int:
 class _LayerBuilder:
     """Incrementally grown F/P layers with the previous layer's T."""
 
-    def __init__(self, kappa: int, lam, name: str):
+    def __init__(self, kappa: int, lam):
         self.kappa = kappa
         self.lam = lam
-        self.name = name
         self.F: list = []
         self.P: list = []
         self.Tprev = None
@@ -110,49 +119,6 @@ class _LayerBuilder:
             rowsT = self._t_layer(n)
             self._push(self._f_layer(n, rowsT), rowsT)
 
-    # -- disk cache ------------------------------------------------------
-
-    def _path(self, cache_dir: str, n: int) -> str:
-        return os.path.join(cache_dir, f"{self.name}_{n:05d}.tsv")
-
-    def save(self, cache_dir: str) -> int:
-        """Write any layers not yet on disk; returns how many were written."""
-        os.makedirs(cache_dir, exist_ok=True)
-        written = 0
-        for n, layer in enumerate(self.F):
-            path = self._path(cache_dir, n)
-            if os.path.exists(path):
-                continue
-            lines = [f"{self.name}\t{n}\n"]
-            for x, row in enumerate(layer):
-                for y, c in enumerate(row):
-                    if c:
-                        lines.append(f"{x}\t{y}\t{c}\n")
-            with open(path, "w", encoding="ascii") as fh:
-                fh.writelines(lines)
-            written += 1
-        return written
-
-    def load(self, cache_dir: str) -> int:
-        """Absorb consecutive cached layers beyond what is in memory;
-        returns the number of layers loaded."""
-        loaded = 0
-        while True:
-            n = len(self.F)
-            path = self._path(cache_dir, n)
-            if not os.path.exists(path):
-                return loaded
-            rows = [[0] * (x + 1) for x in range(n + 1)]
-            with open(path, encoding="ascii") as fh:
-                name, header_n = fh.readline().split()
-                if name != self.name or int(header_n) != n:
-                    raise ValueError(f"cache file {path} does not match its name")
-                for line in fh:
-                    x, y, c = line.split()
-                    rows[int(x)][int(y)] = int(c)
-            self._push(rows, self._t_layer(n))
-            loaded += 1
-
 
 _BUILDERS = {}
 
@@ -162,9 +128,9 @@ def layer_builder(string_class: StringClass) -> _LayerBuilder:
     b = _BUILDERS.get(string_class)
     if b is None:
         if string_class is StringClass.UNCONSTRAINED:
-            b = _LayerBuilder(0, lam_unconstrained, string_class.value)
+            b = _LayerBuilder(0, lam_unconstrained)
         elif string_class is StringClass.SOLUS:
-            b = _LayerBuilder(1, lam_solus, string_class.value)
+            b = _LayerBuilder(1, lam_solus)
         else:
             raise UnsupportedClass(
                 f"no joint recursion for {string_class}"
@@ -193,6 +159,8 @@ class JointTable:
 
 def joint_table(n: int, string_class: StringClass) -> JointTable:
     """The (zero count, longest zero run) table for length n."""
+    if n < 0:
+        raise ValueError(f"length must be nonnegative, got {n}")
     b = layer_builder(string_class)
     b.extend(n)
     if string_class is StringClass.SOLUS:
@@ -230,42 +198,49 @@ class JointReport:
     rho: str
 
 
+def joint_rs_report_table(ns: Sequence[int], string_class: StringClass) -> list:
+    """JointReports for several lengths, in the order given, from one set
+    of series expansions at max(ns)."""
+    if any(n < 0 for n in ns):
+        raise ValueError("lengths must be nonnegative")
+    order = max(ns)
+    rs = rs_numerator(string_class, order)
+    counts = _counts_cached(string_class, order)
+    triple = bitsum_triple(string_class)
+    s1, s2 = triple.a.expand(order), triple.b.expand(order)
+    r1 = _numerator_cached(string_class, 0, 1, order)
+    r2 = _numerator_cached(string_class, 0, 2, order)
+    out = []
+    for n in ns:
+        d = counts[n]
+        er, es = Fraction(r1[n], d), Fraction(s1[n], d)
+        ers = Fraction(rs[n], d)
+        cov = ers - er * es
+        vr = Fraction(r2[n], d) - er * er
+        vs = Fraction(s2[n], d) - es * es
+        if vr == 0 or vs == 0:
+            raise DegenerateVariance(
+                f"zero variance at n={n} for {string_class}; correlation undefined"
+            )
+        out.append(
+            JointReport(
+                n=n,
+                string_class=string_class,
+                mean_run=er,
+                mean_bitsum=es,
+                var_run=vr,
+                var_bitsum=vs,
+                mean_product=ers,
+                covariance=cov,
+                rho=signed_sqrt_ratio(cov, vr * vs),
+            )
+        )
+    return out
+
+
 def joint_rs_report(n: int, string_class: StringClass) -> JointReport:
     """Correlation of the longest zero run with the bitsum at length n."""
-    table = joint_table(n, string_class)
-    er = es = err = ess = ers = 0
-    total = 0
-    for x, row in enumerate(table.rows):
-        s = n - x
-        for y, c in enumerate(row):
-            if not c:
-                continue
-            total += c
-            er += c * y
-            es += c * s
-            err += c * y * y
-            ess += c * s * s
-            ers += c * y * s
-    d = Fraction(total)
-    er, es, err, ess, ers = (Fraction(v) / d for v in (er, es, err, ess, ers))
-    cov = ers - er * es
-    vr = err - er * er
-    vs = ess - es * es
-    if vr == 0 or vs == 0:
-        raise DegenerateVariance(
-            f"zero variance at n={n} for {string_class}; correlation undefined"
-        )
-    return JointReport(
-        n=n,
-        string_class=string_class,
-        mean_run=er,
-        mean_bitsum=es,
-        var_run=vr,
-        var_bitsum=vs,
-        mean_product=ers,
-        covariance=cov,
-        rho=signed_sqrt_ratio(cov, vr * vs),
-    )
+    return joint_rs_report_table([n], string_class)[0]
 
 
 # ---------------------------------------------------------------------------

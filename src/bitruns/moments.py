@@ -9,6 +9,11 @@ is sum over class strings of length n of (longest run)^m, where the
 telescoping weights are w_1 = 1, w_2 = 2k - 1, w_3 = 3k^2 - 3k + 1 and
 w_4 = 4k^3 - 6k^2 + 4k - 1.  Truncating the sum at k = N + 2 is exact
 through z^N since H - H_k vanishes to that order afterwards.
+
+The same telescoping gives the run-bitsum product: with R_k the
+bitsum-marked GF of strings whose longest 0-run is below k, the
+coefficient of z^n in sum_{k=1}^{N+1} (R_{N+2} - R_k) sums
+(longest 0-run) * bitsum over class strings of length n <= N.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .catalog import RunFamily, count_gf, run_family
+from .catalog import RunFamily, bitsum_hk, count_gf, run_family
 from .ensembles import StringClass
 from .errors import EmptyEnsemble, UnsupportedMoment
 from .series import TruncatedSeries
@@ -52,6 +57,17 @@ def moment_numerator(family: RunFamily, m: int, order: int) -> TruncatedSeries:
             gf = family.hk(k)
         acc = acc + (h - gf.expand(order)).scale(moment_weight(m, k))
     return acc
+
+
+def rs_numerator(string_class: StringClass, order: int) -> TruncatedSeries:
+    """Series whose z^n coefficient sums (longest 0-run) * bitsum over
+    the class."""
+    full = bitsum_hk(string_class, order + 2).expand(order)
+    acc = [(order + 1) * c for c in full.coeffs]
+    for k in range(1, order + 2):
+        for n, c in enumerate(bitsum_hk(string_class, k).expand(order).coeffs):
+            acc[n] -= c
+    return TruncatedSeries(acc)
 
 
 @lru_cache(maxsize=None)

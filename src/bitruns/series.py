@@ -27,8 +27,11 @@ def monomial(k: int, coeff: int = 1) -> Poly:
 
 
 def poly_add(*ps: Sequence[int]) -> Poly:
-    n = max(len(p) for p in ps)
-    return poly(sum(p[i] if i < len(p) else 0 for p in ps) for i in range(n))
+    out = [0] * max(len(p) for p in ps)
+    for p in ps:
+        for i, c in enumerate(p):
+            out[i] += c
+    return poly(out)
 
 
 def poly_scale(p: Sequence[int], c: int) -> Poly:
@@ -157,6 +160,8 @@ def gf_expand(gf: RationalGF, order: int) -> TruncatedSeries:
     d_0 c_n = num_n - sum_{m>=1} d_m c_{n-m}.  Requires d_0 in {-1, +1}
     so that every coefficient stays an exact integer.
     """
+    if order < 0:
+        raise ValueError(f"expansion order must be nonnegative, got {order}")
     d0 = gf.denominator[0]
     if d0 not in (1, -1):
         raise NonUnitConstantTerm(

@@ -28,6 +28,7 @@ from bitruns.jointdp import (
     fewones_count,
     fewones_peak,
     joint_rs_report,
+    joint_rs_report_table,
     joint_table,
     layer_builder,
     rs_numerator_approx,
@@ -197,6 +198,22 @@ def test_criterion_4_table2_desk_scale():
                 r = joint_rs_report(n, cls)
                 exact = _exact_rho(r.covariance, r.var_run * r.var_bitsum)
                 assert _matches_published(exact, want), (n, cls, str(exact))
+
+
+TABLE2_FULL = {
+    500: ("-0.271797", "-0.333956"),
+    1000: ("-0.215704", "-0.267488"),
+    1400: ("-0.192050", "-0.239074"),
+}
+
+
+def test_criterion_4_table2_full_scale():
+    # the published full-size values through the generating-function route
+    ns = sorted(TABLE2_FULL)
+    for col, cls in enumerate((U, SOL)):
+        for n, r in zip(ns, joint_rs_report_table(ns, cls)):
+            exact = _exact_rho(r.covariance, r.var_run * r.var_bitsum)
+            assert _matches_published(exact, TABLE2_FULL[n][col]), (n, cls, str(exact))
 
 
 # ---------------------------------------------------------------------------

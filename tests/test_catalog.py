@@ -2,6 +2,7 @@ import pytest
 
 from bitruns.catalog import (
     CROSS_MIN_CLOSED,
+    bitsum_hk,
     bitsum_triple,
     count_gf,
     cross_gf,
@@ -21,7 +22,12 @@ def test_count_gf_prefixes():
 
 
 def test_bitsum_triples_match_oracle():
-    for cls in (StringClass.BIMULTUS, StringClass.PERSOLUS):
+    for cls in (
+        StringClass.UNCONSTRAINED,
+        StringClass.SOLUS,
+        StringClass.BIMULTUS,
+        StringClass.PERSOLUS,
+    ):
         t = bitsum_triple(cls)
         a, b, c = t.a.expand(9), t.b.expand(9), t.c.expand(9)
         d = count_gf(cls).expand(9)
@@ -36,7 +42,26 @@ def test_bitsum_triples_match_oracle():
 
 def test_bitsum_triple_unsupported():
     with pytest.raises(UnsupportedClass):
-        bitsum_triple(StringClass.SOLUS)
+        bitsum_triple(StringClass.MULTUS)
+
+
+def test_bitsum_hk_match_oracle():
+    """bitsum_hk(k) sums the bitsum over strings whose longest 0-run is < k."""
+    for cls in (StringClass.UNCONSTRAINED, StringClass.SOLUS):
+        for k in range(1, 12):
+            series = bitsum_hk(cls, k).expand(10)
+            for n in range(11):
+                want = sum(
+                    cnt * s
+                    for (r0, _, s), cnt in enumerate_joint(n, cls).counts
+                    if r0 < k
+                )
+                assert series[n] == want, (cls, k, n)
+        assert bitsum_hk(cls, 12).expand(10) == bitsum_triple(cls).a.expand(10)
+    with pytest.raises(ValueError):
+        bitsum_hk(StringClass.SOLUS, 0)
+    with pytest.raises(UnsupportedClass):
+        bitsum_hk(StringClass.MULTUS, 3)
 
 
 def test_defined_families():

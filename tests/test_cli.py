@@ -1,8 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import bitruns
 
 from bitruns.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
@@ -47,19 +53,6 @@ def test_table2_spot_values(capsys):
     code, out, _ = run_cli(capsys, "table2", "--lengths", "10,20")
     assert code == EXIT_OK
     assert "-0.752444" in out and "-0.728540" in out
-
-
-def test_table2_cache_resume(capsys, tmp_path):
-    code, out1, _ = run_cli(
-        capsys, "table2", "--lengths", "10", "--cache-dir", str(tmp_path)
-    )
-    assert code == EXIT_OK
-    assert (tmp_path / "unconstrained_00010.tsv").exists()
-    code, out2, _ = run_cli(
-        capsys, "table2", "--lengths", "10", "--cache-dir", str(tmp_path), "--resume"
-    )
-    assert code == EXIT_OK
-    assert out1 == out2
 
 
 def test_joint_rows_sum_to_count(capsys):
@@ -169,3 +162,25 @@ def test_shared_flags_after_subcommand(capsys):
 def test_threads_flag_accepted(capsys):
     code, _, _ = run_cli(capsys, "--threads", "4", "counts", "--class", "solus", "--nmax", "3")
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["joint", "--class", "solus", "--n", "-1"],
+        ["counts", "--class", "solus", "--nmax", "-3"],
+        ["fewones", "--ones", "0", "--run", "3", "--nmax", "5"],
+        ["crossgf", "--class", "multus", "--i", "0", "--j", "2"],
+    ],
+)
+def test_bad_value_is_one_line_usage_error(argv):
+    src = str(Path(bitruns.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bitruns.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("bitruns: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""

@@ -6,12 +6,12 @@ from bitruns.catalog import count_gf
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.errors import DegenerateVariance, OutOfFormulaRange, UnsupportedClass
 from bitruns.jointdp import (
-    _LayerBuilder,
     fewones_closed_form,
     fewones_count,
     fewones_peak,
     fewones_peak_value_mid,
     joint_rs_report,
+    joint_rs_report_table,
     joint_table,
     lam_solus,
     lam_unconstrained,
@@ -61,37 +61,6 @@ def test_boundary_counts():
     assert lam_solus(6, 3) == 2
 
 
-def test_cache_roundtrip(tmp_path):
-    b = _LayerBuilder(0, lam_unconstrained, "roundtrip")
-    b.extend(12)
-    assert b.save(str(tmp_path)) == 13
-    assert b.save(str(tmp_path)) == 0  # second save writes nothing
-
-    fresh = _LayerBuilder(0, lam_unconstrained, "roundtrip")
-    assert fresh.load(str(tmp_path)) == 13
-    assert fresh.F == b.F
-    assert fresh.P == b.P
-    assert fresh.Tprev == b.Tprev
-    # the reloaded builder keeps extending correctly
-    fresh.extend(15)
-    b.extend(15)
-    assert fresh.F[15] == b.F[15]
-
-
-def test_cache_rejects_mismatched_file(tmp_path):
-    b = _LayerBuilder(0, lam_unconstrained, "aaa")
-    b.extend(0)
-    b.save(str(tmp_path))
-    other = _LayerBuilder(0, lam_unconstrained, "bbb")
-    other.extend(2)
-    other.save(str(tmp_path))
-    path = tmp_path / "aaa_00000.tsv"
-    path.write_text((tmp_path / "bbb_00001.tsv").read_text())
-    fresh = _LayerBuilder(0, lam_unconstrained, "aaa")
-    with pytest.raises(ValueError):
-        fresh.load(str(tmp_path))
-
-
 def test_joint_rs_report_exact_fields():
     r = joint_rs_report(10, StringClass.UNCONSTRAINED)
     dist = enumerate_joint(10, StringClass.UNCONSTRAINED)
@@ -107,6 +76,44 @@ def test_joint_rs_report_exact_fields():
 def test_joint_rs_report_degenerate():
     with pytest.raises(DegenerateVariance):
         joint_rs_report(0, StringClass.UNCONSTRAINED)
+
+
+def _dp_moments(n, cls):
+    """E[R0], E[S], Var R0, Var S, E[R0 S] and Cov reduced from the joint
+    table: the dynamic-programming reference for the series route."""
+    table = joint_table(n, cls)
+    sums = [0] * 5  # R0, S, R0^2, S^2, R0 S
+    for x, row in enumerate(table.rows):
+        s = n - x
+        for y, c in enumerate(row):
+            for i, v in enumerate((y, s, y * y, s * s, y * s)):
+                sums[i] += c * v
+    er, es, err, ess, ers = (Fraction(v, table.total) for v in sums)
+    return er, es, err - er * er, ess - es * es, ers, ers - er * es
+
+
+@pytest.mark.parametrize("cls", [StringClass.UNCONSTRAINED, StringClass.SOLUS])
+def test_joint_rs_report_matches_dp(cls):
+    ns = list(range(60, 0, -1))
+    for n, r in zip(ns, joint_rs_report_table(ns, cls)):
+        assert r.n == n and r.string_class is cls
+        got = (
+            r.mean_run, r.mean_bitsum, r.var_run, r.var_bitsum,
+            r.mean_product, r.covariance,
+        )
+        assert got == _dp_moments(n, cls), (cls, n)
+    assert joint_rs_report(7, cls) == joint_rs_report_table([3, 7], cls)[1]
+    with pytest.raises(DegenerateVariance):
+        joint_rs_report(0, cls)
+
+
+def test_joint_rs_report_rejects_bad_input():
+    with pytest.raises(ValueError):
+        joint_rs_report_table([5, -1], StringClass.SOLUS)
+    with pytest.raises(UnsupportedClass):
+        joint_rs_report(5, StringClass.MULTUS)
+    with pytest.raises(ValueError):
+        joint_table(-1, StringClass.SOLUS)
 
 
 def test_fewones_count_matches_brute_force():
