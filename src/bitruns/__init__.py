@@ -47,7 +47,7 @@ from .jointdp import (
     joint_table,
     rs_numerator_approx,
 )
-from .moments import run_moment, run_variance_report
+from .moments import run_moment, run_variance_report, run_variance_table
 from .series import RationalGF, TruncatedSeries
 from .verify import run_checks
 
@@ -85,6 +85,7 @@ __all__ = [
     "run_moment",
     "run_stats",
     "run_variance_report",
+    "run_variance_table",
     "run_checks",
     "to_composition",
     "variance_limit",

@@ -24,7 +24,7 @@ from mpmath import mp, mpf
 from .catalog import count_gf
 from .ensembles import StringClass
 from .errors import UndefinedFamily, UnsupportedClass
-from .moments import run_moment
+from .moments import run_variance_table
 
 mp.dps = 50
 
@@ -153,22 +153,19 @@ def finite_vs_asymptote(
     """Compare exact mean and variance with the asymptotes at several n."""
     vlim = variance_limit(string_class)
     out = []
-    for n in ns:
-        m1 = run_moment(n, string_class, bit, 1)
-        m2 = run_moment(n, string_class, bit, 2)
-        var = m2 - m1 * m1
-        ma = mean_asymptote(n, string_class, bit)
-        mexact = mpf(m1.numerator) / m1.denominator
-        vexact = mpf(var.numerator) / var.denominator
+    for r in run_variance_table(ns, string_class, bit):
+        ma = mean_asymptote(r.n, string_class, bit)
+        mexact = mpf(r.mean.numerator) / r.mean.denominator
+        vexact = mpf(r.variance.numerator) / r.variance.denominator
         out.append(
             AsymptoteReport(
-                n=n,
+                n=r.n,
                 string_class=string_class,
                 bit=bit,
-                mean=m1,
+                mean=r.mean,
                 mean_asymptote=ma,
                 mean_gap=mexact - ma,
-                variance=var,
+                variance=r.variance,
                 variance_limit=vlim,
                 variance_gap=vexact - vlim,
             )

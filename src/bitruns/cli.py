@@ -36,7 +36,7 @@ from .jointdp import (
     joint_rs_report_table,
     joint_table,
 )
-from .moments import run_variance_report
+from .moments import run_variance_table
 from .render import format_float, format_fraction, signed_sqrt_ratio
 from .verify import available_scopes, run_checks
 
@@ -116,11 +116,10 @@ def _cmd_moments(args) -> int:
     cls = StringClass.from_name(args.string_class)
     p = args.precision
     rows = []
-    for n in args.lengths:
-        r = run_variance_report(n, cls, args.bit)
+    for r in run_variance_table(args.lengths, cls, args.bit):
         rows.append(
             [
-                n,
+                r.n,
                 _frac(r.mean, p),
                 _frac(r.variance, p),
                 _frac(r.second_moment, p),

@@ -6,7 +6,8 @@ The product sum over a class comes from the two-run families f_{i,j}
     sum_{i,j >= 1} i j (f_{i+1,j+1} - f_{i,j+1} - f_{i+1,j} + f_{i,j}),
 
 whose z^n coefficient is the sum of R1 * R0 over class strings of
-length n.  Truncating both indices at n + 1 is exact through z^n.
+length n.  A string of length n has R0 + R1 <= n, so the pairs with
+i + j <= n give z^n exactly.
 Closed two-run families exist for the unconstrained and multus classes;
 the exhaustive oracle covers the rest at small n.
 """
@@ -32,21 +33,36 @@ from .series import TruncatedSeries
 
 
 def cross_numerator(string_class: StringClass, order: int) -> TruncatedSeries:
-    """Series whose z^n coefficient sums R0 * R1 over the class."""
-    acc = TruncatedSeries.zero(order)
+    """Series whose z^n coefficient sums R0 * R1 over the class.
 
-    @lru_cache(maxsize=None)
-    def f(i: int, j: int) -> TruncatedSeries:
-        return cross_gf(string_class, i, j).expand(order)
+    A string of length n has R0 + R1 <= n, so only the pairs with
+    i + j <= order reach z^order.  Summing those pairs by parts leaves
+    each f_{a,b} once, with weight 1 for a + b <= order, 1 - ab for
+    a + b = order + 1 and (a - 1)(b - 1) for a + b = order + 2.  The
+    unconstrained f_{a,b} = f_{b,a} by complementing bits, so there
+    each unordered pair is expanded once and counted twice.
+    """
+    symmetric = string_class is StringClass.UNCONSTRAINED
+    acc = [0] * (order + 1)
+    for s in range(2, order + 3):
+        for a in range(1, s // 2 + 1 if symmetric else s):
+            b = s - a
+            if s <= order:
+                w = 1
+            elif s == order + 1:
+                w = 1 - a * b
+            else:
+                w = (a - 1) * (b - 1)
+            if symmetric and a != b:
+                w *= 2
+            for n, c in enumerate(cross_gf(string_class, a, b).expand(order).coeffs):
+                acc[n] += w * c
+    return TruncatedSeries(acc)
 
-    for i in range(1, order + 2):
-        for j in range(1, order + 2):
-            term = f(i + 1, j + 1) - f(i, j + 1) - f(i + 1, j) + f(i, j)
-            acc = acc + term.scale(i * j)
-    return acc
 
-
-@lru_cache(maxsize=None)
+# Bounded like moments._numerator_cached: cross_report_table expands once
+# at the largest length, so this only serves repeated cross_moment calls.
+@lru_cache(maxsize=8)
 def _cross_numerator_cached(string_class: StringClass, order: int) -> TruncatedSeries:
     return cross_numerator(string_class, order)
 
@@ -98,14 +114,13 @@ def _assemble(n, string_class, er0, er1, er0sq, er1sq, er0r1) -> CrossReport:
 
 def cross_report_table(ns: Sequence[int], string_class: StringClass) -> list:
     """CrossReports for several lengths from one set of series expansions."""
+    if any(n < 0 for n in ns):
+        raise ValueError("lengths must be nonnegative")
     order = max(ns)
     xnum = _cross_numerator_cached(string_class, order)
     counts = _counts_cached(string_class, order)
-    num = {
-        (bit, m): _numerator_cached(string_class, bit, m, order)
-        for bit in (0, 1)
-        for m in (1, 2)
-    }
+    r0, r0sq = _numerator_cached(string_class, 0, order)[:2]
+    r1, r1sq = _numerator_cached(string_class, 1, order)[:2]
     out = []
     for n in ns:
         d = counts[n]
@@ -113,10 +128,10 @@ def cross_report_table(ns: Sequence[int], string_class: StringClass) -> list:
             _assemble(
                 n,
                 string_class,
-                Fraction(num[(0, 1)][n], d),
-                Fraction(num[(1, 1)][n], d),
-                Fraction(num[(0, 2)][n], d),
-                Fraction(num[(1, 2)][n], d),
+                Fraction(r0[n], d),
+                Fraction(r1[n], d),
+                Fraction(r0sq[n], d),
+                Fraction(r1sq[n], d),
                 Fraction(xnum[n], d),
             )
         )

@@ -208,8 +208,7 @@ def joint_rs_report_table(ns: Sequence[int], string_class: StringClass) -> list:
     counts = _counts_cached(string_class, order)
     triple = bitsum_triple(string_class)
     s1, s2 = triple.a.expand(order), triple.b.expand(order)
-    r1 = _numerator_cached(string_class, 0, 1, order)
-    r2 = _numerator_cached(string_class, 0, 2, order)
+    r1, r2 = _numerator_cached(string_class, 0, order)[:2]
     out = []
     for n in ns:
         d = counts[n]

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .catalog import RunFamily, bitsum_hk, count_gf, run_family
 from .ensembles import StringClass
@@ -43,20 +44,36 @@ def moment_weight(m: int, k: int) -> int:
     raise UnsupportedMoment(f"moment order {m} not in 1..{MAX_MOMENT}")
 
 
-def moment_numerator(family: RunFamily, m: int, order: int) -> TruncatedSeries:
-    """Series whose z^n coefficient sums (longest run)^m over the class."""
-    moment_weight(m, 1)
+def moment_numerator(family: RunFamily, order: int) -> tuple:
+    """Series for moments 1..MAX_MOMENT in one pass: entry m - 1 has
+    z^n coefficient summing (longest run)^m over class strings of
+    length n <= order.
+
+    Each H_k is expanded once and its difference from H is added into
+    all the sums with the weights w_m(k).  Coefficient n does not depend
+    on `order`, so one expansion at the largest length serves every
+    shorter one.
+    """
+    h = family.H.expand(order).coeffs
     if family.g_in_moment_sum:
-        acc = family.G.expand(order)
+        base = family.G.expand(order).coeffs
     else:
-        acc = TruncatedSeries.zero(order)
-    h = family.H.expand(order)
+        base = [0] * (order + 1)
+    acc = [list(base) for _ in range(MAX_MOMENT)]
+    a1, a2, a3, a4 = acc
     for k in range(1, order + 3):
         gf = family.hk_moment_overrides.get(k)
         if gf is None:
             gf = family.hk(k)
-        acc = acc + (h - gf.expand(order)).scale(moment_weight(m, k))
-    return acc
+        w2, w3, w4 = (moment_weight(m, k) for m in (2, 3, 4))
+        for n, c in enumerate(gf.expand(order).coeffs):
+            d = h[n] - c
+            if d:
+                a1[n] += d
+                a2[n] += w2 * d
+                a3[n] += w3 * d
+                a4[n] += w4 * d
+    return tuple(TruncatedSeries(a) for a in acc)
 
 
 def rs_numerator(string_class: StringClass, order: int) -> TruncatedSeries:
@@ -70,24 +87,23 @@ def rs_numerator(string_class: StringClass, order: int) -> TruncatedSeries:
     return TruncatedSeries(acc)
 
 
-@lru_cache(maxsize=None)
-def _numerator_cached(string_class: StringClass, bit: int, m: int, order: int):
-    return moment_numerator(run_family(string_class, bit), m, order)
+# Bounded: the table functions read every length off one expansion, so
+# these only save repeated single-length calls such as run_moment over m.
+@lru_cache(maxsize=8)
+def _numerator_cached(string_class: StringClass, bit: int, order: int) -> tuple:
+    return moment_numerator(run_family(string_class, bit), order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _counts_cached(string_class: StringClass, order: int):
     return count_gf(string_class).expand(order)
 
 
 def run_moment(n: int, string_class: StringClass, bit: int, m: int) -> Fraction:
     """Exact E[(longest run of `bit`)^m] over class strings of length n."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    d = _counts_cached(string_class, n)[n]
-    if d == 0:
-        raise EmptyEnsemble(f"no {string_class} strings of length {n}")
-    return Fraction(_numerator_cached(string_class, bit, m, n)[n], d)
+    moment_weight(m, 1)
+    r = run_variance_report(n, string_class, bit)
+    return (r.mean, r.second_moment, r.third_moment, r.fourth_moment)[m - 1]
 
 
 @dataclass(frozen=True)
@@ -104,16 +120,37 @@ class MomentReport:
     fourth_moment: Fraction
 
 
+def run_variance_table(ns: Sequence[int], string_class: StringClass, bit: int) -> list:
+    """MomentReports for several lengths, in the order given, from one
+    set of series expansions at max(ns)."""
+    if not ns:
+        return []
+    if any(n < 0 for n in ns):
+        raise ValueError("length must be nonnegative")
+    order = max(ns)
+    counts = _counts_cached(string_class, order)
+    for n in ns:
+        if counts[n] == 0:
+            raise EmptyEnsemble(f"no {string_class} strings of length {n}")
+    num = _numerator_cached(string_class, bit, order)
+    out = []
+    for n in ns:
+        mean, second, third, fourth = (Fraction(s[n], counts[n]) for s in num)
+        out.append(
+            MomentReport(
+                n=n,
+                string_class=string_class,
+                bit=bit,
+                mean=mean,
+                second_moment=second,
+                variance=second - mean * mean,
+                third_moment=third,
+                fourth_moment=fourth,
+            )
+        )
+    return out
+
+
 def run_variance_report(n: int, string_class: StringClass, bit: int) -> MomentReport:
     """Moments 1..4 and the variance in one pass."""
-    mom = [run_moment(n, string_class, bit, m) for m in range(1, MAX_MOMENT + 1)]
-    return MomentReport(
-        n=n,
-        string_class=string_class,
-        bit=bit,
-        mean=mom[0],
-        second_moment=mom[1],
-        variance=mom[1] - mom[0] * mom[0],
-        third_moment=mom[2],
-        fourth_moment=mom[3],
-    )
+    return run_variance_table([n], string_class, bit)[0]

@@ -111,16 +111,6 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
 
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise sum; the result carries the smaller order."""
-    return a + b
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated to the smaller order."""
-    return a * b
-
-
 class RationalGF:
     """Ratio of two integer polynomials, expandable at z=0."""
 

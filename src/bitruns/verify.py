@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from typing import Callable, Sequence
 
 from .catalog import bitsum_triple, count_gf, cross_gf, defined_families, run_family
-from .crossrun import cross_moment
+from .crossrun import cross_numerator
 from .ensembles import (
+    DEFAULT_ORACLE_BOUND,
+    JointDistribution,
     StringClass,
     enumerate_joint,
     oracle_moment,
@@ -22,8 +25,13 @@ from .ensembles import (
     run_stats,
     to_composition,
 )
+from .errors import OracleBoundExceeded
 from .jointdp import joint_table
-from .moments import run_moment
+from .moments import run_variance_table
+
+#: enumerate_joint as a check sees it: run_checks hands every check one
+#: memo, so each (n, class) is enumerated once per call.
+Oracle = Callable[[int, StringClass], JointDistribution]
 
 #: classes whose closed forms set the z^0 coefficient to 0 even though
 #: the empty string is a member; comparisons start at n = 1 there.
@@ -45,13 +53,13 @@ def _first_n(string_class: StringClass) -> int:
     return 1 if string_class in _SKIP_EMPTY else 0
 
 
-def check_counts(nmax: int) -> list:
+def check_counts(nmax: int, oracle: Oracle) -> list:
     out = []
     for cls in StringClass:
         series = count_gf(cls).expand(nmax)
         bad = ""
         for n in range(_first_n(cls), nmax + 1):
-            want = enumerate_joint(n, cls).total
+            want = oracle(n, cls).total
             if series[n] != want:
                 bad = f"n={n}: series {series[n]} != count {want}"
                 break
@@ -59,7 +67,7 @@ def check_counts(nmax: int) -> list:
     return out
 
 
-def check_bitsums(nmax: int) -> list:
+def check_bitsums(nmax: int, oracle: Oracle) -> list:
     out = []
     for cls in (StringClass.BIMULTUS, StringClass.PERSOLUS):
         triple = bitsum_triple(cls)
@@ -68,7 +76,7 @@ def check_bitsums(nmax: int) -> list:
         c = triple.c.expand(nmax)
         bad = ""
         for n in range(1, nmax + 1):
-            dist = enumerate_joint(n, cls)
+            dist = oracle(n, cls)
             wa = sum(cnt * s for (_, _, s), cnt in dist.counts)
             wb = sum(cnt * s * s for (_, _, s), cnt in dist.counts)
             wc = dist.total * wb - wa * wa
@@ -79,23 +87,23 @@ def check_bitsums(nmax: int) -> list:
     return out
 
 
-def check_run_moments(nmax: int) -> list:
+def check_run_moments(nmax: int, oracle: Oracle) -> list:
     out = []
     for cls, bit in defined_families():
         fam = run_family(cls, bit)
+        dists = [oracle(n, cls) for n in range(max(1, fam.valid_from_n), nmax + 1)]
+        dists = [d for d in dists if d.total]
+        reports = run_variance_table([d.n for d in dists], cls, bit)
         bad = ""
-        for n in range(max(1, fam.valid_from_n), nmax + 1):
-            dist = enumerate_joint(n, cls)
-            if dist.total == 0:
-                continue
-            for m in (1, 2, 3, 4):
+        for dist, r in zip(dists, reports):
+            moments = (r.mean, r.second_moment, r.third_moment, r.fourth_moment)
+            for m, got in enumerate(moments, 1):
                 want = Fraction(
                     sum(cnt * key[bit] ** m for key, cnt in dist.counts),
                     dist.total,
                 )
-                got = run_moment(n, cls, bit, m)
                 if got != want:
-                    bad = f"n={n} m={m}: {got} != {want}"
+                    bad = f"n={dist.n} m={m}: {got} != {want}"
                     break
             if bad:
                 break
@@ -103,7 +111,7 @@ def check_run_moments(nmax: int) -> list:
     return out
 
 
-def check_cross_run(nmax: int) -> list:
+def check_cross_run(nmax: int, oracle: Oracle) -> list:
     out = []
     for cls in (StringClass.UNCONSTRAINED, StringClass.MULTUS):
         bad = ""
@@ -114,7 +122,7 @@ def check_cross_run(nmax: int) -> list:
                 for n in range(_first_n(cls), nmax + 1):
                     want = sum(
                         cnt
-                        for (r0, r1, _), cnt in enumerate_joint(n, cls).counts
+                        for (r0, r1, _), cnt in oracle(n, cls).counts
                         if r1 < i and r0 < j
                     )
                     if series[n] != want:
@@ -126,12 +134,14 @@ def check_cross_run(nmax: int) -> list:
                 break
         # product moments
         if not bad:
+            counts = count_gf(cls).expand(nmax)
+            xnum = cross_numerator(cls, nmax)
             for n in range(1, nmax + 1):
-                dist = enumerate_joint(n, cls)
+                dist = oracle(n, cls)
                 if dist.total == 0:
                     continue
                 want = oracle_moment(dist, "R0*R1")
-                got = cross_moment(n, cls)
+                got = Fraction(xnum[n], counts[n])
                 if got != want:
                     bad = f"E(R0 R1) n={n}: {got} != {want}"
                     break
@@ -139,14 +149,14 @@ def check_cross_run(nmax: int) -> list:
     return out
 
 
-def check_joint_dp(nmax: int) -> list:
+def check_joint_dp(nmax: int, oracle: Oracle) -> list:
     out = []
     for cls in (StringClass.UNCONSTRAINED, StringClass.SOLUS):
         bad = ""
         for n in range(nmax + 1):
             table = joint_table(n, cls)
             want: dict = {}
-            for (r0, _, s), cnt in enumerate_joint(n, cls).counts:
+            for (r0, _, s), cnt in oracle(n, cls).counts:
                 key = (n - s, r0)
                 want[key] = want.get(key, 0) + cnt
             for x in range(n + 1):
@@ -165,7 +175,7 @@ def check_joint_dp(nmax: int) -> list:
     return out
 
 
-def check_compositions(nmax: int) -> list:
+def check_compositions(nmax: int, oracle: Oracle) -> list:
     bad = ""
     for n in range(nmax + 1):
         seen = set()
@@ -205,16 +215,27 @@ def available_scopes() -> Sequence[str]:
 
 
 def run_checks(scope: str = "all", nmax: int = 10) -> list:
-    """Run one named check suite, or every suite for scope 'all'."""
+    """Run one named check suite, or every suite for scope 'all'.
+
+    Every suite enumerates all 2^n strings for each n <= nmax, so nmax
+    is checked against the oracle bound before any of them starts.
+    """
     if scope == "all":
-        out = []
-        for fn in _SCOPES.values():
-            out.extend(fn(nmax))
-        return out
-    try:
-        fn = _SCOPES[scope]
-    except KeyError:
+        fns = list(_SCOPES.values())
+    elif scope in _SCOPES:
+        fns = [_SCOPES[scope]]
+    else:
         raise ValueError(
             f"unknown scope {scope!r}; choose from {', '.join(available_scopes())}"
-        ) from None
-    return fn(nmax)
+        )
+    if nmax < 0:
+        raise ValueError(f"nmax must be nonnegative, got {nmax}")
+    if nmax > DEFAULT_ORACLE_BOUND:
+        raise OracleBoundExceeded(
+            f"nmax={nmax} exceeds the oracle bound {DEFAULT_ORACLE_BOUND}"
+        )
+    oracle = lru_cache(maxsize=None)(enumerate_joint)
+    out = []
+    for fn in fns:
+        out.extend(fn(nmax, oracle))
+    return out

@@ -184,3 +184,29 @@ def test_bad_value_is_one_line_usage_error(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("bitruns: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+def test_moments_at_precision_60(capsys):
+    code, out, err = run_cli(
+        capsys, "--format", "csv", "moments", "--class", "multus", "--bit", "1",
+        "--lengths", "30", "--precision", "60",
+    )
+    assert code == EXIT_OK and err == ""
+    header, row = list(csv.reader(io.StringIO(out)))
+    assert row[0] == "30"
+    for value in row[1:]:
+        assert len(value.split(".")[1]) == 60
+
+
+def test_verify_over_oracle_bound_exits_before_enumerating(capsys, monkeypatch):
+    from bitruns import verify
+
+    def forbidden(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(verify, "enumerate_joint", forbidden)
+    monkeypatch.setattr(verify, "iter_strings", forbidden)
+    code, out, err = run_cli(capsys, "verify", "--nmax", "25")
+    assert code == EXIT_LIMIT
+    assert out == ""
+    assert err.startswith("bitruns: ") and err.count("\n") == 1

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from bitruns.catalog import cross_gf
 from bitruns.crossrun import (
     cross_moment,
     cross_numerator,
@@ -11,6 +13,7 @@ from bitruns.crossrun import (
 )
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.errors import DegenerateVariance, UnsupportedClass
+from bitruns.series import TruncatedSeries
 
 
 @pytest.mark.parametrize("cls", [StringClass.UNCONSTRAINED, StringClass.MULTUS])
@@ -49,6 +52,9 @@ def test_cross_report_table_alignment():
     table = cross_report_table([5, 10], StringClass.MULTUS)
     assert [r.n for r in table] == [5, 10]
     assert table[1].rho == cross_report(10, StringClass.MULTUS).rho
+    # a negative length must not read a coefficient from the far end
+    with pytest.raises(ValueError):
+        cross_report_table([10, -1], StringClass.MULTUS)
 
 
 def test_cross_report_oracle_any_class():
@@ -60,3 +66,25 @@ def test_cross_report_oracle_any_class():
 def test_degenerate_variance():
     with pytest.raises(DegenerateVariance):
         cross_report(0, StringClass.UNCONSTRAINED)
+
+
+def _cross_numerator_full(cls, order):
+    """The unpruned sum over all (order + 1)^2 pairs, as the reference
+    for the pruned and symmetric cross_numerator."""
+    acc = TruncatedSeries.zero(order)
+
+    @lru_cache(maxsize=None)
+    def f(i, j):
+        return cross_gf(cls, i, j).expand(order)
+
+    for i in range(1, order + 2):
+        for j in range(1, order + 2):
+            term = f(i + 1, j + 1) - f(i, j + 1) - f(i + 1, j) + f(i, j)
+            acc = acc + term.scale(i * j)
+    return acc
+
+
+@pytest.mark.parametrize("cls", [StringClass.UNCONSTRAINED, StringClass.MULTUS])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 40])
+def test_cross_numerator_matches_full_pair_sum(cls, order):
+    assert cross_numerator(cls, order) == _cross_numerator_full(cls, order)

@@ -1,15 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from bitruns.catalog import defined_families
+from bitruns.catalog import defined_families, run_family
 from bitruns.ensembles import StringClass, enumerate_joint
-from bitruns.errors import EmptyEnsemble, UnsupportedMoment
+from bitruns.errors import BitrunsError, EmptyEnsemble, UnsupportedMoment
 from bitruns.moments import (
+    MAX_MOMENT,
+    moment_numerator,
     moment_weight,
     run_moment,
     run_variance_report,
+    run_variance_table,
 )
+from bitruns.series import TruncatedSeries
 
 
 def test_moment_weight_telescopes():
@@ -60,3 +65,51 @@ def test_run_variance_report():
     assert r.mean == run_moment(10, StringClass.SOLUS, 0, 1)
     assert r.fourth_moment == run_moment(10, StringClass.SOLUS, 0, 4)
     assert r.variance > 0
+
+
+def _numerator_per_moment(family, m, order):
+    """One telescoping sum per moment order, a series op per term: the
+    route the one-pass moment_numerator replaced, kept as its reference."""
+    if family.g_in_moment_sum:
+        acc = family.G.expand(order)
+    else:
+        acc = TruncatedSeries.zero(order)
+    h = family.H.expand(order)
+    for k in range(1, order + 3):
+        gf = family.hk_moment_overrides.get(k)
+        if gf is None:
+            gf = family.hk(k)
+        acc = acc + (h - gf.expand(order)).scale(moment_weight(m, k))
+    return acc
+
+
+@pytest.mark.parametrize("cls,bit", defined_families())
+def test_moment_numerator_matches_per_moment_sums(cls, bit):
+    fam = run_family(cls, bit)
+    got = moment_numerator(fam, 40)
+    assert len(got) == MAX_MOMENT
+    for m in range(1, MAX_MOMENT + 1):
+        assert got[m - 1] == _numerator_per_moment(fam, m, 40), m
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BitrunsError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("cls,bit", defined_families())
+def test_run_variance_table_matches_single_lengths(cls, bit):
+    single = {n: _outcome(run_variance_report, n, cls, bit) for n in range(61)}
+    ok = [n for n, r in single.items() if not isinstance(r, type)]
+    random.Random(f"{cls}/{bit}").shuffle(ok)
+    assert run_variance_table(ok, cls, bit) == [single[n] for n in ok]
+    # a length the single-length route rejects fails the whole table alike
+    for n, r in single.items():
+        if isinstance(r, type):
+            with pytest.raises(r):
+                run_variance_table(ok + [n], cls, bit)
+    with pytest.raises(ValueError):
+        run_variance_table(ok + [-1], cls, bit)
+    assert run_variance_table([], cls, bit) == []

@@ -1,5 +1,10 @@
+from collections import Counter
+
 import pytest
 
+from bitruns import verify
+from bitruns.ensembles import DEFAULT_ORACLE_BOUND, StringClass
+from bitruns.errors import OracleBoundExceeded
 from bitruns.verify import CheckResult, available_scopes, run_checks
 
 
@@ -30,3 +35,31 @@ def test_available_scopes():
 def test_check_result_str():
     assert str(CheckResult("x", True)) == "x: ok"
     assert str(CheckResult("x", False, "n=3")) == "x: FAIL (n=3)"
+
+
+def test_each_class_and_length_enumerated_once(monkeypatch):
+    calls = Counter()
+    enumerate_joint = verify.enumerate_joint
+
+    def counted(n, cls):
+        calls[(n, cls)] += 1
+        return enumerate_joint(n, cls)
+
+    monkeypatch.setattr(verify, "enumerate_joint", counted)
+    results = run_checks("all", 8)
+    assert all(r.passed for r in results), [str(r) for r in results if not r.passed]
+    assert set(calls) <= {(n, cls) for n in range(9) for cls in StringClass}
+    assert set(calls.values()) == {1}
+
+
+def test_oracle_bound_checked_before_any_enumeration(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(verify, "enumerate_joint", forbidden)
+    monkeypatch.setattr(verify, "iter_strings", forbidden)
+    for scope in available_scopes():
+        with pytest.raises(OracleBoundExceeded):
+            run_checks(scope, DEFAULT_ORACLE_BOUND + 1)
+    with pytest.raises(ValueError):
+        run_checks("counts", -1)
