@@ -1,8 +1,9 @@
 """Catalog of the closed-form generating functions.
 
 Count GFs, bitsum triples (a, b, c), the (G, H, H_k) run families and
-the two-run f_{i,j} families are hard-coded here rather than re-derived;
-the exhaustive oracle certifies them in the test suite.
+the two-run f_{i,j} families are hard-coded here rather than re-derived,
+each written as its few nonzero (exponent, coefficient) terms; the
+exhaustive oracle certifies them in the test suite.
 
 Two conventions matter throughout:
 
@@ -24,23 +25,27 @@ from typing import Callable, Mapping
 
 from .ensembles import StringClass
 from .errors import UndefinedFamily, UnsupportedClass
-from .series import RationalGF, monomial, poly, poly_add, poly_mul, poly_scale
+from .series import RationalGF, dense_terms, terms, terms_mul
 
-_Z = monomial(1)
-_Z2 = monomial(2)
+_Z = ((1, 1),)
+_Z2 = ((2, 1),)
 
 
 def _p(*coeffs: int):
-    return poly(coeffs)
+    """Sparse terms of the dense coefficients given, constant term first."""
+    return dense_terms(coeffs)
+
+
+_gf = RationalGF.from_terms
 
 
 #: d_n generating functions for the five classes.
 _COUNT_GFS = {
-    StringClass.UNCONSTRAINED: RationalGF(_p(1), _p(1, -2)),
-    StringClass.SOLUS: RationalGF(_p(1, 1), _p(1, -1, -1)),
-    StringClass.MULTUS: RationalGF(_p(1, -1, 1), _p(1, -2, 1, -1)),
-    StringClass.BIMULTUS: RationalGF(_p(0, 0, 2), _p(1, -1, -1)),
-    StringClass.PERSOLUS: RationalGF(_p(0, 1, 0, 2), _p(1, -1, 0, -1)),
+    StringClass.UNCONSTRAINED: _gf(_p(1), _p(1, -2)),
+    StringClass.SOLUS: _gf(_p(1, 1), _p(1, -1, -1)),
+    StringClass.MULTUS: _gf(_p(1, -1, 1), _p(1, -2, 1, -1)),
+    StringClass.BIMULTUS: _gf(_p(0, 0, 2), _p(1, -1, -1)),
+    StringClass.PERSOLUS: _gf(_p(0, 1, 0, 2), _p(1, -1, 0, -1)),
 }
 
 
@@ -65,55 +70,54 @@ _SOLUS_DEN = _p(1, -1, -1)
 _BITSUM_TRIPLES = {
     StringClass.UNCONSTRAINED: BitsumTriple(
         StringClass.UNCONSTRAINED,
-        a=RationalGF(_Z, poly_mul(_p(1, -2), _p(1, -2))),
-        b=RationalGF(_Z, poly_mul(_p(1, -2), poly_mul(_p(1, -2), _p(1, -2)))),
-        c=RationalGF(_Z, poly_mul(_p(1, -4), _p(1, -4))),
+        a=_gf(_Z, terms_mul(_p(1, -2), _p(1, -2))),
+        b=_gf(_Z, terms_mul(_p(1, -2), _p(1, -2), _p(1, -2))),
+        c=_gf(_Z, terms_mul(_p(1, -4), _p(1, -4))),
     ),
     StringClass.SOLUS: BitsumTriple(
         StringClass.SOLUS,
-        a=RationalGF(_Z, poly_mul(_SOLUS_DEN, _SOLUS_DEN)),
-        b=RationalGF(
-            poly_mul(_Z, _p(1, -1, 1)),
-            poly_mul(_SOLUS_DEN, poly_mul(_SOLUS_DEN, _SOLUS_DEN)),
+        a=_gf(_Z, terms_mul(_SOLUS_DEN, _SOLUS_DEN)),
+        b=_gf(
+            terms_mul(_Z, _p(1, -1, 1)),
+            terms_mul(_SOLUS_DEN, _SOLUS_DEN, _SOLUS_DEN),
         ),
-        c=RationalGF(
-            poly_mul(_Z, _p(1, -1)),
-            poly_mul(
-                poly_mul(_p(1, 1), poly_mul(_p(1, 1), _p(1, 1))),
-                poly_mul(_p(1, -3, 1), _p(1, -3, 1)),
-            ),
+        c=_gf(
+            terms_mul(_Z, _p(1, -1)),
+            terms_mul(_p(1, 1), _p(1, 1), _p(1, 1), _p(1, -3, 1), _p(1, -3, 1)),
         ),
     ),
     StringClass.BIMULTUS: BitsumTriple(
         StringClass.BIMULTUS,
-        a=RationalGF(poly_mul(_Z2, _p(2, -1)), poly_mul(_p(1, -1, -1), _p(1, -1, -1))),
-        b=RationalGF(
-            poly_mul(_Z2, _p(4, -7, 4, -1, 4, -1)),
-            poly_mul(_p(1, -1, 1), poly_mul(_p(1, -1, -1), poly_mul(_p(1, -1, -1), _p(1, -1, -1)))),
+        a=_gf(terms_mul(_Z2, _p(2, -1)), terms_mul(_p(1, -1, -1), _p(1, -1, -1))),
+        b=_gf(
+            terms_mul(_Z2, _p(4, -7, 4, -1, 4, -1)),
+            terms_mul(_p(1, -1, 1), _p(1, -1, -1), _p(1, -1, -1), _p(1, -1, -1)),
         ),
-        c=RationalGF(
-            poly_mul(_Z2, _p(4, -11, 11, -13, 2, 17, -5, -1)),
-            poly_mul(
-                poly_mul(_p(1, 1), _p(1, 1)),
-                poly_mul(poly_mul(_p(1, -3, 1), _p(1, -3, 1)), _p(1, -1, 2, 1, 1)),
+        c=_gf(
+            terms_mul(_Z2, _p(4, -11, 11, -13, 2, 17, -5, -1)),
+            terms_mul(
+                _p(1, 1), _p(1, 1), _p(1, -3, 1), _p(1, -3, 1), _p(1, -1, 2, 1, 1)
             ),
         ),
     ),
     StringClass.PERSOLUS: BitsumTriple(
         StringClass.PERSOLUS,
-        a=RationalGF(
-            poly_mul(_Z, poly_mul(_p(1, -1, 1), _p(1, -1, 1))),
-            poly_mul(_p(1, -1, 0, -1), _p(1, -1, 0, -1)),
+        a=_gf(
+            terms_mul(_Z, _p(1, -1, 1), _p(1, -1, 1)),
+            terms_mul(_p(1, -1, 0, -1), _p(1, -1, 0, -1)),
         ),
-        b=RationalGF(
-            poly_mul(_Z, poly_mul(poly_mul(_p(1, -1, 1), _p(1, -1, 1)), _p(1, -1, 0, 1))),
-            poly_mul(_p(1, -1, 0, -1), poly_mul(_p(1, -1, 0, -1), _p(1, -1, 0, -1))),
+        b=_gf(
+            terms_mul(_Z, _p(1, -1, 1), _p(1, -1, 1), _p(1, -1, 0, 1)),
+            terms_mul(_p(1, -1, 0, -1), _p(1, -1, 0, -1), _p(1, -1, 0, -1)),
         ),
-        c=RationalGF(
-            poly_mul(monomial(3), _p(2, 4, -6, -6, -16, -8, 8, 14, 5, -2, -3, -1)),
-            poly_mul(
-                poly_mul(_p(1, -1, -2, -1), _p(1, -1, -2, -1)),
-                poly_mul(_p(1, 0, 1, -1), poly_mul(_p(1, 0, 1, -1), _p(1, 0, 1, -1))),
+        c=_gf(
+            terms_mul(((3, 1),), _p(2, 4, -6, -6, -16, -8, 8, 14, 5, -2, -3, -1)),
+            terms_mul(
+                _p(1, -1, -2, -1),
+                _p(1, -1, -2, -1),
+                _p(1, 0, 1, -1),
+                _p(1, 0, 1, -1),
+                _p(1, 0, 1, -1),
             ),
         ),
     ),
@@ -157,9 +161,9 @@ def bitsum_hk(string_class: StringClass, k: int) -> RationalGF:
         raise UnsupportedClass(
             f"no bitsum-marked run generating function for {string_class}"
         ) from None
-    one_minus = poly_add(_p(1), poly_scale(monomial(k), -1))
-    den = poly_add(base, monomial(k + 1))
-    return RationalGF(poly_mul(_Z, poly_mul(one_minus, one_minus)), poly_mul(den, den))
+    one_minus = ((0, 1), (k, -1))
+    den = terms(base + ((k + 1, 1),))
+    return _gf(terms_mul(_Z, one_minus, one_minus), terms_mul(den, den))
 
 
 @dataclass(frozen=True)
@@ -185,52 +189,54 @@ class RunFamily:
 
 
 def _hk_unconstrained(k: int) -> RationalGF:
-    return RationalGF(
-        poly_add(_p(1), poly_scale(monomial(k), -1)),
-        poly_add(_p(1, -2), monomial(k + 1)),
-    )
+    # (1 - z^k) / (1 - 2z + z^(k+1))
+    return _gf([(0, 1), (k, -1)], [(0, 1), (1, -2), (k + 1, 1)])
 
 
 def _hk_solus0(k: int) -> RationalGF:
-    return RationalGF(
-        poly_add(_p(1, 1), poly_scale(monomial(k), -1), poly_scale(monomial(k + 1), -1)),
-        poly_add(_p(1, -1, -1), monomial(k + 1)),
+    # (1 + z - z^k - z^(k+1)) / (1 - z - z^2 + z^(k+1))
+    return _gf(
+        [(0, 1), (1, 1), (k, -1), (k + 1, -1)],
+        [(0, 1), (1, -1), (2, -1), (k + 1, 1)],
     )
 
 
 def _hk_multus1(k: int) -> RationalGF:
-    num = poly_add(_p(1, 0, 1), poly_scale(monomial(k - 1), -1), poly_scale(monomial(k), -1))
-    return RationalGF(poly_mul(num, _Z), poly_add(_p(1, -2, 1, -1), monomial(k + 1)))
+    # z (1 + z^2 - z^(k-1) - z^k) / (1 - 2z + z^2 - z^3 + z^(k+1))
+    return _gf(
+        [(1, 1), (3, 1), (k, -1), (k + 1, -1)],
+        [(0, 1), (1, -2), (2, 1), (3, -1), (k + 1, 1)],
+    )
 
 
 def _hk_multus0(k: int) -> RationalGF:
-    num = poly_add(
-        _p(1, 0, 1),
-        poly_scale(monomial(k - 1), -1),
-        monomial(k),
-        poly_scale(monomial(k + 1), -2),
+    # z (1 + z^2 - z^(k-1) + z^k - 2z^(k+1)) / (1 - 2z + z^2 - z^3 + z^(k+2))
+    return _gf(
+        [(1, 1), (3, 1), (k, -1), (k + 1, 1), (k + 2, -2)],
+        [(0, 1), (1, -2), (2, 1), (3, -1), (k + 2, 1)],
     )
-    return RationalGF(poly_mul(num, _Z), poly_add(_p(1, -2, 1, -1), monomial(k + 2)))
 
 
 def _hk_bimultus(k: int) -> RationalGF:
-    num = poly_add(
-        _p(2, -2, 2),
-        poly_scale(monomial(k - 2), -1),
-        monomial(k - 1),
-        poly_scale(monomial(k), -2),
+    # z^2 (2 - 2z + 2z^2 - z^(k-2) + z^(k-1) - 2z^k)
+    #   / (1 - 2z + z^2 - z^4 + z^(k+2))
+    return _gf(
+        [(2, 2), (3, -2), (4, 2), (k, -1), (k + 1, 1), (k + 2, -2)],
+        [(0, 1), (1, -2), (2, 1), (4, -1), (k + 2, 1)],
     )
-    return RationalGF(poly_mul(num, _Z2), poly_add(_p(1, -2, 1, 0, -1), monomial(k + 2)))
 
 
 def _hk_persolus0(k: int) -> RationalGF:
-    num = poly_add(_p(1, 0, 2), poly_scale(monomial(k - 1), -1), poly_scale(monomial(k), -2))
-    return RationalGF(poly_mul(num, _Z), poly_add(_p(1, -1, 0, -1), monomial(k + 1)))
+    # z (1 + 2z^2 - z^(k-1) - 2z^k) / (1 - z - z^3 + z^(k+1))
+    return _gf(
+        [(1, 1), (3, 2), (k, -1), (k + 1, -2)],
+        [(0, 1), (1, -1), (3, -1), (k + 1, 1)],
+    )
 
 
-_ZERO_GF = RationalGF(_p(0), _p(1))
+_ZERO_GF = _gf((), _p(1))
 
-_H_MULTUS = RationalGF(poly_mul(_p(1, 0, 1), _Z), _p(1, -2, 1, -1))
+_H_MULTUS = _gf(_p(0, 1, 0, 1), _p(1, -2, 1, -1))
 
 _FAMILIES = {}
 
@@ -245,7 +251,7 @@ for _bit in (0, 1):
             StringClass.UNCONSTRAINED,
             _bit,
             G=_ZERO_GF,
-            H=RationalGF(_p(1), _p(1, -2)),
+            H=_gf(_p(1), _p(1, -2)),
             hk=_hk_unconstrained,
         )
     )
@@ -255,7 +261,7 @@ _add_family(
         StringClass.SOLUS,
         0,
         G=_ZERO_GF,
-        H=RationalGF(_p(1, 1), _p(1, -1, -1)),
+        H=_gf(_p(1, 1), _p(1, -1, -1)),
         hk=_hk_solus0,
     )
 )
@@ -264,7 +270,7 @@ _add_family(
     RunFamily(
         StringClass.MULTUS,
         1,
-        G=RationalGF(poly_scale(_Z, -1), poly_mul(_p(1, -1), _p(1, -1, 1))),
+        G=_gf(_p(0, -1), terms_mul(_p(1, -1), _p(1, -1, 1))),
         H=_H_MULTUS,
         hk=_hk_multus1,
         min_valid_k=2,
@@ -289,11 +295,11 @@ for _bit in (0, 1):
         RunFamily(
             StringClass.BIMULTUS,
             _bit,
-            G=RationalGF(
-                poly_scale(poly_mul(_Z, poly_mul(_p(1, -1, 1), _p(1, -1, 1))), -1),
-                poly_mul(_p(1, -1), _p(1, -1, 0, 1)),
+            G=_gf(
+                terms_mul(_p(0, -1), _p(1, -1, 1), _p(1, -1, 1)),
+                terms_mul(_p(1, -1), _p(1, -1, 0, 1)),
             ),
-            H=RationalGF(poly_mul(_p(2, -2, 2), _Z2), _p(1, -2, 1, 0, -1)),
+            H=_gf(_p(0, 0, 2, -2, 2), _p(1, -2, 1, 0, -1)),
             hk=_hk_bimultus,
             min_valid_k=2,
             valid_from_n=1,
@@ -302,7 +308,7 @@ for _bit in (0, 1):
             # count of strings with no designated bit at all (all-ones
             # bimultus strings: one per length n >= 2).
             g_in_moment_sum=False,
-            hk_moment_overrides={1: RationalGF(_Z2, _p(1, -1))},
+            hk_moment_overrides={1: _gf(_Z2, _p(1, -1))},
         )
     )
 
@@ -310,8 +316,8 @@ _add_family(
     RunFamily(
         StringClass.PERSOLUS,
         0,
-        G=RationalGF(poly_scale(poly_mul(_Z, _p(1, 2, 1)), -1), _p(1, 0, 1)),
-        H=RationalGF(poly_mul(_p(1, 0, 2), _Z), _p(1, -1, 0, -1)),
+        G=_gf(_p(0, -1, -2, -1), _p(1, 0, 1)),
+        H=_gf(_p(0, 1, 0, 2), _p(1, -1, 0, -1)),
         hk=_hk_persolus0,
         min_valid_k=2,
         valid_from_n=1,
@@ -344,38 +350,21 @@ CROSS_MIN_CLOSED = {StringClass.UNCONSTRAINED: 1, StringClass.MULTUS: 2}
 
 
 def _cross_unconstrained(i: int, j: int) -> RationalGF:
-    num = poly_add(
-        _p(1),
-        poly_scale(monomial(i), -1),
-        poly_scale(monomial(j), -1),
-        monomial(i + j),
+    # (1 - z^i - z^j + z^(i+j)) / (1 - 2z + z^(i+1) + z^(j+1) - z^(i+j))
+    return _gf(
+        [(0, 1), (i, -1), (j, -1), (i + j, 1)],
+        [(0, 1), (1, -2), (i + 1, 1), (j + 1, 1), (i + j, -1)],
     )
-    den = poly_add(
-        _p(1, -2),
-        monomial(i + 1),
-        monomial(j + 1),
-        poly_scale(monomial(i + j), -1),
-    )
-    return RationalGF(num, den)
 
 
 def _cross_multus(i: int, j: int) -> RationalGF:
-    num = poly_add(
-        _p(1, 0, 1),
-        poly_scale(monomial(i - 1), -1),
-        poly_scale(monomial(i), -1),
-        poly_scale(monomial(j - 1), -1),
-        monomial(j),
-        poly_scale(monomial(j + 1), -2),
-        poly_scale(monomial(i + j - 1), 2),
+    # z (1 + z^2 - z^(i-1) - z^i - z^(j-1) + z^j - 2z^(j+1) + 2z^(i+j-1))
+    #   / (1 - 2z + z^2 - z^3 + z^(i+1) + z^(j+2) - z^(i+j))
+    return _gf(
+        [(1, 1), (3, 1), (i, -1), (i + 1, -1), (j, -1), (j + 1, 1), (j + 2, -2),
+         (i + j, 2)],
+        [(0, 1), (1, -2), (2, 1), (3, -1), (i + 1, 1), (j + 2, 1), (i + j, -1)],
     )
-    den = poly_add(
-        _p(1, -2, 1, -1),
-        monomial(i + 1),
-        monomial(j + 2),
-        poly_scale(monomial(i + j), -1),
-    )
-    return RationalGF(poly_mul(num, _Z), den)
 
 
 def _cross_multus_boundary(i: int, j: int) -> RationalGF:
@@ -385,11 +374,11 @@ def _cross_multus_boundary(i: int, j: int) -> RationalGF:
         return _ZERO_GF
     if i == 1:
         # no 1s at all: the all-zero string, needing n <= j-1
-        return RationalGF(poly_add(_Z, poly_scale(monomial(j), -1)), _p(1, -1))
+        return _gf([(1, 1), (j, -1)], _p(1, -1))
     # j == 1: no 0s: all-ones multus strings have length 2..i-1
     if i <= 2:
         return _ZERO_GF
-    return RationalGF(poly_add(_Z2, poly_scale(monomial(i), -1)), _p(1, -1))
+    return _gf([(2, 1), (i, -1)], _p(1, -1))
 
 
 def cross_gf(string_class: StringClass, i: int, j: int) -> RationalGF:

@@ -19,6 +19,7 @@ from .asymptotics import (
     growth_constant,
     growth_constant_residual,
     variance_limit,
+    working_precision,
 )
 from .catalog import count_gf, cross_gf
 from .crossrun import cross_report_table
@@ -35,6 +36,7 @@ from .jointdp import (
     fewones_count,
     joint_rs_report_table,
     joint_table,
+    layer_builder,
 )
 from .moments import run_variance_table
 from .render import format_float, format_fraction, signed_sqrt_ratio
@@ -203,10 +205,11 @@ def _cmd_joint(args) -> int:
 def _cmd_fewones(args) -> int:
     rows = []
     closed_ok = 2 <= args.ones < 6 and args.run >= 2
+    layers = layer_builder(StringClass.SOLUS)
     for n in range(1, args.nmax + 1):
-        row = [n, fewones_count(n, args.ones, args.run)]
+        row = [n, fewones_count(n, args.ones, args.run, layers=layers)]
         if closed_ok:
-            row.append(fewones_closed_form(n, args.ones, args.run))
+            row.append(fewones_closed_form(n, args.ones, args.run, layers))
         rows.append(row)
     header = ["n", "count"] + (["closed_form"] if closed_ok else [])
     _emit(
@@ -265,39 +268,42 @@ def _cmd_compositions(args) -> int:
 def _cmd_asymptotics(args) -> int:
     cls = StringClass.from_name(args.string_class)
     p = args.precision
-    rows = []
-    for r in finite_vs_asymptote(args.lengths, cls, args.bit):
-        rows.append(
-            [
-                r.n,
-                _frac(r.mean, p),
-                format_float(r.mean_asymptote, p),
-                format_float(r.mean_gap, p),
-                _frac(r.variance, p),
-                format_float(r.variance_limit, p),
-                format_float(r.variance_gap, p),
-            ]
+    # compute and render inside one scope: str() of an mpf reads the
+    # working precision in force where it is called
+    with working_precision(p):
+        rows = []
+        for r in finite_vs_asymptote(args.lengths, cls, args.bit):
+            rows.append(
+                [
+                    r.n,
+                    _frac(r.mean, p),
+                    format_float(r.mean_asymptote, p),
+                    format_float(r.mean_gap, p),
+                    _frac(r.variance, p),
+                    format_float(r.variance_limit, p),
+                    format_float(r.variance_gap, p),
+                ]
+            )
+        params = {
+            "class": cls.value,
+            "bit": args.bit,
+            "lengths": args.lengths,
+            "growth_constant": format_float(growth_constant(cls), 10),
+            "growth_residual": format_float(growth_constant_residual(cls), 40),
+            "variance_limit": format_float(variance_limit(cls), 10),
+        }
+        if cls in (StringClass.BIMULTUS, StringClass.PERSOLUS):
+            d = density_limits(cls)
+            params["density_mean"] = format_float(d.mean, 10)
+            params["density_variance"] = format_float(d.variance, 10)
+        _emit(
+            args,
+            "asymptotics",
+            params,
+            ["n", "mean", "asymptote", "mean_gap", "variance", "limit", "variance_gap"],
+            rows,
         )
-    params = {
-        "class": cls.value,
-        "bit": args.bit,
-        "lengths": args.lengths,
-        "growth_constant": format_float(growth_constant(cls), 10),
-        "growth_residual": format_float(growth_constant_residual(cls), 40),
-        "variance_limit": format_float(variance_limit(cls), 10),
-    }
-    if cls in (StringClass.BIMULTUS, StringClass.PERSOLUS):
-        d = density_limits(cls)
-        params["density_mean"] = format_float(d.mean, 10)
-        params["density_variance"] = format_float(d.variance, 10)
-    _emit(
-        args,
-        "asymptotics",
-        params,
-        ["n", "mean", "asymptote", "mean_gap", "variance", "limit", "variance_gap"],
-        rows,
-    )
-    return EXIT_OK
+        return EXIT_OK
 
 
 def _cmd_verify(args) -> int:

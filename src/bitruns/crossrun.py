@@ -19,17 +19,17 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .catalog import cross_gf
+from .catalog import CROSS_MIN_CLOSED, cross_gf, run_family
 from .ensembles import (
     DEFAULT_ORACLE_BOUND,
     StringClass,
     enumerate_joint,
     oracle_moment,
 )
-from .errors import DegenerateVariance
+from .errors import DegenerateVariance, UnsupportedClass
 from .moments import _counts_cached, _numerator_cached
 from .render import signed_sqrt_ratio
-from .series import TruncatedSeries
+from .series import TruncatedSeries, gf_expand, valuation
 
 
 def cross_numerator(string_class: StringClass, order: int) -> TruncatedSeries:
@@ -41,22 +41,57 @@ def cross_numerator(string_class: StringClass, order: int) -> TruncatedSeries:
     a + b = order + 1 and (a - 1)(b - 1) for a + b = order + 2.  The
     unconstrained f_{a,b} = f_{b,a} by complementing bits, so there
     each unordered pair is expanded once and counted twice.
+
+    Pairs are taken in groups by their smaller index m.  Every f_{a,b}
+    of a group agrees below z^v, v = valuation(f_{a,b}, B), with the
+    one-run GF B of that index: strings with no run of m ones (a = m)
+    or of m zeros (b = m).  So B is expanded once per group, each
+    f_{a,b} only from z^v on, and the agreeing coefficients enter the
+    sum once per group as B's, weighted by the pairs that share them.
     """
+    if string_class not in CROSS_MIN_CLOSED:
+        raise UnsupportedClass(f"no two-run generating function for {string_class}")
     symmetric = string_class is StringClass.UNCONSTRAINED
+    ones, zeros = run_family(string_class, 1), run_family(string_class, 0)
     acc = [0] * (order + 1)
-    for s in range(2, order + 3):
-        for a in range(1, s // 2 + 1 if symmetric else s):
-            b = s - a
-            if s <= order:
-                w = 1
-            elif s == order + 1:
-                w = 1 - a * b
-            else:
-                w = (a - 1) * (b - 1)
-            if symmetric and a != b:
-                w *= 2
-            for n, c in enumerate(cross_gf(string_class, a, b).expand(order).coeffs):
-                acc[n] += w * c
+
+    def weight(a: int, b: int) -> int:
+        s = a + b
+        if s <= order:
+            w = 1
+        elif s == order + 1:
+            w = 1 - a * b
+        else:
+            w = (a - 1) * (b - 1)
+        return 2 * w if symmetric and a != b else w
+
+    # (family, its H expanded, whether m bounds the zeros)
+    sides = [(ones, ones.H.expand(order).coeffs, False)]
+    if not symmetric:
+        sides.append((zeros, zeros.H.expand(order).coeffs, True))
+    for m in range(1, order // 2 + 2):
+        for family, h, zero_side in sides:
+            # the other index: a > m on the zeros side, b >= m on the ones side
+            others = range(m + zero_side, order + 3 - m)
+            if not others:
+                continue
+            base = family.hk(m)
+            bs = gf_expand(base, order, h[: min(valuation(base, family.H), order + 1)]).coeffs
+            shared = [0] * (order + 2)  # shared[v]: weight of pairs agreeing below z^v
+            for o in others:
+                a, b = (o, m) if zero_side else (m, o)
+                f = cross_gf(string_class, a, b)
+                w = weight(a, b)
+                v = min(valuation(f, base), order + 1)
+                shared[v] += w
+                c = gf_expand(f, order, bs[:v]).coeffs
+                for n in range(v, order + 1):
+                    acc[n] += w * c[n]
+            agree = 0
+            for n in range(order, -1, -1):
+                agree += shared[n + 1]
+                if agree:
+                    acc[n] += agree * bs[n]
     return TruncatedSeries(acc)
 
 

@@ -64,7 +64,8 @@ def lam_solus(n: int, y: int) -> int:
 class _LayerBuilder:
     """Incrementally grown F/P layers with the previous layer's T."""
 
-    def __init__(self, kappa: int, lam):
+    def __init__(self, string_class: StringClass, kappa: int, lam):
+        self.string_class = string_class
         self.kappa = kappa
         self.lam = lam
         self.F: list = []
@@ -120,23 +121,18 @@ class _LayerBuilder:
             self._push(self._f_layer(n, rowsT), rowsT)
 
 
-_BUILDERS = {}
-
-
 def layer_builder(string_class: StringClass) -> _LayerBuilder:
-    """The shared builder for a supported class (unconstrained or solus)."""
-    b = _BUILDERS.get(string_class)
-    if b is None:
-        if string_class is StringClass.UNCONSTRAINED:
-            b = _LayerBuilder(0, lam_unconstrained)
-        elif string_class is StringClass.SOLUS:
-            b = _LayerBuilder(1, lam_solus)
-        else:
-            raise UnsupportedClass(
-                f"no joint recursion for {string_class}"
-            )
-        _BUILDERS[string_class] = b
-    return b
+    """A new, empty builder for a supported class (unconstrained or solus).
+
+    A builder keeps every layer it has built.  Pass one to joint_table or
+    fewones_count to share the layers across lengths; they are freed with
+    the builder.
+    """
+    if string_class is StringClass.UNCONSTRAINED:
+        return _LayerBuilder(string_class, 0, lam_unconstrained)
+    if string_class is StringClass.SOLUS:
+        return _LayerBuilder(string_class, 1, lam_solus)
+    raise UnsupportedClass(f"no joint recursion for {string_class}")
 
 
 @dataclass(frozen=True)
@@ -157,11 +153,20 @@ class JointTable:
         return sum(sum(row) for row in self.rows)
 
 
-def joint_table(n: int, string_class: StringClass) -> JointTable:
-    """The (zero count, longest zero run) table for length n."""
+def joint_table(
+    n: int, string_class: StringClass, layers: _LayerBuilder | None = None
+) -> JointTable:
+    """The (zero count, longest zero run) table for length n.
+
+    Without `layers` the DP layers are built for this call alone and
+    freed when it returns; callers that ask for many lengths pass one
+    builder from layer_builder(string_class).
+    """
     if n < 0:
         raise ValueError(f"length must be nonnegative, got {n}")
-    b = layer_builder(string_class)
+    b = layer_builder(string_class) if layers is None else layers
+    if b.string_class is not string_class:
+        raise ValueError(f"layers of {b.string_class} cannot serve {string_class}")
     b.extend(n)
     if string_class is StringClass.SOLUS:
         # combine two raw layers; lengths 0 and 1 are diagonal
@@ -247,13 +252,17 @@ def joint_rs_report(n: int, string_class: StringClass) -> JointReport:
 
 
 def fewones_count(
-    n: int, ell: int, k: int, string_class: StringClass = StringClass.SOLUS
+    n: int,
+    ell: int,
+    k: int,
+    string_class: StringClass = StringClass.SOLUS,
+    layers: _LayerBuilder | None = None,
 ) -> int:
     """Table-based count of length-n class strings with bitsum < ell and
-    longest zero run < k."""
+    longest zero run < k; `layers` as for joint_table."""
     if ell < 1 or k < 1 or n < 0:
         raise ValueError("fewones_count needs ell, k >= 1 and n >= 0")
-    table = joint_table(n, string_class)
+    table = joint_table(n, string_class, layers)
     return sum(
         table.count(n - s, y)
         for s in range(min(ell - 1, n) + 1)
@@ -374,32 +383,35 @@ def fewones_peak(k: int):
     return idx, val
 
 
-def _cf5(n: int, k: int) -> int:
+def _cf5(n: int, k: int, layers: _LayerBuilder | None) -> int:
     if n < 1 or n > 5 * k - 1:
         return 0
     if n <= 2 or 2 * k + 2 <= n <= 3 * k:
         # outside the published piecewise regions
-        return fewones_count(n, 5, k)
+        return fewones_count(n, 5, k, layers=layers)
     if n <= k:
         m = n - 2
         num = 24 * (4 - _delta(k, n)) - 6 * m + 35 * m * m - 6 * m**3 + m**4
         return _exact_div(num, 24)
     if n <= 2 * k + 1:
-        return _cf5(n - 1, k) + _u5(k, n)
+        return _cf5(n - 1, k, layers) + _u5(k, n)
     if n == 3 * k + 1:
         return fewones_peak_value_mid(k)
     if n <= 4 * k:
-        return _cf5(n - 1, k) - _v5(k, n)
+        return _cf5(n - 1, k, layers) - _v5(k, n)
     m = 5 * k - n
     return _exact_div(6 * m + 11 * m * m + 6 * m**3 + m**4, 24)
 
 
-def fewones_closed_form(n: int, ell: int, k: int) -> int:
+def fewones_closed_form(
+    n: int, ell: int, k: int, layers: _LayerBuilder | None = None
+) -> int:
     """Piecewise closed form for fewones_count(n, ell, k) on the
     no-adjacent-1s class, available for ell in 2..5 and k >= 2.
 
     The ell = 5 form has no published pieces for n <= 2, for the plateau
-    2k + 2 <= n <= 3k, or for k = 2; those fall back to the table count.
+    2k + 2 <= n <= 3k, or for k = 2; those fall back to the table count,
+    built on `layers` as for joint_table.
     """
     if not 2 <= ell <= 5:
         raise OutOfFormulaRange(f"no closed form for ell={ell}")
@@ -414,8 +426,8 @@ def fewones_closed_form(n: int, ell: int, k: int) -> int:
     if ell == 4:
         return _cf4(n, k)
     if k == 2:
-        return fewones_count(n, 5, k)
-    return _cf5(n, k)
+        return fewones_count(n, 5, k, layers=layers)
+    return _cf5(n, k, layers)
 
 
 def rs_numerator_approx(order: int, ell_max: int = 5) -> TruncatedSeries:
@@ -432,11 +444,14 @@ def rs_numerator_approx(order: int, ell_max: int = 5) -> TruncatedSeries:
     """
     if ell_max < 2:
         raise ValueError("ell_max must be at least 2")
+    layers = layer_builder(StringClass.SOLUS)
 
     def f(ell: int, k: int):
         if 2 <= ell <= 5:
-            return [fewones_closed_form(n, ell, k) if n else 1 for n in range(order + 1)]
-        return [fewones_count(n, ell, k) for n in range(order + 1)]
+            return [
+                fewones_closed_form(n, ell, k, layers) if n else 1 for n in range(order + 1)
+            ]
+        return [fewones_count(n, ell, k, layers=layers) for n in range(order + 1)]
 
     acc = [0] * (order + 1)
     for k in range(2, order + 2):

@@ -26,7 +26,7 @@ from typing import Sequence
 from .catalog import RunFamily, bitsum_hk, count_gf, run_family
 from .ensembles import StringClass
 from .errors import EmptyEnsemble, UnsupportedMoment
-from .series import TruncatedSeries
+from .series import TruncatedSeries, gf_expand, valuation
 
 MAX_MOMENT = 4
 
@@ -50,9 +50,11 @@ def moment_numerator(family: RunFamily, order: int) -> tuple:
     length n <= order.
 
     Each H_k is expanded once and its difference from H is added into
-    all the sums with the weights w_m(k).  Coefficient n does not depend
-    on `order`, so one expansion at the largest length serves every
-    shorter one.
+    all the sums with the weights w_m(k).  H_k agrees with H below
+    z^v, v = valuation(H_k, H), so its expansion starts at z^v from H's
+    coefficients and only the coefficients from z^v on enter the sums.
+    Coefficient n does not depend on `order`, so one expansion at the
+    largest length serves every shorter one.
     """
     h = family.H.expand(order).coeffs
     if family.g_in_moment_sum:
@@ -65,9 +67,13 @@ def moment_numerator(family: RunFamily, order: int) -> tuple:
         gf = family.hk_moment_overrides.get(k)
         if gf is None:
             gf = family.hk(k)
+        v = valuation(gf, family.H)
+        if v > order:
+            continue
         w2, w3, w4 = (moment_weight(m, k) for m in (2, 3, 4))
-        for n, c in enumerate(gf.expand(order).coeffs):
-            d = h[n] - c
+        c = gf_expand(gf, order, h[:v]).coeffs
+        for n in range(v, order + 1):
+            d = h[n] - c[n]
             if d:
                 a1[n] += d
                 a2[n] += w2 * d
@@ -78,12 +84,23 @@ def moment_numerator(family: RunFamily, order: int) -> tuple:
 
 def rs_numerator(string_class: StringClass, order: int) -> TruncatedSeries:
     """Series whose z^n coefficient sums (longest 0-run) * bitsum over
-    the class."""
-    full = bitsum_hk(string_class, order + 2).expand(order)
-    acc = [(order + 1) * c for c in full.coeffs]
+    the class.
+
+    Each R_k agrees with R_{order+2} below z^v, v = valuation of their
+    difference, so only its coefficients from z^v on are computed and
+    summed.
+    """
+    top = bitsum_hk(string_class, order + 2)
+    full = top.expand(order).coeffs
+    acc = [0] * (order + 1)
     for k in range(1, order + 2):
-        for n, c in enumerate(bitsum_hk(string_class, k).expand(order).coeffs):
-            acc[n] -= c
+        gf = bitsum_hk(string_class, k)
+        v = valuation(gf, top)
+        if v > order:
+            continue
+        c = gf_expand(gf, order, full[:v]).coeffs
+        for n in range(v, order + 1):
+            acc[n] += full[n] - c[n]
     return TruncatedSeries(acc)
 
 

@@ -26,7 +26,7 @@ from .ensembles import (
     to_composition,
 )
 from .errors import OracleBoundExceeded
-from .jointdp import joint_table
+from .jointdp import joint_table, layer_builder
 from .moments import run_variance_table
 
 #: enumerate_joint as a check sees it: run_checks hands every check one
@@ -153,8 +153,9 @@ def check_joint_dp(nmax: int, oracle: Oracle) -> list:
     out = []
     for cls in (StringClass.UNCONSTRAINED, StringClass.SOLUS):
         bad = ""
+        layers = layer_builder(cls)
         for n in range(nmax + 1):
-            table = joint_table(n, cls)
+            table = joint_table(n, cls, layers)
             want: dict = {}
             for (r0, _, s), cnt in oracle(n, cls).counts:
                 key = (n - s, r0)

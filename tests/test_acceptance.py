@@ -311,8 +311,9 @@ def test_criterion_6_mass_conservation_to_400():
         assert sum(sum(row) for row in bu.F[n]) == 2**n, n
 
     d = count_gf(SOL).expand(MASS_NMAX)
+    layers = layer_builder(SOL)
     for n in range(MASS_NMAX + 1):
-        assert joint_table(n, SOL).total == d[n], n
+        assert joint_table(n, SOL, layers).total == d[n], n
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import mpmath
 import pytest
 
 from bitruns.asymptotics import (
+    DIGITS,
     MEAN_OFFSETS,
     REFERENCE_DENSITY_ESTIMATES,
     density_limits,
@@ -13,6 +14,7 @@ from bitruns.asymptotics import (
     growth_constant_residual,
     mean_asymptote,
     variance_limit,
+    working_precision,
 )
 from bitruns.ensembles import StringClass
 from bitruns.errors import UndefinedFamily, UnsupportedClass
@@ -89,8 +91,25 @@ def test_finite_vs_asymptote():
     for r in reports:
         assert isinstance(r.mean, Fraction)
         assert isinstance(r.variance, Fraction)
-        assert abs(
-            r.mean_gap - (mpmath.mpf(r.mean.numerator) / r.mean.denominator - r.mean_asymptote)
-        ) < mpmath.mpf("1e-40")
+        # the reference is computed at the library's least working precision
+        with mpmath.workdps(DIGITS):
+            mexact = mpmath.mpf(r.mean.numerator) / r.mean.denominator
+            assert abs(r.mean_gap - (mexact - r.mean_asymptote)) < mpmath.mpf("1e-40")
         # finite-size variance sits below the conjectured limit
         assert r.variance_gap < 0
+
+
+def test_working_precision_follows_places():
+    before = mpmath.mp.dps
+    with working_precision(6):
+        assert mpmath.mp.dps == DIGITS
+    with working_precision(90):
+        assert mpmath.mp.dps >= 100
+        scoped = growth_constant(StringClass.SOLUS)
+    assert mpmath.mp.dps == before
+    bare = growth_constant(StringClass.SOLUS)
+    with mpmath.workdps(120):
+        exact = (1 + mpmath.sqrt(5)) / 2
+        assert abs(scoped - exact) < mpmath.mpf(10) ** -95
+        # a bare call still computes at DIGITS digits
+        assert abs(bare - exact) < mpmath.mpf(10) ** -(DIGITS - 2)

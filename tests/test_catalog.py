@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from bitruns.catalog import (
@@ -11,6 +13,7 @@ from bitruns.catalog import (
 )
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.errors import UndefinedFamily, UnsupportedClass
+from bitruns.series import valuation
 
 
 def test_count_gf_prefixes():
@@ -125,3 +128,36 @@ def test_cross_gf_rejects_bad_input():
         cross_gf(StringClass.UNCONSTRAINED, 0, 1)
     with pytest.raises(UnsupportedClass):
         cross_gf(StringClass.BIMULTUS, 2, 2)
+
+
+def _first_difference(f, g, order):
+    a, b = f.expand(order).coeffs, g.expand(order).coeffs
+    return next((n for n in range(order + 1) if a[n] != b[n]), math.inf)
+
+
+def _valuation_cases():
+    """(f, base) for every GF family the telescoping sums seed from a base."""
+    for cls, bit in defined_families():
+        fam = run_family(cls, bit)
+        for k in range(1, 41):
+            yield fam.hk_moment_overrides.get(k) or fam.hk(k), fam.H
+        yield fam.G, fam.H
+    for cls in (StringClass.UNCONSTRAINED, StringClass.SOLUS):
+        top = bitsum_hk(cls, 42)
+        for k in range(1, 41):
+            yield bitsum_hk(cls, k), top
+    for cls in (StringClass.UNCONSTRAINED, StringClass.MULTUS):
+        ones, zeros = run_family(cls, 1), run_family(cls, 0)
+        for m in range(1, 21):
+            yield ones.hk(m), ones.H
+            yield zeros.hk(m), zeros.H
+            for other in range(m, 41 - m):
+                yield cross_gf(cls, m, other), ones.hk(m)
+                yield cross_gf(cls, other, m), zeros.hk(m)
+        yield count_gf(cls), cross_gf(cls, 3, 4)
+
+
+def test_valuation_is_the_first_differing_coefficient():
+    """The seeded prefix length of every sum is where the expansions part."""
+    for f, base in _valuation_cases():
+        assert valuation(f, base) == _first_difference(f, base, 100), (f, base)

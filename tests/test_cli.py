@@ -210,3 +210,56 @@ def test_verify_over_oracle_bound_exits_before_enumerating(capsys, monkeypatch):
     assert code == EXIT_LIMIT
     assert out == ""
     assert err.startswith("bitruns: ") and err.count("\n") == 1
+
+
+def test_asymptotics_at_precision_60_against_100_digits(capsys):
+    import mpmath
+
+    from bitruns.moments import run_variance_report
+    from bitruns.render import format_float
+
+    code, out, err = run_cli(
+        capsys, "--format", "csv", "asymptotics", "--class", "solus",
+        "--lengths", "10", "--precision", "60",
+    )
+    assert code == EXIT_OK and err == ""
+    header, row = list(csv.reader(io.StringIO(out)))
+    got = dict(zip(header, row))
+    r = run_variance_report(10, bitruns.StringClass.SOLUS, 0)
+    with mpmath.workdps(100):
+        lb = mpmath.log((1 + mpmath.sqrt(5)) / 2)
+        asymptote = mpmath.log(10) / lb - (2 - mpmath.euler / lb)
+        limit = mpmath.mpf(1) / 12 + mpmath.pi**2 / (6 * lb**2)
+        mean = mpmath.mpf(r.mean.numerator) / r.mean.denominator
+        variance = mpmath.mpf(r.variance.numerator) / r.variance.denominator
+        want = {
+            "asymptote": format_float(asymptote, 60),
+            "mean_gap": format_float(mean - asymptote, 60),
+            "limit": format_float(limit, 60),
+            "variance_gap": format_float(variance - limit, 60),
+        }
+    for name, value in want.items():
+        assert got[name] == value, name
+
+
+_MPMATH_PROBE = """
+import sys
+from bitruns.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print("mpmath" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["table1", "--lengths", "10"]])
+def test_commands_without_limits_leave_mpmath_unloaded(argv):
+    src = str(Path(bitruns.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MPMATH_PROBE, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -88,3 +88,67 @@ def _cross_numerator_full(cls, order):
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 40])
 def test_cross_numerator_matches_full_pair_sum(cls, order):
     assert cross_numerator(cls, order) == _cross_numerator_full(cls, order)
+
+
+# The dense route that sparse construction and seeded expansion replaced,
+# kept as the reference: coefficient lists built term by term and every
+# f_{a,b} expanded from z^0.
+
+
+def _dense(*terms):
+    out = [0] * (max(e for e, _ in terms) + 1)
+    for e, c in terms:
+        out[e] += c
+    return out
+
+
+def _dense_cross_gf(cls, i, j):
+    if cls is StringClass.UNCONSTRAINED:
+        return (
+            _dense((0, 1), (i, -1), (j, -1), (i + j, 1)),
+            _dense((0, 1), (1, -2), (i + 1, 1), (j + 1, 1), (i + j, -1)),
+        )
+    if i == 1 and j == 1 or j == 1 and i <= 2:
+        return [0], [1]
+    if i == 1:
+        return _dense((1, 1), (j, -1)), [1, -1]
+    if j == 1:
+        return _dense((2, 1), (i, -1)), [1, -1]
+    num = _dense(
+        (0, 1), (2, 1), (i - 1, -1), (i, -1), (j - 1, -1), (j, 1), (j + 1, -2),
+        (i + j - 1, 2),
+    )
+    den = _dense((0, 1), (1, -2), (2, 1), (3, -1), (i + 1, 1), (j + 2, 1), (i + j, -1))
+    return [0] + num, den
+
+
+def _dense_expand(num, den, order):
+    c = []
+    for n in range(order + 1):
+        s = num[n] if n < len(num) else 0
+        for m in range(1, min(n, len(den) - 1) + 1):
+            s -= den[m] * c[n - m]
+        c.append(s)
+    return c
+
+
+def _cross_numerator_dense(cls, order):
+    acc = [0] * (order + 1)
+    for s in range(2, order + 3):
+        for a in range(1, s):
+            b = s - a
+            if s <= order:
+                w = 1
+            elif s == order + 1:
+                w = 1 - a * b
+            else:
+                w = (a - 1) * (b - 1)
+            for n, c in enumerate(_dense_expand(*_dense_cross_gf(cls, a, b), order)):
+                acc[n] += w * c
+    return TruncatedSeries(acc)
+
+
+@pytest.mark.parametrize("cls", [StringClass.UNCONSTRAINED, StringClass.MULTUS])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 40, 90])
+def test_cross_numerator_matches_dense_route(cls, order):
+    assert cross_numerator(cls, order) == _cross_numerator_dense(cls, order)

@@ -1,7 +1,10 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from bitruns import jointdp
 from bitruns.catalog import count_gf
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.errors import DegenerateVariance, OutOfFormulaRange, UnsupportedClass
@@ -114,6 +117,32 @@ def test_joint_rs_report_rejects_bad_input():
         joint_rs_report(5, StringClass.MULTUS)
     with pytest.raises(ValueError):
         joint_table(-1, StringClass.SOLUS)
+    with pytest.raises(ValueError):
+        joint_table(3, StringClass.SOLUS, layer_builder(StringClass.UNCONSTRAINED))
+
+
+def test_joint_table_frees_its_layers(monkeypatch):
+    made = []
+
+    def tracked(cls):
+        b = layer_builder(cls)
+        made.append(weakref.ref(b))
+        return b
+
+    monkeypatch.setattr(jointdp, "layer_builder", tracked)
+    d = count_gf(StringClass.SOLUS).expand(60)
+    assert joint_table(60, StringClass.UNCONSTRAINED).total == 2**60
+    assert joint_table(60, StringClass.SOLUS).total == d[60]
+    gc.collect()
+    assert len(made) == 2
+    assert all(ref() is None for ref in made)
+
+
+def test_shared_layers_serve_every_length():
+    layers = layer_builder(StringClass.SOLUS)
+    for n in (7, 3, 12):
+        assert joint_table(n, StringClass.SOLUS, layers) == joint_table(n, StringClass.SOLUS)
+    assert len(layers.F) == 13
 
 
 def test_fewones_count_matches_brute_force():
