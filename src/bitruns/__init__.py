@@ -18,38 +18,46 @@ Every closed-form pipeline is verifiable against exhaustive enumeration
 via :mod:`bitruns.verify` or ``bitruns verify`` on the command line.
 """
 
-from .asymptotics import (
-    density_limits,
-    finite_vs_asymptote,
-    growth_constant,
-    mean_asymptote,
-    variance_limit,
-)
-from .catalog import bitsum_triple, count_gf, cross_gf, run_family
-from .crossrun import cross_moment, cross_report, cross_report_oracle, cross_report_table
-from .ensembles import (
-    JointDistribution,
-    RunStats,
-    StringClass,
-    class_member,
-    enumerate_joint,
-    oracle_moment,
-    run_stats,
-    to_composition,
-)
-from .errors import BitrunsError
-from .jointdp import (
-    fewones_closed_form,
-    fewones_count,
-    fewones_peak,
-    joint_rs_report,
-    joint_rs_report_table,
-    joint_table,
-    rs_numerator_approx,
-)
-from .moments import run_moment, run_variance_report, run_variance_table
-from .series import RationalGF, TruncatedSeries
-from .verify import run_checks
+import importlib
+
+#: The public names of each module.  A name is imported from its module
+#: on first access (PEP 562), so importing the package, or running one CLI
+#: command, loads only the modules that are used.
+_EXPORTS = {
+    "asymptotics": (
+        "density_limits",
+        "finite_vs_asymptote",
+        "growth_constant",
+        "mean_asymptote",
+        "variance_limit",
+    ),
+    "catalog": ("bitsum_triple", "count_gf", "cross_gf", "run_family"),
+    "crossrun": ("cross_moment", "cross_report", "cross_report_oracle", "cross_report_table"),
+    "ensembles": (
+        "JointDistribution",
+        "RunStats",
+        "StringClass",
+        "class_member",
+        "enumerate_joint",
+        "oracle_moment",
+        "run_stats",
+        "to_composition",
+    ),
+    "errors": ("BitrunsError",),
+    "jointdp": (
+        "fewones_closed_form",
+        "fewones_count",
+        "fewones_peak",
+        "joint_rs_report",
+        "joint_rs_report_table",
+        "joint_table",
+        "rs_numerator_approx",
+    ),
+    "moments": ("run_moment", "run_variance_report", "run_variance_table"),
+    "series": ("RationalGF", "TruncatedSeries"),
+    "verify": ("run_checks",),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "1.0.0"
 
@@ -91,3 +99,16 @@ __all__ = [
     "variance_limit",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

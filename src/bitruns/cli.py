@@ -7,40 +7,24 @@ Exit codes: 0 success, 1 usage error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .asymptotics import (
-    density_limits,
-    finite_vs_asymptote,
-    growth_constant,
-    growth_constant_residual,
-    variance_limit,
-    working_precision,
-)
-from .catalog import count_gf, cross_gf
-from .crossrun import cross_report_table
-from .ensembles import (
-    DEFAULT_ORACLE_BOUND,
-    StringClass,
-    iter_strings,
-    run_stats,
-    to_composition,
-)
 from .errors import BitrunsError, NonUnitConstantTerm, OracleBoundExceeded
-from .jointdp import (
-    fewones_closed_form,
-    fewones_count,
-    joint_rs_report_table,
-    joint_table,
-    layer_builder,
+
+# Every command imports the modules it runs, so --version, --help and a
+# usage error load none of the math.  The parser's choices are therefore
+# literals; tests pin them to StringClass and verify.available_scopes().
+CLASS_CHOICES = ("unconstrained", "solus", "multus", "bimultus", "persolus")
+SCOPE_CHOICES = (
+    "counts",
+    "bitsums",
+    "run-moments",
+    "cross-run",
+    "joint-dp",
+    "compositions",
+    "all",
 )
-from .moments import run_variance_table
-from .render import format_float, format_fraction, signed_sqrt_ratio
-from .verify import available_scopes, run_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,10 +41,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(args, command: str, params: dict, header: list, rows: list) -> None:
     if args.format == "csv":
+        import csv
+
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
     elif args.format == "json":
+        import json
+
         doc = {
             "command": command,
             "parameters": params,
@@ -84,7 +72,7 @@ def _class_arg(p, choices=None) -> None:
         "--class",
         dest="string_class",
         required=True,
-        choices=choices or [c.value for c in StringClass],
+        choices=choices or CLASS_CHOICES,
         help="string ensemble",
     )
 
@@ -99,14 +87,13 @@ def _lengths(text: str) -> list:
     return out
 
 
-def _frac(q: Fraction, places: int) -> str:
-    return format_fraction(q, places)
-
-
 # -- subcommands ------------------------------------------------------------
 
 
 def _cmd_counts(args) -> int:
+    from .catalog import count_gf
+    from .ensembles import StringClass
+
     cls = StringClass.from_name(args.string_class)
     series = count_gf(cls).expand(args.nmax)
     rows = [[n, series[n]] for n in range(args.nmax + 1)]
@@ -115,6 +102,10 @@ def _cmd_counts(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    from .ensembles import StringClass
+    from .moments import run_variance_table
+    from .render import format_fraction
+
     cls = StringClass.from_name(args.string_class)
     p = args.precision
     rows = []
@@ -122,11 +113,11 @@ def _cmd_moments(args) -> int:
         rows.append(
             [
                 r.n,
-                _frac(r.mean, p),
-                _frac(r.variance, p),
-                _frac(r.second_moment, p),
-                _frac(r.third_moment, p),
-                _frac(r.fourth_moment, p),
+                format_fraction(r.mean, p),
+                format_fraction(r.variance, p),
+                format_fraction(r.second_moment, p),
+                format_fraction(r.third_moment, p),
+                format_fraction(r.fourth_moment, p),
             ]
         )
     _emit(
@@ -140,6 +131,10 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from .crossrun import cross_report_table
+    from .ensembles import StringClass
+    from .render import signed_sqrt_ratio
+
     p = args.precision
     cols = {
         cls: cross_report_table(args.lengths, cls)
@@ -163,6 +158,10 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_table2(args) -> int:
+    from .ensembles import StringClass
+    from .jointdp import joint_rs_report_table
+    from .render import signed_sqrt_ratio
+
     p = args.precision
     classes = (StringClass.UNCONSTRAINED, StringClass.SOLUS)
     cols = {cls: joint_rs_report_table(args.lengths, cls) for cls in classes}
@@ -184,6 +183,9 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_joint(args) -> int:
+    from .ensembles import StringClass
+    from .jointdp import joint_table
+
     cls = StringClass.from_name(args.string_class)
     table = joint_table(args.n, cls)
     rows = [
@@ -203,6 +205,11 @@ def _cmd_joint(args) -> int:
 
 
 def _cmd_fewones(args) -> int:
+    from .ensembles import StringClass
+    from .jointdp import fewones_closed_form, fewones_count, layer_builder
+
+    if args.nmax < 0:
+        raise ValueError(f"nmax must be nonnegative, got {args.nmax}")
     rows = []
     closed_ok = 2 <= args.ones < 6 and args.run >= 2
     layers = layer_builder(StringClass.SOLUS)
@@ -223,6 +230,9 @@ def _cmd_fewones(args) -> int:
 
 
 def _cmd_crossgf(args) -> int:
+    from .catalog import cross_gf
+    from .ensembles import StringClass
+
     cls = StringClass.from_name(args.string_class)
     series = cross_gf(cls, args.i, args.j).expand(args.order)
     rows = [[n, series[n]] for n in range(args.order + 1)]
@@ -237,6 +247,10 @@ def _cmd_crossgf(args) -> int:
 
 
 def _cmd_compositions(args) -> int:
+    from .ensembles import DEFAULT_ORACLE_BOUND, iter_strings, run_stats, to_composition
+
+    if args.n < 0:
+        raise ValueError(f"length must be nonnegative, got {args.n}")
     if args.n > DEFAULT_ORACLE_BOUND:
         raise OracleBoundExceeded(
             f"n={args.n} exceeds the enumeration bound {DEFAULT_ORACLE_BOUND}"
@@ -266,6 +280,17 @@ def _cmd_compositions(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
+    from .asymptotics import (
+        density_limits,
+        finite_vs_asymptote,
+        growth_constant,
+        growth_constant_residual,
+        variance_limit,
+        working_precision,
+    )
+    from .ensembles import StringClass
+    from .render import format_float, format_fraction
+
     cls = StringClass.from_name(args.string_class)
     p = args.precision
     # compute and render inside one scope: str() of an mpf reads the
@@ -276,10 +301,10 @@ def _cmd_asymptotics(args) -> int:
             rows.append(
                 [
                     r.n,
-                    _frac(r.mean, p),
+                    format_fraction(r.mean, p),
                     format_float(r.mean_asymptote, p),
                     format_float(r.mean_gap, p),
-                    _frac(r.variance, p),
+                    format_fraction(r.variance, p),
                     format_float(r.variance_limit, p),
                     format_float(r.variance_gap, p),
                 ]
@@ -307,6 +332,8 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_checks
+
     results = run_checks(args.scope, args.nmax)
     rows = [[r.name, "pass" if r.passed else "fail", r.detail] for r in results]
     _emit(
@@ -401,7 +428,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_asymptotics)
 
     p = add_parser("verify", help="cross-check formulas against brute force")
-    p.add_argument("--scope", choices=available_scopes(), default="all")
+    p.add_argument("--scope", choices=SCOPE_CHOICES, default="all")
     p.add_argument("--nmax", type=int, default=10)
     p.set_defaults(fn=_cmd_verify)
 
@@ -415,6 +442,8 @@ def main(argv=None) -> int:
     defaults = argparse.Namespace(format="plain", precision=6, threads=1)
     args = build_parser().parse_args(argv, namespace=defaults)
     try:
+        if args.precision < 0:
+            raise ValueError(f"precision must be nonnegative, got {args.precision}")
         return args.fn(args)
     except (OracleBoundExceeded, NonUnitConstantTerm) as exc:
         sys.stderr.write(f"bitruns: {exc}\n")

@@ -74,19 +74,30 @@ def class_member(bits: Sequence[int], string_class: StringClass) -> bool:
     for i, b in enumerate(bits):
         if b:
             v |= 1 << i
-    return _int_member(v, n, string_class)
+    return string_class in _CLASSES_BY_PREDICATES[
+        _ones_isolated_ok(v, n), _ones_clumped_ok(v, n), _zeros_clumped_ok(v, n)
+    ]
 
 
-def _int_member(v: int, n: int, string_class: StringClass) -> bool:
-    if string_class is StringClass.UNCONSTRAINED:
-        return True
-    if string_class is StringClass.SOLUS:
-        return _ones_isolated_ok(v, n)
-    if string_class is StringClass.MULTUS:
-        return _ones_clumped_ok(v, n)
-    if string_class is StringClass.BIMULTUS:
-        return _ones_clumped_ok(v, n) and _zeros_clumped_ok(v, n)
-    return _ones_isolated_ok(v, n) and _zeros_clumped_ok(v, n)
+def _classes_satisfied(ones_isolated: bool, ones_clumped: bool, zeros_clumped: bool):
+    yield StringClass.UNCONSTRAINED
+    if ones_isolated:
+        yield StringClass.SOLUS
+    if ones_clumped:
+        yield StringClass.MULTUS
+    if ones_clumped and zeros_clumped:
+        yield StringClass.BIMULTUS
+    if ones_isolated and zeros_clumped:
+        yield StringClass.PERSOLUS
+
+
+#: Classes by (ones isolated, ones clumped, zeros clumped).
+_CLASSES_BY_PREDICATES = {
+    (a, b, c): tuple(_classes_satisfied(a, b, c))
+    for a in (False, True)
+    for b in (False, True)
+    for c in (False, True)
+}
 
 
 def run_stats(bits: Sequence[int]) -> RunStats:
@@ -114,15 +125,6 @@ def _longest_one_run(v: int) -> int:
     return r
 
 
-def _int_run_stats(v: int, n: int) -> RunStats:
-    mask = (1 << n) - 1
-    return RunStats(
-        _longest_one_run(~v & mask),
-        _longest_one_run(v),
-        bin(v).count("1"),
-    )
-
-
 @dataclass(frozen=True)
 class JointDistribution:
     """Exact counts of (r0, r1, s) triples over all class strings of length n."""
@@ -136,21 +138,44 @@ class JointDistribution:
         return dict(self.counts).get((r0, r1, s), 0)
 
 
+def enumerate_classes(n: int, bound: int = DEFAULT_ORACLE_BOUND) -> dict:
+    """Enumerate all 2^n candidates once and tally (r0, r1, s) into every
+    class they belong to: one JointDistribution per StringClass."""
+    if n > bound:
+        raise OracleBoundExceeded(f"n={n} exceeds the oracle bound {bound}")
+    # tally by (r0, r1, s, predicates) first, then credit each tally to
+    # every class the predicates admit: one dict update per candidate
+    mask = (1 << n) - 1
+    tally: dict = {}
+    for v in range(1 << n):
+        key = (
+            _longest_one_run(~v & mask),
+            _longest_one_run(v),
+            v.bit_count(),
+            _ones_isolated_ok(v, n),
+            _ones_clumped_ok(v, n),
+            _zeros_clumped_ok(v, n),
+        )
+        tally[key] = tally.get(key, 0) + 1
+    acc: dict = {cls: {} for cls in StringClass}
+    for key, c in tally.items():
+        stats = RunStats(*key[:3])
+        for cls in _CLASSES_BY_PREDICATES[key[3:]]:
+            acc[cls][stats] = acc[cls].get(stats, 0) + c
+    return {
+        cls: JointDistribution(n, cls, tuple(sorted(a.items())), sum(a.values()))
+        for cls, a in acc.items()
+    }
+
+
 def enumerate_joint(
     n: int,
     string_class: StringClass,
     bound: int = DEFAULT_ORACLE_BOUND,
 ) -> JointDistribution:
-    """Enumerate all 2^n candidates and tally (r0, r1, s) for class members."""
-    if n > bound:
-        raise OracleBoundExceeded(f"n={n} exceeds the oracle bound {bound}")
-    acc: dict = {}
-    for v in range(1 << n):
-        if _int_member(v, n, string_class):
-            key = _int_run_stats(v, n)
-            acc[key] = acc.get(key, 0) + 1
-    counts = tuple(sorted(acc.items()))
-    return JointDistribution(n, string_class, counts, sum(acc.values()))
+    """Exact (r0, r1, s) counts over the class strings of length n, by
+    enumerating all 2^n candidates (see enumerate_classes)."""
+    return enumerate_classes(n, bound)[string_class]
 
 
 #: Statistics oracle_moment understands, as functions of (r0, r1, s).

@@ -19,7 +19,7 @@ from .ensembles import (
     DEFAULT_ORACLE_BOUND,
     JointDistribution,
     StringClass,
-    enumerate_joint,
+    enumerate_classes,
     oracle_moment,
     iter_strings,
     run_stats,
@@ -30,7 +30,7 @@ from .jointdp import joint_table, layer_builder
 from .moments import run_variance_table
 
 #: enumerate_joint as a check sees it: run_checks hands every check one
-#: memo, so each (n, class) is enumerated once per call.
+#: memo of enumerate_classes, so each n is enumerated once per call.
 Oracle = Callable[[int, StringClass], JointDistribution]
 
 #: classes whose closed forms set the z^0 coefficient to 0 even though
@@ -235,7 +235,11 @@ def run_checks(scope: str = "all", nmax: int = 10) -> list:
         raise OracleBoundExceeded(
             f"nmax={nmax} exceeds the oracle bound {DEFAULT_ORACLE_BOUND}"
         )
-    oracle = lru_cache(maxsize=None)(enumerate_joint)
+    by_length = lru_cache(maxsize=None)(enumerate_classes)
+
+    def oracle(n: int, cls: StringClass) -> JointDistribution:
+        return by_length(n)[cls]
+
     out = []
     for fn in fns:
         out.extend(fn(nmax, oracle))

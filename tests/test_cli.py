@@ -121,11 +121,11 @@ def test_verify_ok_and_scope(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    from bitruns import cli
+    from bitruns import verify
     from bitruns.verify import CheckResult
 
     monkeypatch.setattr(
-        cli, "run_checks", lambda scope, nmax: [CheckResult("stub", False, "boom")]
+        verify, "run_checks", lambda scope, nmax: [CheckResult("stub", False, "boom")]
     )
     code, out, _ = run_cli(capsys, "verify")
     assert code == EXIT_VERIFY
@@ -171,6 +171,9 @@ def test_threads_flag_accepted(capsys):
         ["counts", "--class", "solus", "--nmax", "-3"],
         ["fewones", "--ones", "0", "--run", "3", "--nmax", "5"],
         ["crossgf", "--class", "multus", "--i", "0", "--j", "2"],
+        ["--precision", "-1", "table1", "--lengths", "10"],
+        ["compositions", "--n", "-1"],
+        ["fewones", "--ones", "3", "--run", "3", "--nmax", "-1"],
     ],
 )
 def test_bad_value_is_one_line_usage_error(argv):
@@ -204,7 +207,7 @@ def test_verify_over_oracle_bound_exits_before_enumerating(capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(verify, "enumerate_joint", forbidden)
+    monkeypatch.setattr(verify, "enumerate_classes", forbidden)
     monkeypatch.setattr(verify, "iter_strings", forbidden)
     code, out, err = run_cli(capsys, "verify", "--nmax", "25")
     assert code == EXIT_LIMIT
@@ -242,24 +245,74 @@ def test_asymptotics_at_precision_60_against_100_digits(capsys):
         assert got[name] == value, name
 
 
-_MPMATH_PROBE = """
+_LOAD_PROBE = """
+import json
 import sys
 from bitruns.cli import main
 try:
     main(sys.argv[1:])
 except SystemExit:
     pass
-print("mpmath" in sys.modules)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("bitruns", "mpmath"))))
 """
 
+_CLI_ONLY = ["bitruns", "bitruns.cli", "bitruns.errors"]
 
-@pytest.mark.parametrize("argv", [["--version"], ["table1", "--lengths", "10"]])
+#: Modules each command must leave unloaded; None: load only _CLI_ONLY.
+_UNLOADED = {
+    "--version": None,
+    "counts": None,  # the probe runs counts with a bad --class: a usage error
+    "moments": {"jointdp", "crossrun", "verify", "asymptotics"},
+    "table1": {"jointdp", "verify", "asymptotics"},
+    "table2": {"crossrun", "verify", "asymptotics"},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["table1", "--lengths", "10"],
+        ["counts", "--class", "bogus"],
+        ["moments", "--class", "solus", "--lengths", "10"],
+        ["table2", "--lengths", "10"],
+    ],
+)
 def test_commands_without_limits_leave_mpmath_unloaded(argv):
     src = str(Path(bitruns.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _MPMATH_PROBE, *argv],
+        [sys.executable, "-c", _LOAD_PROBE, *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "mpmath" not in loaded
+    unloaded = _UNLOADED[argv[0]]
+    if unloaded is None:
+        assert loaded == _CLI_ONLY
+    else:
+        assert set(_CLI_ONLY) <= set(loaded)
+        assert not {f"bitruns.{m}" for m in unloaded} & set(loaded)
+
+
+def test_parser_choices_match_the_library():
+    from bitruns import cli
+    from bitruns.ensembles import StringClass
+    from bitruns.verify import available_scopes
+
+    assert list(cli.CLASS_CHOICES) == [c.value for c in StringClass]
+    assert cli.SCOPE_CHOICES == tuple(available_scopes())
+
+
+def test_package_exports_resolve_lazily():
+    assert set(bitruns.__all__) <= set(dir(bitruns))
+    for name in bitruns.__all__:
+        value = getattr(bitruns, name)
+        if name != "__version__":
+            assert getattr(sys.modules[value.__module__], name) is value, name
+    star = {}
+    exec("from bitruns import *", star)
+    assert set(bitruns.__all__) <= set(star)
+    with pytest.raises(AttributeError):
+        bitruns.no_such_name

@@ -5,6 +5,7 @@ import pytest
 from bitruns.ensembles import (
     StringClass,
     class_member,
+    enumerate_classes,
     enumerate_joint,
     iter_strings,
     oracle_moment,
@@ -58,9 +59,50 @@ def test_enumerate_joint_counts_are_consistent():
     assert dist.count(9, 9, 9) == 0
 
 
+def _per_class_loop(n, cls):
+    """The oracle before enumerate_classes: one pass over 2^n per class."""
+
+    def isolated(v):
+        return v & (v >> 1) == 0
+
+    def clumped(v):
+        return v & ~((v << 1) | (v >> 1)) == 0
+
+    def zeros_clumped(v):
+        mask = (1 << n) - 1
+        c = ~v & mask
+        return c & ~((c << 1) | (c >> 1)) & mask == 0
+
+    member = {
+        StringClass.UNCONSTRAINED: lambda v: True,
+        StringClass.SOLUS: isolated,
+        StringClass.MULTUS: clumped,
+        StringClass.BIMULTUS: lambda v: clumped(v) and zeros_clumped(v),
+        StringClass.PERSOLUS: lambda v: isolated(v) and zeros_clumped(v),
+    }[cls]
+    acc = {}
+    for v in range(1 << n):
+        if member(v):
+            key = run_stats([(v >> i) & 1 for i in range(n)])
+            acc[key] = acc.get(key, 0) + 1
+    return tuple(sorted(acc.items())), sum(acc.values())
+
+
+def test_one_pass_matches_per_class_loops():
+    for n in range(13):
+        dists = enumerate_classes(n)
+        assert list(dists) == list(StringClass)
+        for cls, dist in dists.items():
+            assert (dist.n, dist.string_class) == (n, cls)
+            assert (dist.counts, dist.total) == _per_class_loop(n, cls), (n, cls)
+            assert enumerate_joint(n, cls) == dist
+
+
 def test_oracle_bound():
     with pytest.raises(OracleBoundExceeded):
         enumerate_joint(30, StringClass.SOLUS)
+    with pytest.raises(OracleBoundExceeded):
+        enumerate_classes(6, bound=5)
     enumerate_joint(5, StringClass.SOLUS, bound=5)
 
 

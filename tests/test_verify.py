@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from bitruns import verify
-from bitruns.ensembles import DEFAULT_ORACLE_BOUND, StringClass
+from bitruns.ensembles import DEFAULT_ORACLE_BOUND
 from bitruns.errors import OracleBoundExceeded
 from bitruns.verify import CheckResult, available_scopes, run_checks
 
@@ -39,16 +39,16 @@ def test_check_result_str():
 
 def test_each_class_and_length_enumerated_once(monkeypatch):
     calls = Counter()
-    enumerate_joint = verify.enumerate_joint
+    enumerate_classes = verify.enumerate_classes
 
-    def counted(n, cls):
-        calls[(n, cls)] += 1
-        return enumerate_joint(n, cls)
+    def counted(n):
+        calls[n] += 1
+        return enumerate_classes(n)
 
-    monkeypatch.setattr(verify, "enumerate_joint", counted)
+    monkeypatch.setattr(verify, "enumerate_classes", counted)
     results = run_checks("all", 8)
     assert all(r.passed for r in results), [str(r) for r in results if not r.passed]
-    assert set(calls) <= {(n, cls) for n in range(9) for cls in StringClass}
+    assert set(calls) == set(range(9))
     assert set(calls.values()) == {1}
 
 
@@ -56,7 +56,7 @@ def test_oracle_bound_checked_before_any_enumeration(monkeypatch):
     def forbidden(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(verify, "enumerate_joint", forbidden)
+    monkeypatch.setattr(verify, "enumerate_classes", forbidden)
     monkeypatch.setattr(verify, "iter_strings", forbidden)
     for scope in available_scopes():
         with pytest.raises(OracleBoundExceeded):
