@@ -205,18 +205,16 @@ def _cmd_joint(args) -> int:
 
 
 def _cmd_fewones(args) -> int:
-    from .ensembles import StringClass
-    from .jointdp import fewones_closed_form, fewones_count, layer_builder
+    from .jointdp import fewones_closed_form, fewones_count
 
     if args.nmax < 0:
         raise ValueError(f"nmax must be nonnegative, got {args.nmax}")
     rows = []
     closed_ok = 2 <= args.ones < 6 and args.run >= 2
-    layers = layer_builder(StringClass.SOLUS)
     for n in range(1, args.nmax + 1):
-        row = [n, fewones_count(n, args.ones, args.run, layers=layers)]
+        row = [n, fewones_count(n, args.ones, args.run)]
         if closed_ok:
-            row.append(fewones_closed_form(n, args.ones, args.run, layers))
+            row.append(fewones_closed_form(n, args.ones, args.run))
         rows.append(row)
     header = ["n", "count"] + (["closed_form"] if closed_ok else [])
     _emit(
@@ -364,12 +362,6 @@ def build_parser() -> _Parser:
         default=argparse.SUPPRESS,
         help="decimal places in rendered values",
     )
-    shared.add_argument(
-        "--threads",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="accepted for interface stability; execution is sequential",
-    )
 
     parser = _Parser(prog="bitruns", description=__doc__, parents=[shared])
     parser.add_argument("--version", action="version", version=__version__)
@@ -439,7 +431,7 @@ def main(argv=None) -> int:
     # shared flags live on the root and every subparser with a SUPPRESS
     # default; seeding the namespace keeps a value given before the
     # subcommand from being clobbered by the subparser's copy
-    defaults = argparse.Namespace(format="plain", precision=6, threads=1)
+    defaults = argparse.Namespace(format="plain", precision=6)
     args = build_parser().parse_args(argv, namespace=defaults)
     try:
         if args.precision < 0:

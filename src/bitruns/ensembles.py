@@ -9,7 +9,7 @@ The five ensembles:
 * persolus:  no two adjacent 1s and every 0 has an adjacent 0
 
 Everything here is brute force on purpose: this module is the ground
-truth that the generating-function and dynamic-programming pipelines are
+truth that the generating-function and binomial-sum pipelines are
 checked against.
 """
 

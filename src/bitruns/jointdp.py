@@ -1,35 +1,33 @@
-"""Joint distribution of (zero count, longest zero run) by dynamic programming,
-and the run-bitsum correlation.
+"""Joint distribution of (zero count, longest zero run) from bounded-
+composition counts, and the run-bitsum correlation.
 
 The correlation of the longest zero run with the bitsum is computed from
 bitsum-marked generating functions (``moments.rs_numerator`` and the
-catalog's bitsum triples) in O(n^2) big-integer operations.  The dynamic
-program below is the independent route that checks it: it builds the
-full joint table, which the ``joint`` command, ``verify --scope
-joint-dp`` and the few-ones counts read.
+catalog's bitsum triples) in O(n^2) big-integer operations.  The joint
+table below is the independent route that checks it; the ``joint``
+command, ``verify --scope joint-dp`` and the few-ones counts read it.
 
-F_n(x, y) counts length-n strings with x zeros whose longest zero run is
-exactly y.  One recursion covers two ensembles through a flag kappa and a
-boundary function lam:
+Fix s ones, so a length-n string has x = n - s zeros, and let N(x, s, y)
+count the class strings whose zero runs are all <= y.  The zero runs are
+the s + 1 gaps around the ones, so N counts bounded compositions of x:
 
-* kappa = 0 with the unconstrained boundary gives all 0/1 strings;
-* kappa = 1 with the isolated-ones boundary gives raw layers whose
-  two-layer combination F~_n = F_{n-1} + F_n (n >= 2) counts strings
-  with no two adjacent 1s.
+* unconstrained: s + 1 gaps in [0, y], so by inclusion-exclusion
+  N = sum_j (-1)^j C(s+1, j) C(x - j(y+1) + s, s);
+* solus (no two adjacent 1s): the s - 1 inner gaps lie in [1, y] and the
+  two outer gaps in [0, y], so N is [z^x] of
+  z^(s-1) (1 - z^(y+1))^2 (1 - z^y)^(s-1) / (1 - z)^(s+1): three single
+  sums, one per term i = 0, 1, 2 of (1 - z^(y+1))^2 with weight
+  1, -2, 1, of sum_j (-1)^j C(s-1, j) C(x - (s-1) - i(y+1) - jy + s, s).
+  The edges are s = 0 (one string if x <= y) and y = 0 (only "1").
 
-Feasible entries satisfy floor(n / (n - x + 1)) <= y <= x.  A naive
-transcription costs O(n) big-integer additions per entry; two running
-sums bring that to O(1) per entry:
+F_n(x, y) = N(x, n - x, y) - N(x, n - x, y - 1) counts length-n strings
+with x zeros whose longest zero run is exactly y.  Each N is a sum of
+about x / (y + 1) products, so one table costs O(n^2 log n) big-integer
+operations and holds only itself.
 
-* the diagonal sum T(n, x, y) = F_{n-1}(x, y) + T(n-1, x-1, y)
-  - F_{n-1-y}(x-y, y), needing only the previous layer's T;
-* per-layer prefix sums P_n(x, y) = sum_{u <= y} F_n(x, u).
-
-Building through layer n is O(n^3) big-integer operations overall.
-
-The same tables answer the few-ones questions: the number of strings
-with fewer than ell ones and no zero run of length k is a rectangular
-partial sum, and for ell <= 5 piecewise polynomial closed forms are
+The few-ones questions need no table: the number of strings with fewer
+than ell ones and no zero run of length k is the sum of N(n - s, s, k - 1)
+over s < ell, and for ell <= 5 piecewise polynomial closed forms are
 available as well.
 """
 
@@ -37,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 from .catalog import bitsum_triple
@@ -48,91 +46,49 @@ from .render import signed_sqrt_ratio
 from .series import TruncatedSeries
 
 
-def lam_unconstrained(n: int, y: int) -> int:
-    """F_n(n-1, y) over all strings: one string when the single 1 sits at
-    the center of an odd-length string, two otherwise."""
-    return 1 if (n % 2 == 1 and y == (n - 1) // 2) else 2
+def _signed_binomials(r: int) -> list:
+    """(-1)^j C(r, j) for j = 0..r."""
+    row = [1]
+    for j in range(1, r + 1):
+        row.append(-row[-1] * (r - j + 1) // j)
+    return row
 
 
-def lam_solus(n: int, y: int) -> int:
-    """Raw-layer boundary F_n(n-1, y) for the no-adjacent-1s recursion."""
-    if n % 2 == 1:
-        return 1 if (y == (n - 1) // 2 or y == n - 1) else 2
-    return 1 if y == n - 1 else 2
+def _at_most(x: int, s: int, string_class: StringClass):
+    """y -> the number of class strings with x zeros and s ones whose zero
+    runs are all <= y, for y >= 0."""
+    if string_class not in (StringClass.UNCONSTRAINED, StringClass.SOLUS):
+        raise UnsupportedClass(f"no bounded-composition count for {string_class}")
+    # col[m] = C(m + s, s) = [z^m] 1/(1 - z)^(s + 1)
+    col = [1]
+    for m in range(1, x + 1):
+        col.append(col[-1] * (m + s) // m)
 
-
-class _LayerBuilder:
-    """Incrementally grown F/P layers with the previous layer's T."""
-
-    def __init__(self, string_class: StringClass, kappa: int, lam):
-        self.string_class = string_class
-        self.kappa = kappa
-        self.lam = lam
-        self.F: list = []
-        self.P: list = []
-        self.Tprev = None
-
-    def _t_layer(self, n: int):
-        F, Tprev = self.F, self.Tprev
-        rows = [[0] * (x + 1) for x in range(n + 1)]
-        for x in range(n + 1):
-            for y in range(x + 1):
-                t = 0
-                if n >= 1 and x <= n - 1:
-                    t += F[n - 1][x][y]
-                if Tprev is not None and x >= 1 and y <= x - 1:
-                    t += Tprev[x - 1][y]
-                m = n - 1 - y
-                if m >= 0 and 0 <= x - y <= m and y <= x - y:
-                    t -= F[m][x - y][y]
-                rows[x][y] = t
-        return rows
-
-    def _f_layer(self, n: int, rowsT):
-        kappa, F, P = self.kappa, self.F, self.P
-        rows = [[0] * (x + 1) for x in range(n + 1)]
-        rows[0][0] = 1 - kappa
-        if n >= 1:
-            rows[n][n] = 1
-        for x in range(1, n):
-            ymin = n // (n - x + 1) if n >= 2 else x + 1
-            for y in range(ymin, x + 1):
-                if x == n - 1:
-                    rows[x][y] = self.lam(n, y)
-                    continue
-                v = rowsT[x][y]
-                if kappa:
-                    v -= F[n - 1][x][y]
-                m = n - 1 - y
-                if m >= 0 and 0 <= x - y <= m:
-                    v += P[m][x - y][min(y, x - y)]
-                rows[x][y] = v
-        return rows
-
-    def _push(self, rowsF, rowsT) -> None:
-        self.F.append(rowsF)
-        self.P.append([list(accumulate(row)) for row in rowsF])
-        self.Tprev = rowsT
-
-    def extend(self, target: int) -> None:
-        while len(self.F) <= target:
-            n = len(self.F)
-            rowsT = self._t_layer(n)
-            self._push(self._f_layer(n, rowsT), rowsT)
-
-
-def layer_builder(string_class: StringClass) -> _LayerBuilder:
-    """A new, empty builder for a supported class (unconstrained or solus).
-
-    A builder keeps every layer it has built.  Pass one to joint_table or
-    fewones_count to share the layers across lengths; they are freed with
-    the builder.
-    """
     if string_class is StringClass.UNCONSTRAINED:
-        return _LayerBuilder(string_class, 0, lam_unconstrained)
-    if string_class is StringClass.SOLUS:
-        return _LayerBuilder(string_class, 1, lam_solus)
-    raise UnsupportedClass(f"no joint recursion for {string_class}")
+        signs = _signed_binomials(s + 1)
+
+        def count(y: int) -> int:
+            # j runs over the parts forced above y: col[x - j(y + 1)]
+            return sum(map(mul, signs, col[x :: -(y + 1)]))
+
+        return count
+
+    signs = _signed_binomials(max(s - 1, 0))
+
+    def count(y: int) -> int:
+        if s == 0:
+            return 1 if x <= y else 0
+        if y == 0:
+            return 1 if s == 1 and x == 0 else 0  # the string "1"
+        total = 0
+        for c, i in ((1, 0), (-2, 1), (1, 2)):
+            a = x - (s - 1) - i * (y + 1)
+            if a >= 0:
+                # j runs over the inner gaps forced above y: col[a - j y]
+                total += c * sum(map(mul, signs, col[a::-y]))
+        return total
+
+    return count
 
 
 @dataclass(frozen=True)
@@ -153,38 +109,17 @@ class JointTable:
         return sum(sum(row) for row in self.rows)
 
 
-def joint_table(
-    n: int, string_class: StringClass, layers: _LayerBuilder | None = None
-) -> JointTable:
-    """The (zero count, longest zero run) table for length n.
-
-    Without `layers` the DP layers are built for this call alone and
-    freed when it returns; callers that ask for many lengths pass one
-    builder from layer_builder(string_class).
-    """
+def joint_table(n: int, string_class: StringClass) -> JointTable:
+    """The (zero count, longest zero run) table for length n:
+    rows[x][y] = N(x, n - x, y) - N(x, n - x, y - 1)."""
     if n < 0:
         raise ValueError(f"length must be nonnegative, got {n}")
-    b = layer_builder(string_class) if layers is None else layers
-    if b.string_class is not string_class:
-        raise ValueError(f"layers of {b.string_class} cannot serve {string_class}")
-    b.extend(n)
-    if string_class is StringClass.SOLUS:
-        # combine two raw layers; lengths 0 and 1 are diagonal
-        if n < 2:
-            rows = tuple(
-                tuple(1 if x == y else 0 for y in range(x + 1)) for x in range(n + 1)
-            )
-        else:
-            rows = tuple(
-                tuple(
-                    b.F[n][x][y] + (b.F[n - 1][x][y] if x <= n - 1 else 0)
-                    for y in range(x + 1)
-                )
-                for x in range(n + 1)
-            )
-    else:
-        rows = tuple(tuple(row) for row in b.F[n])
-    return JointTable(n, string_class, rows)
+    rows = []
+    for x in range(n + 1):
+        count = _at_most(x, n - x, string_class)
+        cum = [0] + [count(y) for y in range(x + 1)]
+        rows.append(tuple(b - a for a, b in zip(cum, cum[1:])))
+    return JointTable(n, string_class, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -252,21 +187,14 @@ def joint_rs_report(n: int, string_class: StringClass) -> JointReport:
 
 
 def fewones_count(
-    n: int,
-    ell: int,
-    k: int,
-    string_class: StringClass = StringClass.SOLUS,
-    layers: _LayerBuilder | None = None,
+    n: int, ell: int, k: int, string_class: StringClass = StringClass.SOLUS
 ) -> int:
-    """Table-based count of length-n class strings with bitsum < ell and
-    longest zero run < k; `layers` as for joint_table."""
+    """Count of length-n class strings with bitsum < ell and longest zero
+    run < k: the sum of N(n - s, s, k - 1) over s < ell."""
     if ell < 1 or k < 1 or n < 0:
         raise ValueError("fewones_count needs ell, k >= 1 and n >= 0")
-    table = joint_table(n, string_class, layers)
     return sum(
-        table.count(n - s, y)
-        for s in range(min(ell - 1, n) + 1)
-        for y in range(min(k - 1, n) + 1)
+        _at_most(n - s, s, string_class)(k - 1) for s in range(min(ell - 1, n) + 1)
     )
 
 
@@ -383,35 +311,32 @@ def fewones_peak(k: int):
     return idx, val
 
 
-def _cf5(n: int, k: int, layers: _LayerBuilder | None) -> int:
+def _cf5(n: int, k: int) -> int:
     if n < 1 or n > 5 * k - 1:
         return 0
     if n <= 2 or 2 * k + 2 <= n <= 3 * k:
         # outside the published piecewise regions
-        return fewones_count(n, 5, k, layers=layers)
+        return fewones_count(n, 5, k)
     if n <= k:
         m = n - 2
         num = 24 * (4 - _delta(k, n)) - 6 * m + 35 * m * m - 6 * m**3 + m**4
         return _exact_div(num, 24)
     if n <= 2 * k + 1:
-        return _cf5(n - 1, k, layers) + _u5(k, n)
+        return _cf5(n - 1, k) + _u5(k, n)
     if n == 3 * k + 1:
         return fewones_peak_value_mid(k)
     if n <= 4 * k:
-        return _cf5(n - 1, k, layers) - _v5(k, n)
+        return _cf5(n - 1, k) - _v5(k, n)
     m = 5 * k - n
     return _exact_div(6 * m + 11 * m * m + 6 * m**3 + m**4, 24)
 
 
-def fewones_closed_form(
-    n: int, ell: int, k: int, layers: _LayerBuilder | None = None
-) -> int:
+def fewones_closed_form(n: int, ell: int, k: int) -> int:
     """Piecewise closed form for fewones_count(n, ell, k) on the
     no-adjacent-1s class, available for ell in 2..5 and k >= 2.
 
     The ell = 5 form has no published pieces for n <= 2, for the plateau
-    2k + 2 <= n <= 3k, or for k = 2; those fall back to the table count,
-    built on `layers` as for joint_table.
+    2k + 2 <= n <= 3k, or for k = 2; those fall back to fewones_count.
     """
     if not 2 <= ell <= 5:
         raise OutOfFormulaRange(f"no closed form for ell={ell}")
@@ -426,8 +351,8 @@ def fewones_closed_form(
     if ell == 4:
         return _cf4(n, k)
     if k == 2:
-        return fewones_count(n, 5, k, layers=layers)
-    return _cf5(n, k, layers)
+        return fewones_count(n, 5, k)
+    return _cf5(n, k)
 
 
 def rs_numerator_approx(order: int, ell_max: int = 5) -> TruncatedSeries:
@@ -444,14 +369,12 @@ def rs_numerator_approx(order: int, ell_max: int = 5) -> TruncatedSeries:
     """
     if ell_max < 2:
         raise ValueError("ell_max must be at least 2")
-    layers = layer_builder(StringClass.SOLUS)
-
     def f(ell: int, k: int):
         if 2 <= ell <= 5:
             return [
-                fewones_closed_form(n, ell, k, layers) if n else 1 for n in range(order + 1)
+                fewones_closed_form(n, ell, k) if n else 1 for n in range(order + 1)
             ]
-        return [fewones_count(n, ell, k, layers=layers) for n in range(order + 1)]
+        return [fewones_count(n, ell, k) for n in range(order + 1)]
 
     acc = [0] * (order + 1)
     for k in range(2, order + 2):

@@ -1,7 +1,7 @@
 """Cross-checks of every closed-form pipeline against brute force.
 
-Each check compares a generating-function or dynamic-programming result
-with exhaustive enumeration over all 2^n strings, for every length up to
+Each check compares a generating-function or binomial-sum result with
+exhaustive enumeration over all 2^n strings, for every length up to
 a bound.  Checks return named results with the first counterexample, so
 a failure pinpoints the formula and index at fault.
 """
@@ -26,7 +26,7 @@ from .ensembles import (
     to_composition,
 )
 from .errors import OracleBoundExceeded
-from .jointdp import joint_table, layer_builder
+from .jointdp import joint_table
 from .moments import run_variance_table
 
 #: enumerate_joint as a check sees it: run_checks hands every check one
@@ -153,9 +153,8 @@ def check_joint_dp(nmax: int, oracle: Oracle) -> list:
     out = []
     for cls in (StringClass.UNCONSTRAINED, StringClass.SOLUS):
         bad = ""
-        layers = layer_builder(cls)
         for n in range(nmax + 1):
-            table = joint_table(n, cls, layers)
+            table = joint_table(n, cls)
             want: dict = {}
             for (r0, _, s), cnt in oracle(n, cls).counts:
                 key = (n - s, r0)

@@ -159,9 +159,24 @@ def test_shared_flags_after_subcommand(capsys):
     assert out.splitlines()[0] == "n,count"
 
 
-def test_threads_flag_accepted(capsys):
-    code, _, _ = run_cli(capsys, "--threads", "4", "counts", "--class", "solus", "--nmax", "3")
-    assert code == EXIT_OK
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--threads", "4", "counts", "--class", "solus", "--nmax", "3"],
+        ["counts", "--threads", "4", "--class", "solus", "--nmax", "3"],
+    ],
+)
+def test_threads_flag_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    # argparse prints the usage, then exactly one error line
+    errors = [line for line in err.splitlines() if line.startswith("bitruns: ")]
+    assert errors == [err.splitlines()[-1]]
+    if argv[0] == "counts":
+        assert errors[0] == "bitruns: error: unrecognized arguments: --threads 4"
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,8 @@
-import gc
-import weakref
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
-from bitruns import jointdp
 from bitruns.catalog import count_gf
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.errors import DegenerateVariance, OutOfFormulaRange, UnsupportedClass
@@ -16,11 +14,123 @@ from bitruns.jointdp import (
     joint_rs_report,
     joint_rs_report_table,
     joint_table,
-    lam_solus,
-    lam_unconstrained,
-    layer_builder,
     rs_numerator_approx,
 )
+
+U = StringClass.UNCONSTRAINED
+SOL = StringClass.SOLUS
+
+
+# ---------------------------------------------------------------------------
+# Reference route: an O(n^3) dynamic program over layers of length n,
+# independent of the binomial sums in joint_table; it backs them the way
+# the dense route backs cross_numerator.
+#
+# F_n(x, y) counts length-n strings with x zeros whose longest zero run is
+# exactly y.  kappa = 0 with the unconstrained boundary gives all 0/1
+# strings; kappa = 1 with the isolated-ones boundary gives raw layers whose
+# two-layer combination F_{n-1} + F_n (n >= 2) counts strings with no two
+# adjacent 1s.  T is the running diagonal sum and P the per-layer prefix
+# sum over y.
+
+
+def lam_unconstrained(n, y):
+    """F_n(n-1, y) over all strings: one string when the single 1 sits at
+    the center of an odd-length string, two otherwise."""
+    return 1 if (n % 2 == 1 and y == (n - 1) // 2) else 2
+
+
+def lam_solus(n, y):
+    """Raw-layer boundary F_n(n-1, y) for the no-adjacent-1s recursion."""
+    if n % 2 == 1:
+        return 1 if (y == (n - 1) // 2 or y == n - 1) else 2
+    return 1 if y == n - 1 else 2
+
+
+class _LayerBuilder:
+    """Incrementally grown F/P layers with the previous layer's T."""
+
+    def __init__(self, kappa, lam):
+        self.kappa = kappa
+        self.lam = lam
+        self.F = []
+        self.P = []
+        self.Tprev = None
+
+    def _t_layer(self, n):
+        F, Tprev = self.F, self.Tprev
+        rows = [[0] * (x + 1) for x in range(n + 1)]
+        for x in range(n + 1):
+            for y in range(x + 1):
+                t = 0
+                if n >= 1 and x <= n - 1:
+                    t += F[n - 1][x][y]
+                if Tprev is not None and x >= 1 and y <= x - 1:
+                    t += Tprev[x - 1][y]
+                m = n - 1 - y
+                if m >= 0 and 0 <= x - y <= m and y <= x - y:
+                    t -= F[m][x - y][y]
+                rows[x][y] = t
+        return rows
+
+    def _f_layer(self, n, rowsT):
+        kappa, F, P = self.kappa, self.F, self.P
+        rows = [[0] * (x + 1) for x in range(n + 1)]
+        rows[0][0] = 1 - kappa
+        if n >= 1:
+            rows[n][n] = 1
+        for x in range(1, n):
+            ymin = n // (n - x + 1) if n >= 2 else x + 1
+            for y in range(ymin, x + 1):
+                if x == n - 1:
+                    rows[x][y] = self.lam(n, y)
+                    continue
+                v = rowsT[x][y]
+                if kappa:
+                    v -= F[n - 1][x][y]
+                m = n - 1 - y
+                if m >= 0 and 0 <= x - y <= m:
+                    v += P[m][x - y][min(y, x - y)]
+                rows[x][y] = v
+        return rows
+
+    def extend(self, target):
+        while len(self.F) <= target:
+            n = len(self.F)
+            rowsT = self._t_layer(n)
+            rowsF = self._f_layer(n, rowsT)
+            self.F.append(rowsF)
+            self.P.append([list(accumulate(row)) for row in rowsF])
+            self.Tprev = rowsT
+
+
+def _dp_rows(n, cls, b):
+    """The joint table rows for length n from builder b of class cls."""
+    b.extend(n)
+    if cls is SOL:
+        # combine two raw layers; lengths 0 and 1 are diagonal
+        if n < 2:
+            return tuple(
+                tuple(1 if x == y else 0 for y in range(x + 1)) for x in range(n + 1)
+            )
+        return tuple(
+            tuple(
+                b.F[n][x][y] + (b.F[n - 1][x][y] if x <= n - 1 else 0)
+                for y in range(x + 1)
+            )
+            for x in range(n + 1)
+        )
+    return tuple(tuple(row) for row in b.F[n])
+
+
+_DP_BUILDERS = {U: (0, lam_unconstrained), SOL: (1, lam_solus)}
+
+
+@pytest.mark.parametrize("cls", [U, SOL])
+def test_joint_table_matches_dp(cls):
+    b = _LayerBuilder(*_DP_BUILDERS[cls])
+    for n in range(61):
+        assert joint_table(n, cls).rows == _dp_rows(n, cls, b), (cls, n)
 
 
 def _oracle_table(n, cls):
@@ -51,7 +161,9 @@ def test_mass_conservation():
 
 def test_layer_builder_unsupported():
     with pytest.raises(UnsupportedClass):
-        layer_builder(StringClass.MULTUS)
+        joint_table(5, StringClass.MULTUS)
+    with pytest.raises(UnsupportedClass):
+        fewones_count(5, 3, 3, StringClass.MULTUS)
 
 
 def test_boundary_counts():
@@ -81,9 +193,9 @@ def test_joint_rs_report_degenerate():
         joint_rs_report(0, StringClass.UNCONSTRAINED)
 
 
-def _dp_moments(n, cls):
+def _table_moments(n, cls):
     """E[R0], E[S], Var R0, Var S, E[R0 S] and Cov reduced from the joint
-    table: the dynamic-programming reference for the series route."""
+    table: the binomial-sum reference for the series route."""
     table = joint_table(n, cls)
     sums = [0] * 5  # R0, S, R0^2, S^2, R0 S
     for x, row in enumerate(table.rows):
@@ -97,14 +209,16 @@ def _dp_moments(n, cls):
 
 @pytest.mark.parametrize("cls", [StringClass.UNCONSTRAINED, StringClass.SOLUS])
 def test_joint_rs_report_matches_dp(cls):
-    ns = list(range(60, 0, -1))
+    # n = 400 reaches the inclusion-exclusion terms, which mass
+    # conservation cannot: each table row sums to its j = 0 term
+    ns = [400] + list(range(60, 0, -1))
     for n, r in zip(ns, joint_rs_report_table(ns, cls)):
         assert r.n == n and r.string_class is cls
         got = (
             r.mean_run, r.mean_bitsum, r.var_run, r.var_bitsum,
             r.mean_product, r.covariance,
         )
-        assert got == _dp_moments(n, cls), (cls, n)
+        assert got == _table_moments(n, cls), (cls, n)
     assert joint_rs_report(7, cls) == joint_rs_report_table([3, 7], cls)[1]
     with pytest.raises(DegenerateVariance):
         joint_rs_report(0, cls)
@@ -117,44 +231,17 @@ def test_joint_rs_report_rejects_bad_input():
         joint_rs_report(5, StringClass.MULTUS)
     with pytest.raises(ValueError):
         joint_table(-1, StringClass.SOLUS)
-    with pytest.raises(ValueError):
-        joint_table(3, StringClass.SOLUS, layer_builder(StringClass.UNCONSTRAINED))
 
 
-def test_joint_table_frees_its_layers(monkeypatch):
-    made = []
-
-    def tracked(cls):
-        b = layer_builder(cls)
-        made.append(weakref.ref(b))
-        return b
-
-    monkeypatch.setattr(jointdp, "layer_builder", tracked)
-    d = count_gf(StringClass.SOLUS).expand(60)
-    assert joint_table(60, StringClass.UNCONSTRAINED).total == 2**60
-    assert joint_table(60, StringClass.SOLUS).total == d[60]
-    gc.collect()
-    assert len(made) == 2
-    assert all(ref() is None for ref in made)
-
-
-def test_shared_layers_serve_every_length():
-    layers = layer_builder(StringClass.SOLUS)
-    for n in (7, 3, 12):
-        assert joint_table(n, StringClass.SOLUS, layers) == joint_table(n, StringClass.SOLUS)
-    assert len(layers.F) == 13
-
-
-def test_fewones_count_matches_brute_force():
+@pytest.mark.parametrize("cls", [U, SOL])
+def test_fewones_count_matches_brute_force(cls):
+    # ell = 1 and k = 1 reach the edges s = 0 and y = 0 (solus: "1")
     for n in range(11):
-        for ell in (2, 3, 5):
-            for k in (2, 3, 7):
-                want = sum(
-                    cnt
-                    for (r0, _, s), cnt in enumerate_joint(n, StringClass.SOLUS).counts
-                    if s < ell and r0 < k
-                )
-                assert fewones_count(n, ell, k) == want
+        counts = enumerate_joint(n, cls).counts
+        for ell in (1, 2, 3, 5):
+            for k in (1, 2, 3, 7):
+                want = sum(cnt for (r0, _, s), cnt in counts if s < ell and r0 < k)
+                assert fewones_count(n, ell, k, cls) == want, (cls, n, ell, k)
 
 
 def test_fewones_count_unconstrained_variant():
