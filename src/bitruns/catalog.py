@@ -1,31 +1,49 @@
-"""Catalog of the closed-form generating functions.
+"""Catalog of the generating functions of the five string classes.
 
-Count GFs, bitsum triples (a, b, c), the (G, H, H_k) run families and
-the two-run f_{i,j} families are hard-coded here rather than re-derived,
-each written as its few nonzero (exponent, coefficient) terms; the
-exhaustive oracle certifies them in the test suite.
+Every class is a language of alternating 0-runs and 1-runs whose
+lengths lie in fixed ranges (``_RUNS``): unconstrained strings allow
+any run length, solus and persolus 1-runs have length exactly 1, multus
+and bimultus 1-runs and bimultus and persolus 0-runs are at least 2
+long.  With A_b = sum of z^l over the allowed lengths l of the runs of
+bit b, the class GF is
 
-Two conventions matter throughout:
+    (1 + A_0)(1 + A_1) / (1 - A_0 A_1).
 
-* The closed forms for multus/bimultus/persolus assign coefficient 0 at
-  z^0 even though the empty string vacuously satisfies each predicate
-  (and "0" satisfies bimultus).  The closed forms are taken as normative;
-  coefficient comparisons therefore start at n = 1 for those classes.
-* Several H_k closed forms contain z^(k-1) or z^(k-2) terms and only
-  count correctly from a minimal k recorded as ``min_valid_k`` (validity
-  meaning agreement with enumeration for n >= ``valid_from_n``).  Where a
-  moment sum needs the excluded low-k terms, an exact replacement GF is
-  recorded in ``hk_moment_overrides``.
+``alternating_gf`` builds it from sparse terms: A_b = a_b / q_b with
+q_b = 1 - z (or 1 for a single length) and a_b = z^lo - z^(hi+1) (or
+z^lo when the range has no upper end), so the GF is
+
+    (q_0 + a_0)(q_1 + a_1) / (q_0 q_1 - a_0 a_1).
+
+Capping the runs of one bit at k - 1 gives the run family's H_k,
+capping both gives the two-run f_{a,b}, and a cap below a range's
+minimum gives A_b = 0.  Every one of them counts exactly for every
+k >= 1, under the z^0 convention below.  Marking each 1 by u and taking d/du at u = 1 gives
+the bitsum-marked R = (1 + A_0)^2 θA_1 / (1 - A_0 A_1)^2 with
+θ = z d/dz (``alternating_bitsum_gf``).
+
+The z^0 convention: for multus, bimultus and persolus every GF sets
+the coefficient of z^0 to 0, though the empty string is a member (the
+constructor subtracts the denominator from the numerator), and
+comparisons with enumeration start at n = 1 there.  The one exception
+is the multus count GF, which keeps the empty string.
+
+The count GFs and bitsum triples stay hand-written, as their few
+nonzero (exponent, coefficient) terms: the constructor's bimultus count
+is not in lowest terms, and ``asymptotics`` reads the growth constant
+off the reduced denominator; the triple's c = d_n b_n - a_n^2 is no
+derivative of the class GF.  The test suite ties both to the
+constructor, and the exhaustive oracle certifies all of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .ensembles import StringClass
 from .errors import UndefinedFamily, UnsupportedClass
-from .series import RationalGF, dense_terms, terms, terms_mul
+from .series import RationalGF, dense_terms, merged, terms, terms_mul
 
 _Z = ((1, 1),)
 _Z2 = ((2, 1),)
@@ -135,198 +153,132 @@ def bitsum_triple(string_class: StringClass) -> BitsumTriple:
         ) from None
 
 
-#: The H_k denominator without its z^(k+1) term, for the classes with a
-#: bitsum-marked run GF.
-_BITSUM_HK_DEN = {
-    StringClass.UNCONSTRAINED: _p(1, -2),
-    StringClass.SOLUS: _SOLUS_DEN,
+# ---------------------------------------------------------------------------
+# the alternating-run constructor
+
+#: Allowed (shortest, longest) runs of 0s and of 1s; None has no upper end.
+_RUNS = {
+    StringClass.UNCONSTRAINED: ((1, None), (1, None)),
+    StringClass.SOLUS: ((1, None), (1, 1)),
+    StringClass.MULTUS: ((1, None), (2, None)),
+    StringClass.BIMULTUS: ((2, None), (2, None)),
+    StringClass.PERSOLUS: ((2, None), (1, 1)),
 }
+
+#: the classes whose GFs set z^0 to 0
+_NO_EMPTY = {StringClass.MULTUS, StringClass.BIMULTUS, StringClass.PERSOLUS}
+
+_ONE = ((0, 1),)
+_ONE_MINUS_Z = ((0, 1), (1, -1))
+
+
+# Bounded: a sweep to order N asks for caps up to about N per range.
+@lru_cache(maxsize=1024)
+def _runs(lo: int, hi, cap) -> tuple:
+    """(q, q + a, a) for a / q = sum of z^l over lo <= l <= min(hi, cap)."""
+    if cap is not None and (hi is None or cap < hi):
+        hi = cap
+    if hi is not None and hi < lo:
+        return _ONE, _ONE, ()
+    if hi == lo:
+        return _ONE, ((0, 1), (lo, 1)), ((lo, 1),)
+    end = () if hi is None else ((hi + 1, -1),)
+    p = _ONE if lo == 1 else _ONE_MINUS_Z + ((lo, 1),)
+    return _ONE_MINUS_Z, p + end, ((lo, 1),) + end
+
+
+def _parts(string_class: StringClass, zero_cap, one_cap) -> tuple:
+    """The (q, q + a, a) of the 0-runs and of the 1-runs, and q_0 q_1 -
+    a_0 a_1 as a dict from exponent to coefficient."""
+    (lo0, hi0), (lo1, hi1) = _RUNS[string_class]
+    zeros, ones = _runs(lo0, hi0, zero_cap), _runs(lo1, hi1, one_cap)
+    (q0, _, a0), (q1, _, a1) = zeros, ones
+    den: dict = {}
+    get = den.get
+    for e, c in q0:
+        for f, d in q1:
+            den[e + f] = get(e + f, 0) + c * d
+    for e, c in a0:
+        for f, d in a1:
+            den[e + f] = get(e + f, 0) - c * d
+    return zeros, ones, den
+
+
+def alternating_gf(string_class: StringClass, zero_cap=None, one_cap=None) -> RationalGF:
+    """GF of the class strings whose 0-runs are at most `zero_cap` long
+    and whose 1-runs are at most `one_cap` long (None: no cap), with the
+    class's z^0 convention."""
+    (_, p0, _), (_, p1, _), den = _parts(string_class, zero_cap, one_cap)
+    num: dict = {}
+    get = num.get
+    for e, c in p0:
+        for f, d in p1:
+            num[e + f] = get(e + f, 0) + c * d
+    if string_class in _NO_EMPTY:
+        for e, c in den.items():
+            num[e] = get(e, 0) - c
+    return RationalGF.from_sums(num, den)
+
+
+def _theta(t) -> tuple:
+    """z d/dz of a sparse polynomial."""
+    return tuple((e, e * c) for e, c in t if e)
+
+
+@lru_cache(maxsize=None)  # one entry per class
+def _theta_ones(string_class: StringClass) -> tuple:
+    """t_1 with θA_1 = t_1 / q_1^2 for the uncapped 1-runs:
+    t_1 = q_1 θa_1 - a_1 θq_1."""
+    q1, _, a1 = _runs(*_RUNS[string_class][1], None)
+    minus = tuple((e, -c) for e, c in terms_mul(a1, _theta(q1)))
+    return terms(terms_mul(q1, _theta(a1)) + minus)
+
+
+def alternating_bitsum_gf(string_class: StringClass, zero_cap=None) -> RationalGF:
+    """GF of the total bitsum over the class strings whose 0-runs are at
+    most `zero_cap` long: (q_0 + a_0)^2 t_1 / (q_0 q_1 - a_0 a_1)^2."""
+    (_, p0, _), _, den = _parts(string_class, zero_cap, None)
+    d = merged(den)
+    return _gf(terms_mul(p0, p0, _theta_ones(string_class)), terms_mul(d, d))
 
 
 def bitsum_hk(string_class: StringClass, k: int) -> RationalGF:
-    """GF of the total bitsum over class strings whose longest 0-run is
-    shorter than k (each 1 marked by u, differentiated at u = 1).
-
-    Cutting a string at its marked 1 leaves two strings with no 0-run of
-    k, so the GF is z H_k^2 for unconstrained strings and z (H_k / (1+z))^2
-    for solus, where the pieces may not touch the marked 1 with a 1.  Both
-    reduce to z (1 - z^k)^2 / D_k^2 with D_k the H_k denominator.  Through
-    z^n it equals the triple's ``a`` once k > n.
-    """
+    """R_k: GF of the total bitsum over class strings whose longest 0-run
+    is shorter than k.  Through z^n it equals the triple's ``a`` once
+    k > n."""
     if k < 1:
         raise ValueError("run thresholds must be >= 1")
-    try:
-        base = _BITSUM_HK_DEN[string_class]
-    except KeyError:
-        raise UnsupportedClass(
-            f"no bitsum-marked run generating function for {string_class}"
-        ) from None
-    one_minus = ((0, 1), (k, -1))
-    den = terms(base + ((k + 1, 1),))
-    return _gf(terms_mul(_Z, one_minus, one_minus), terms_mul(den, den))
+    return alternating_bitsum_gf(string_class, k - 1)
 
 
 @dataclass(frozen=True)
 class RunFamily:
-    """The (G, H, H_k) data behind the longest-run moment formulas.
-
-    ``hk(k)`` counts class strings with no run of k designated bits, valid
-    for k >= min_valid_k and n >= valid_from_n.  ``g_in_moment_sum`` and
-    ``hk_moment_overrides`` say how the moment engine must treat the low-k
-    terms: either the paper's G absorbs the invalid closed-form k=1 term
-    (the usual case) or an exact replacement GF is substituted.
-    """
+    """H, the GF of the class, and H_k, that of the class strings with no
+    run of k designated bits: the data behind the longest-run moments."""
 
     string_class: StringClass
     bit: int
-    G: RationalGF
     H: RationalGF
-    hk: Callable[[int], RationalGF]
-    min_valid_k: int = 1
-    valid_from_n: int = 0
-    g_in_moment_sum: bool = True
-    hk_moment_overrides: Mapping[int, RationalGF] = field(default_factory=dict)
+
+    def hk(self, k: int) -> RationalGF:
+        if k < 1:
+            raise ValueError("run thresholds must be >= 1")
+        if self.bit:
+            return alternating_gf(self.string_class, None, k - 1)
+        return alternating_gf(self.string_class, k - 1)
 
 
-def _hk_unconstrained(k: int) -> RationalGF:
-    # (1 - z^k) / (1 - 2z + z^(k+1))
-    return _gf([(0, 1), (k, -1)], [(0, 1), (1, -2), (k + 1, 1)])
-
-
-def _hk_solus0(k: int) -> RationalGF:
-    # (1 + z - z^k - z^(k+1)) / (1 - z - z^2 + z^(k+1))
-    return _gf(
-        [(0, 1), (1, 1), (k, -1), (k + 1, -1)],
-        [(0, 1), (1, -1), (2, -1), (k + 1, 1)],
-    )
-
-
-def _hk_multus1(k: int) -> RationalGF:
-    # z (1 + z^2 - z^(k-1) - z^k) / (1 - 2z + z^2 - z^3 + z^(k+1))
-    return _gf(
-        [(1, 1), (3, 1), (k, -1), (k + 1, -1)],
-        [(0, 1), (1, -2), (2, 1), (3, -1), (k + 1, 1)],
-    )
-
-
-def _hk_multus0(k: int) -> RationalGF:
-    # z (1 + z^2 - z^(k-1) + z^k - 2z^(k+1)) / (1 - 2z + z^2 - z^3 + z^(k+2))
-    return _gf(
-        [(1, 1), (3, 1), (k, -1), (k + 1, 1), (k + 2, -2)],
-        [(0, 1), (1, -2), (2, 1), (3, -1), (k + 2, 1)],
-    )
-
-
-def _hk_bimultus(k: int) -> RationalGF:
-    # z^2 (2 - 2z + 2z^2 - z^(k-2) + z^(k-1) - 2z^k)
-    #   / (1 - 2z + z^2 - z^4 + z^(k+2))
-    return _gf(
-        [(2, 2), (3, -2), (4, 2), (k, -1), (k + 1, 1), (k + 2, -2)],
-        [(0, 1), (1, -2), (2, 1), (4, -1), (k + 2, 1)],
-    )
-
-
-def _hk_persolus0(k: int) -> RationalGF:
-    # z (1 + 2z^2 - z^(k-1) - 2z^k) / (1 - z - z^3 + z^(k+1))
-    return _gf(
-        [(1, 1), (3, 2), (k, -1), (k + 1, -2)],
-        [(0, 1), (1, -1), (3, -1), (k + 1, 1)],
-    )
-
-
-_ZERO_GF = _gf((), _p(1))
-
-_H_MULTUS = _gf(_p(0, 1, 0, 1), _p(1, -2, 1, -1))
-
-_FAMILIES = {}
-
-
-def _add_family(fam: RunFamily) -> None:
-    _FAMILIES[(fam.string_class, fam.bit)] = fam
-
-
-for _bit in (0, 1):
-    _add_family(
-        RunFamily(
-            StringClass.UNCONSTRAINED,
-            _bit,
-            G=_ZERO_GF,
-            H=_gf(_p(1), _p(1, -2)),
-            hk=_hk_unconstrained,
-        )
-    )
-
-_add_family(
-    RunFamily(
-        StringClass.SOLUS,
-        0,
-        G=_ZERO_GF,
-        H=_gf(_p(1, 1), _p(1, -1, -1)),
-        hk=_hk_solus0,
-    )
-)
-
-_add_family(
-    RunFamily(
-        StringClass.MULTUS,
-        1,
-        G=_gf(_p(0, -1), terms_mul(_p(1, -1), _p(1, -1, 1))),
-        H=_H_MULTUS,
-        hk=_hk_multus1,
-        min_valid_k=2,
-        valid_from_n=1,
-    )
-)
-
-_add_family(
-    RunFamily(
-        StringClass.MULTUS,
-        0,
-        G=_ZERO_GF,
-        H=_H_MULTUS,
-        hk=_hk_multus0,
-        min_valid_k=1,
-        valid_from_n=1,
-    )
-)
-
-for _bit in (0, 1):
-    _add_family(
-        RunFamily(
-            StringClass.BIMULTUS,
-            _bit,
-            G=_gf(
-                terms_mul(_p(0, -1), _p(1, -1, 1), _p(1, -1, 1)),
-                terms_mul(_p(1, -1), _p(1, -1, 0, 1)),
-            ),
-            H=_gf(_p(0, 0, 2, -2, 2), _p(1, -2, 1, 0, -1)),
-            hk=_hk_bimultus,
-            min_valid_k=2,
-            valid_from_n=1,
-            # The printed G is inconsistent with the published moment
-            # numerators; the k=1 term is instead replaced by the exact
-            # count of strings with no designated bit at all (all-ones
-            # bimultus strings: one per length n >= 2).
-            g_in_moment_sum=False,
-            hk_moment_overrides={1: _gf(_Z2, _p(1, -1))},
-        )
-    )
-
-_add_family(
-    RunFamily(
-        StringClass.PERSOLUS,
-        0,
-        G=_gf(_p(0, -1, -2, -1), _p(1, 0, 1)),
-        H=_gf(_p(0, 1, 0, 2), _p(1, -1, 0, -1)),
-        hk=_hk_persolus0,
-        min_valid_k=2,
-        valid_from_n=1,
-    )
-)
+#: A bit whose runs have one allowed length has no run family.
+_FAMILIES = {
+    (cls, bit): RunFamily(cls, bit, alternating_gf(cls))
+    for cls, runs in _RUNS.items()
+    for bit in (0, 1)
+    if runs[bit][0] != runs[bit][1]
+}
 
 
 def run_family(string_class: StringClass, bit: int) -> RunFamily:
-    """The (G, H, H_k) family for runs of `bit` in the class; raises
+    """The (H, H_k) family for runs of `bit` in the class; raises
     UndefinedFamily where runs of that bit make no sense (solus and
     persolus 1-runs)."""
     try:
@@ -342,58 +294,11 @@ def defined_families():
     return sorted(_FAMILIES, key=lambda cb: (cb[0].value, cb[1]))
 
 
-# ---------------------------------------------------------------------------
-# two-run families f_{i,j}: no run of i 1s and no run of j 0s
-
-#: smallest index at which the closed form counts correctly (n >= 1)
-CROSS_MIN_CLOSED = {StringClass.UNCONSTRAINED: 1, StringClass.MULTUS: 2}
-
-
-def _cross_unconstrained(i: int, j: int) -> RationalGF:
-    # (1 - z^i - z^j + z^(i+j)) / (1 - 2z + z^(i+1) + z^(j+1) - z^(i+j))
-    return _gf(
-        [(0, 1), (i, -1), (j, -1), (i + j, 1)],
-        [(0, 1), (1, -2), (i + 1, 1), (j + 1, 1), (i + j, -1)],
-    )
-
-
-def _cross_multus(i: int, j: int) -> RationalGF:
-    # z (1 + z^2 - z^(i-1) - z^i - z^(j-1) + z^j - 2z^(j+1) + 2z^(i+j-1))
-    #   / (1 - 2z + z^2 - z^3 + z^(i+1) + z^(j+2) - z^(i+j))
-    return _gf(
-        [(1, 1), (3, 1), (i, -1), (i + 1, -1), (j, -1), (j + 1, 1), (j + 2, -2),
-         (i + j, 2)],
-        [(0, 1), (1, -2), (2, 1), (3, -1), (i + 1, 1), (j + 2, 1), (i + j, -1)],
-    )
-
-
-def _cross_multus_boundary(i: int, j: int) -> RationalGF:
-    # Exact replacements where the closed form's z^(i-1)/z^(j-1) terms
-    # break down.  Constant terms follow the z^0 = 0 convention.
-    if i == 1 and j == 1:
-        return _ZERO_GF
-    if i == 1:
-        # no 1s at all: the all-zero string, needing n <= j-1
-        return _gf([(1, 1), (j, -1)], _p(1, -1))
-    # j == 1: no 0s: all-ones multus strings have length 2..i-1
-    if i <= 2:
-        return _ZERO_GF
-    return _gf([(2, 1), (i, -1)], _p(1, -1))
-
-
 def cross_gf(string_class: StringClass, i: int, j: int) -> RationalGF:
-    """GF counting class strings with no run of i 1s and no run of j 0s.
-
-    For multus, indices below CROSS_MIN_CLOSED use exact boundary GFs in
-    place of the closed form (which is only valid for i, j >= 2).
-    Bimultus has no known closed form and raises UnsupportedClass.
-    """
+    """GF counting class strings with no run of i 1s and no run of j 0s;
+    for the classes with a run family for both bits."""
     if i < 1 or j < 1:
         raise ValueError("run thresholds must be >= 1")
-    if string_class is StringClass.UNCONSTRAINED:
-        return _cross_unconstrained(i, j)
-    if string_class is StringClass.MULTUS:
-        if min(i, j) < CROSS_MIN_CLOSED[StringClass.MULTUS]:
-            return _cross_multus_boundary(i, j)
-        return _cross_multus(i, j)
-    raise UnsupportedClass(f"no two-run generating function for {string_class}")
+    if (string_class, 0) not in _FAMILIES or (string_class, 1) not in _FAMILIES:
+        raise UnsupportedClass(f"no two-run generating function for {string_class}")
+    return alternating_gf(string_class, j - 1, i - 1)

@@ -10,7 +10,12 @@ import argparse
 import sys
 
 from . import __version__
-from .errors import BitrunsError, NonUnitConstantTerm, OracleBoundExceeded
+from .errors import (
+    BitrunsError,
+    NonUnitConstantTerm,
+    OracleBoundExceeded,
+    SeriesOrderExceeded,
+)
 
 # Every command imports the modules it runs, so --version, --help and a
 # usage error load none of the math.  The parser's choices are therefore
@@ -30,6 +35,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_LIMIT = 3
+
+#: Largest `counts --nmax` and `crossgf --order`.  The coefficients grow
+#: like 2^n, so the output grows as n^2: 60 MB of digits at this bound.
+MAX_SERIES_ORDER = 20000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,6 +96,13 @@ def _lengths(text: str) -> list:
     return out
 
 
+def _check_order(flag: str, order: int) -> None:
+    if order > MAX_SERIES_ORDER:
+        raise SeriesOrderExceeded(
+            f"{flag} {order} exceeds the series order bound {MAX_SERIES_ORDER}"
+        )
+
+
 # -- subcommands ------------------------------------------------------------
 
 
@@ -94,6 +110,7 @@ def _cmd_counts(args) -> int:
     from .catalog import count_gf
     from .ensembles import StringClass
 
+    _check_order("--nmax", args.nmax)
     cls = StringClass.from_name(args.string_class)
     series = count_gf(cls).expand(args.nmax)
     rows = [[n, series[n]] for n in range(args.nmax + 1)]
@@ -231,6 +248,7 @@ def _cmd_crossgf(args) -> int:
     from .catalog import cross_gf
     from .ensembles import StringClass
 
+    _check_order("--order", args.order)
     cls = StringClass.from_name(args.string_class)
     series = cross_gf(cls, args.i, args.j).expand(args.order)
     rows = [[n, series[n]] for n in range(args.order + 1)]
@@ -428,6 +446,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # exact integers are printed in full, however many digits they have
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     # shared flags live on the root and every subparser with a SUPPRESS
     # default; seeding the namespace keeps a value given before the
     # subcommand from being clobbered by the subparser's copy
@@ -437,7 +458,7 @@ def main(argv=None) -> int:
         if args.precision < 0:
             raise ValueError(f"precision must be nonnegative, got {args.precision}")
         return args.fn(args)
-    except (OracleBoundExceeded, NonUnitConstantTerm) as exc:
+    except (OracleBoundExceeded, SeriesOrderExceeded, NonUnitConstantTerm) as exc:
         sys.stderr.write(f"bitruns: {exc}\n")
         return EXIT_LIMIT
     except (BitrunsError, ValueError) as exc:

@@ -8,8 +8,9 @@ The product sum over a class comes from the two-run families f_{i,j}
 whose z^n coefficient is the sum of R1 * R0 over class strings of
 length n.  A string of length n has R0 + R1 <= n, so the pairs with
 i + j <= n give z^n exactly.
-Closed two-run families exist for the unconstrained and multus classes;
-the exhaustive oracle covers the rest at small n.
+The catalog builds f_{i,j} for every class with a run family for both
+bits (unconstrained, multus, bimultus); the exhaustive oracle covers
+every class at small n.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .catalog import CROSS_MIN_CLOSED, cross_gf, run_family
+from .catalog import cross_gf, run_family
 from .ensembles import (
     DEFAULT_ORACLE_BOUND,
     StringClass,
     enumerate_joint,
     oracle_moment,
 )
-from .errors import DegenerateVariance, UnsupportedClass
+from .errors import DegenerateVariance, UndefinedFamily, UnsupportedClass
 from .moments import _counts_cached, _numerator_cached
 from .render import signed_sqrt_ratio
 from .series import TruncatedSeries, gf_expand, valuation
@@ -49,10 +50,13 @@ def cross_numerator(string_class: StringClass, order: int) -> TruncatedSeries:
     f_{a,b} only from z^v on, and the agreeing coefficients enter the
     sum once per group as B's, weighted by the pairs that share them.
     """
-    if string_class not in CROSS_MIN_CLOSED:
-        raise UnsupportedClass(f"no two-run generating function for {string_class}")
+    try:
+        ones, zeros = run_family(string_class, 1), run_family(string_class, 0)
+    except UndefinedFamily:
+        raise UnsupportedClass(
+            f"no two-run generating function for {string_class}"
+        ) from None
     symmetric = string_class is StringClass.UNCONSTRAINED
-    ones, zeros = run_family(string_class, 1), run_family(string_class, 0)
     acc = [0] * (order + 1)
 
     def weight(a: int, b: int) -> int:

@@ -14,6 +14,10 @@ class OracleBoundExceeded(BitrunsError):
     """Exhaustive enumeration was requested beyond the configured bound."""
 
 
+class SeriesOrderExceeded(BitrunsError):
+    """A series was requested beyond the configured order bound."""
+
+
 class EmptyEnsemble(BitrunsError):
     """The ensemble contains no strings of the requested length."""
 

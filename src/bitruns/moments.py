@@ -1,9 +1,9 @@
 """Exact moments of the longest run length over an ensemble.
 
 The m-th power of the longest run of a designated bit has a generating
-function built from the family (G, H, H_k): the coefficient of z^n in
+function built from the family (H, H_k): the coefficient of z^n in
 
-    G + sum_k w_m(k) (H - H_k)
+    sum_k w_m(k) (H - H_k)
 
 is sum over class strings of length n of (longest run)^m, where the
 telescoping weights are w_1 = 1, w_2 = 2k - 1, w_3 = 3k^2 - 3k + 1 and
@@ -57,16 +57,10 @@ def moment_numerator(family: RunFamily, order: int) -> tuple:
     largest length serves every shorter one.
     """
     h = family.H.expand(order).coeffs
-    if family.g_in_moment_sum:
-        base = family.G.expand(order).coeffs
-    else:
-        base = [0] * (order + 1)
-    acc = [list(base) for _ in range(MAX_MOMENT)]
+    acc = [[0] * (order + 1) for _ in range(MAX_MOMENT)]
     a1, a2, a3, a4 = acc
     for k in range(1, order + 3):
-        gf = family.hk_moment_overrides.get(k)
-        if gf is None:
-            gf = family.hk(k)
+        gf = family.hk(k)
         v = valuation(gf, family.H)
         if v > order:
             continue

@@ -25,6 +25,11 @@ def terms(pairs: Iterable[tuple]) -> Terms:
     get = acc.get
     for e, c in pairs:
         acc[e] = get(e, 0) + c
+    return merged(acc)
+
+
+def merged(acc: dict) -> Terms:
+    """The sparse terms of a dict from exponent to coefficient."""
     return tuple(sorted(t for t in acc.items() if t[1]))
 
 
@@ -130,6 +135,13 @@ class RationalGF:
     def from_terms(cls, numerator: Iterable[tuple], denominator: Iterable[tuple]) -> "RationalGF":
         gf = cls.__new__(cls)
         gf._set(terms(numerator), terms(denominator))
+        return gf
+
+    @classmethod
+    def from_sums(cls, numerator: dict, denominator: dict) -> "RationalGF":
+        """From dicts of exponent to coefficient; zero entries are dropped."""
+        gf = cls.__new__(cls)
+        gf._set(merged(numerator), merged(denominator))
         return gf
 
     def _set(self, num: Terms, den: Terms) -> None:

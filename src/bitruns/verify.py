@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .catalog import bitsum_triple, count_gf, cross_gf, defined_families, run_family
+from .catalog import bitsum_triple, count_gf, cross_gf, defined_families
 from .crossrun import cross_numerator
 from .ensembles import (
     DEFAULT_ORACLE_BOUND,
@@ -33,7 +33,7 @@ from .moments import run_variance_table
 #: memo of enumerate_classes, so each n is enumerated once per call.
 Oracle = Callable[[int, StringClass], JointDistribution]
 
-#: classes whose closed forms set the z^0 coefficient to 0 even though
+#: classes whose generating functions set the z^0 coefficient to 0 even though
 #: the empty string is a member; comparisons start at n = 1 there.
 _SKIP_EMPTY = {StringClass.MULTUS, StringClass.BIMULTUS, StringClass.PERSOLUS}
 
@@ -90,8 +90,7 @@ def check_bitsums(nmax: int, oracle: Oracle) -> list:
 def check_run_moments(nmax: int, oracle: Oracle) -> list:
     out = []
     for cls, bit in defined_families():
-        fam = run_family(cls, bit)
-        dists = [oracle(n, cls) for n in range(max(1, fam.valid_from_n), nmax + 1)]
+        dists = [oracle(n, cls) for n in range(1, nmax + 1)]
         dists = [d for d in dists if d.total]
         reports = run_variance_table([d.n for d in dists], cls, bit)
         bad = ""

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from bitruns.catalog import (
-    CROSS_MIN_CLOSED,
+    alternating_bitsum_gf,
+    alternating_gf,
     bitsum_hk,
     bitsum_triple,
     count_gf,
@@ -13,7 +14,22 @@ from bitruns.catalog import (
 )
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.errors import UndefinedFamily, UnsupportedClass
-from bitruns.series import valuation
+from bitruns.moments import moment_numerator, moment_weight
+from bitruns.series import (
+    RationalGF,
+    TruncatedSeries,
+    dense_terms,
+    terms_mul,
+    valuation,
+)
+
+U, SOL, MUL, BIM, PER = (
+    StringClass.UNCONSTRAINED,
+    StringClass.SOLUS,
+    StringClass.MULTUS,
+    StringClass.BIMULTUS,
+    StringClass.PERSOLUS,
+)
 
 
 def test_count_gf_prefixes():
@@ -50,7 +66,7 @@ def test_bitsum_triple_unsupported():
 
 def test_bitsum_hk_match_oracle():
     """bitsum_hk(k) sums the bitsum over strings whose longest 0-run is < k."""
-    for cls in (StringClass.UNCONSTRAINED, StringClass.SOLUS):
+    for cls in StringClass:
         for k in range(1, 12):
             series = bitsum_hk(cls, k).expand(10)
             for n in range(11):
@@ -60,11 +76,10 @@ def test_bitsum_hk_match_oracle():
                     if r0 < k
                 )
                 assert series[n] == want, (cls, k, n)
-        assert bitsum_hk(cls, 12).expand(10) == bitsum_triple(cls).a.expand(10)
+        if cls is not MUL:
+            assert bitsum_hk(cls, 12).expand(10) == bitsum_triple(cls).a.expand(10)
     with pytest.raises(ValueError):
         bitsum_hk(StringClass.SOLUS, 0)
-    with pytest.raises(UnsupportedClass):
-        bitsum_hk(StringClass.MULTUS, 3)
 
 
 def test_defined_families():
@@ -85,9 +100,9 @@ def test_hk_counts_no_long_runs():
     """H_k expansions count class strings whose longest bit-run is < k."""
     for cls, bit in defined_families():
         fam = run_family(cls, bit)
-        for k in range(fam.min_valid_k, 7):
+        for k in range(1, 7):
             series = fam.hk(k).expand(9)
-            for n in range(max(fam.valid_from_n, 1), 10):
+            for n in range(1, 10):
                 want = sum(
                     cnt
                     for key, cnt in enumerate_joint(n, cls).counts
@@ -118,16 +133,21 @@ def test_cross_gf_counts():
                     assert series[n] == want, (cls, i, j, n)
 
 
-def test_cross_gf_min_closed_metadata():
-    assert CROSS_MIN_CLOSED[StringClass.UNCONSTRAINED] == 1
-    assert CROSS_MIN_CLOSED[StringClass.MULTUS] == 2
-
-
 def test_cross_gf_rejects_bad_input():
     with pytest.raises(ValueError):
         cross_gf(StringClass.UNCONSTRAINED, 0, 1)
-    with pytest.raises(UnsupportedClass):
-        cross_gf(StringClass.BIMULTUS, 2, 2)
+    for cls in (SOL, PER):  # 1-runs of one length have no run family
+        with pytest.raises(UnsupportedClass):
+            cross_gf(cls, 2, 2)
+    # bimultus f_{a,b}, which no hand-written form covered, counts exactly
+    series = {
+        (a, b): cross_gf(BIM, a, b).expand(14) for a in range(1, 8) for b in range(1, 8)
+    }
+    for n in range(1, 15):
+        counts = enumerate_joint(n, BIM).counts
+        for (a, b), s in series.items():
+            want = sum(cnt for (r0, r1, _), cnt in counts if r1 < a and r0 < b)
+            assert s[n] == want, (a, b, n)
 
 
 def _first_difference(f, g, order):
@@ -140,13 +160,12 @@ def _valuation_cases():
     for cls, bit in defined_families():
         fam = run_family(cls, bit)
         for k in range(1, 41):
-            yield fam.hk_moment_overrides.get(k) or fam.hk(k), fam.H
-        yield fam.G, fam.H
+            yield fam.hk(k), fam.H
     for cls in (StringClass.UNCONSTRAINED, StringClass.SOLUS):
         top = bitsum_hk(cls, 42)
         for k in range(1, 41):
             yield bitsum_hk(cls, k), top
-    for cls in (StringClass.UNCONSTRAINED, StringClass.MULTUS):
+    for cls in (StringClass.UNCONSTRAINED, StringClass.MULTUS, StringClass.BIMULTUS):
         ones, zeros = run_family(cls, 1), run_family(cls, 0)
         for m in range(1, 21):
             yield ones.hk(m), ones.H
@@ -161,3 +180,154 @@ def test_valuation_is_the_first_differing_coefficient():
     """The seeded prefix length of every sum is where the expansions part."""
     for f, base in _valuation_cases():
         assert valuation(f, base) == _first_difference(f, base, 100), (f, base)
+
+
+def test_count_gfs_are_the_uncapped_constructor():
+    for cls in StringClass:
+        gf, count = alternating_gf(cls), count_gf(cls)
+        if cls is MUL:
+            # the multus count keeps the empty string; the constructor
+            # sets z^0 to 0, as every other multus GF does
+            assert valuation(gf, count) == 0
+            plus_one = RationalGF.from_terms(gf.num_terms + gf.den_terms, gf.den_terms)
+            assert valuation(plus_one, count) == math.inf
+        else:
+            assert valuation(gf, count) == math.inf, cls
+
+
+def test_uncapped_bitsum_gf_is_the_triples_a():
+    for cls in (U, SOL, BIM, PER):
+        assert valuation(alternating_bitsum_gf(cls), bitsum_triple(cls).a) == math.inf, cls
+
+
+# The hand-written closed forms that the constructor replaced, kept as its
+# reference.  Several count correctly only from a minimal k (MIN_VALID_K);
+# the moment sums then added a correction G, or replaced the k = 1 term.
+
+
+def _gf(num, den):
+    return RationalGF.from_terms(num, den)
+
+
+def _p(*coeffs):
+    return dense_terms(coeffs)
+
+
+def _ref_hk_unconstrained(k):
+    return _gf([(0, 1), (k, -1)], [(0, 1), (1, -2), (k + 1, 1)])
+
+
+def _ref_hk_solus0(k):
+    return _gf(
+        [(0, 1), (1, 1), (k, -1), (k + 1, -1)],
+        [(0, 1), (1, -1), (2, -1), (k + 1, 1)],
+    )
+
+
+def _ref_hk_multus1(k):
+    return _gf(
+        [(1, 1), (3, 1), (k, -1), (k + 1, -1)],
+        [(0, 1), (1, -2), (2, 1), (3, -1), (k + 1, 1)],
+    )
+
+
+def _ref_hk_multus0(k):
+    return _gf(
+        [(1, 1), (3, 1), (k, -1), (k + 1, 1), (k + 2, -2)],
+        [(0, 1), (1, -2), (2, 1), (3, -1), (k + 2, 1)],
+    )
+
+
+def _ref_hk_bimultus(k):
+    return _gf(
+        [(2, 2), (3, -2), (4, 2), (k, -1), (k + 1, 1), (k + 2, -2)],
+        [(0, 1), (1, -2), (2, 1), (4, -1), (k + 2, 1)],
+    )
+
+
+def _ref_hk_persolus0(k):
+    return _gf(
+        [(1, 1), (3, 2), (k, -1), (k + 1, -2)],
+        [(0, 1), (1, -1), (3, -1), (k + 1, 1)],
+    )
+
+
+_ZERO = _gf((), _p(1))
+
+#: (class, bit): (H_k, MIN_VALID_K, G, the k = 1 replacement or None)
+REFERENCE_FAMILIES = {
+    (U, 0): (_ref_hk_unconstrained, 1, _ZERO, None),
+    (U, 1): (_ref_hk_unconstrained, 1, _ZERO, None),
+    (SOL, 0): (_ref_hk_solus0, 1, _ZERO, None),
+    (MUL, 1): (_ref_hk_multus1, 2, _gf(_p(0, -1), terms_mul(_p(1, -1), _p(1, -1, 1))), None),
+    (MUL, 0): (_ref_hk_multus0, 1, _ZERO, None),
+    # the printed bimultus G disagrees with the published moments, so the
+    # k = 1 term was replaced by the all-ones strings instead
+    (BIM, 0): (_ref_hk_bimultus, 2, _ZERO, _gf([(2, 1)], _p(1, -1))),
+    (BIM, 1): (_ref_hk_bimultus, 2, _ZERO, _gf([(2, 1)], _p(1, -1))),
+    (PER, 0): (_ref_hk_persolus0, 2, _gf(_p(0, -1, -2, -1), _p(1, 0, 1)), None),
+}
+
+
+def _ref_cross_unconstrained(i, j):
+    return _gf(
+        [(0, 1), (i, -1), (j, -1), (i + j, 1)],
+        [(0, 1), (1, -2), (i + 1, 1), (j + 1, 1), (i + j, -1)],
+    )
+
+
+def _ref_cross_multus(i, j):
+    if i == 1 and j == 1:
+        return _ZERO
+    if i == 1:  # no 1s: the all-zero strings of length 1..j-1
+        return _gf([(1, 1), (j, -1)], _p(1, -1))
+    if j == 1:  # no 0s: the all-one strings of length 2..i-1
+        return _ZERO if i <= 2 else _gf([(2, 1), (i, -1)], _p(1, -1))
+    return _gf(
+        [(1, 1), (3, 1), (i, -1), (i + 1, -1), (j, -1), (j + 1, 1), (j + 2, -2),
+         (i + j, 2)],
+        [(0, 1), (1, -2), (2, 1), (3, -1), (i + 1, 1), (j + 2, 1), (i + j, -1)],
+    )
+
+
+def _ref_bitsum_hk(cls, k):
+    # z (1 - z^k)^2 / D_k^2, with D_k the H_k denominator
+    base = _p(1, -2) if cls is U else _p(1, -1, -1)
+    one_minus = ((0, 1), (k, -1))
+    den = base + ((k + 1, 1),)
+    return _gf(terms_mul(((1, 1),), one_minus, one_minus), terms_mul(den, den))
+
+
+@pytest.mark.parametrize("cls,bit", list(REFERENCE_FAMILIES))
+def test_hk_equals_reference_form(cls, bit):
+    hk, min_valid_k, _, _ = REFERENCE_FAMILIES[cls, bit]
+    fam = run_family(cls, bit)
+    for k in range(min_valid_k, 61):
+        assert valuation(fam.hk(k), hk(k)) == math.inf, k
+
+
+def test_cross_gf_equals_reference_form():
+    for a in range(1, 61):
+        for b in range(1, 61):
+            assert valuation(cross_gf(U, a, b), _ref_cross_unconstrained(a, b)) == math.inf
+            assert valuation(cross_gf(MUL, a, b), _ref_cross_multus(a, b)) == math.inf, (a, b)
+
+
+def test_bitsum_hk_equals_reference_form():
+    for cls in (U, SOL):
+        for k in range(1, 61):
+            assert valuation(bitsum_hk(cls, k), _ref_bitsum_hk(cls, k)) == math.inf
+
+
+@pytest.mark.parametrize("cls,bit", list(REFERENCE_FAMILIES))
+def test_moment_numerator_equals_reference_route(cls, bit):
+    """G plus the weighted reference H_k, with the k = 1 replacement,
+    gives the moment numerators the exact H_k give with no G."""
+    hk, _, g, first = REFERENCE_FAMILIES[cls, bit]
+    order = 60
+    h = run_family(cls, bit).H.expand(order)
+    acc = [g.expand(order) if first is None else TruncatedSeries.zero(order)] * 4
+    for k in range(1, order + 3):
+        d = h - (first if k == 1 and first is not None else hk(k)).expand(order)
+        acc = [a + d.scale(moment_weight(m, k)) for m, a in enumerate(acc, 1)]
+    assert list(moment_numerator(run_family(cls, bit), order)) == acc

@@ -331,3 +331,39 @@ def test_package_exports_resolve_lazily():
     assert set(bitruns.__all__) <= set(star)
     with pytest.raises(AttributeError):
         bitruns.no_such_name
+
+
+def test_counts_print_integers_past_4300_digits(capsys):
+    # 2^14285 is the first unconstrained count with 4301 digits, past
+    # Python's default limit on int-to-str conversion
+    code, out, err = run_cli(
+        capsys, "--format", "csv", "counts", "--class", "unconstrained", "--nmax", "14285"
+    )
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[-1] == f"14285,{2**14285}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("counts", "--class", "unconstrained", "--nmax", "100000000000"),
+        ("crossgf", "--class", "multus", "--i", "3", "--j", "3", "--order", "100000000000"),
+    ],
+)
+def test_series_order_bound_exits_before_expanding(capsys, monkeypatch, argv):
+    from bitruns import catalog
+    from bitruns.cli import MAX_SERIES_ORDER
+
+    def forbidden(*args):
+        raise AssertionError("expansion started")
+
+    monkeypatch.setattr(catalog, "count_gf", forbidden)
+    monkeypatch.setattr(catalog, "cross_gf", forbidden)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_LIMIT
+    assert out == ""
+    flag = argv[-2]
+    assert err == (
+        f"bitruns: {flag} 100000000000 exceeds the series order bound {MAX_SERIES_ORDER}\n"
+    )
+    assert MAX_SERIES_ORDER >= 14285

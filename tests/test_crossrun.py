@@ -16,7 +16,9 @@ from bitruns.errors import DegenerateVariance, UnsupportedClass
 from bitruns.series import TruncatedSeries
 
 
-@pytest.mark.parametrize("cls", [StringClass.UNCONSTRAINED, StringClass.MULTUS])
+@pytest.mark.parametrize(
+    "cls", [StringClass.UNCONSTRAINED, StringClass.MULTUS, StringClass.BIMULTUS]
+)
 def test_cross_moment_matches_oracle(cls):
     for n in range(1, 11):
         dist = enumerate_joint(n, cls)
@@ -29,8 +31,9 @@ def test_cross_moment_matches_oracle(cls):
 
 
 def test_cross_numerator_unsupported_class():
-    with pytest.raises(UnsupportedClass):
-        cross_numerator(StringClass.PERSOLUS, 5)
+    for cls in (StringClass.SOLUS, StringClass.PERSOLUS):
+        with pytest.raises(UnsupportedClass):
+            cross_numerator(cls, 5)
 
 
 def test_cross_report_consistency():

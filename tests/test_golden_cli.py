@@ -1,0 +1,68 @@
+"""Plain stdout of the catalog's CLI consumers, pinned by sha256.
+
+The digests were recorded from the hand-written closed forms that the
+alternating-run constructor replaced, so any change in an exact count,
+moment or rendered digit of these commands shows here.
+"""
+
+import hashlib
+
+import pytest
+
+from bitruns.cli import EXIT_OK, main
+
+_LENGTHS = ",".join(map(str, range(2, 41)))
+
+GOLDEN = {
+    ("counts", "unconstrained"): "3a25050281563aab7fb879a735748e41937aa13dec2ef472a8a4a4e2e0c5d87f",
+    ("counts", "solus"): "5c003d9dd2db443846c11147b982e109cfb920088fa8267dbb12eb8b62489c2b",
+    ("counts", "multus"): "56ab3374a39db12844ce59256d8f8bf61b98375efdb89705555e1c8198d25dcc",
+    ("counts", "bimultus"): "961d911f5be7069479758b1403fcf8f9fc35785c24feaf8e4a715b5b07a30d20",
+    ("counts", "persolus"): "e619678e6506527fb987f5d72c89d190733f58a070df228d13fec4b4c6a81a8c",
+    ("crossgf", "unconstrained", 1, 1): "f12d5567f3d7c16931239a4b1babbd52c190a48b90dc0ea68f873f1dc250337e",
+    ("crossgf", "unconstrained", 1, 4): "4f26972f88b4249daa8fcd665372310b3f3f7589ab95cff4c864fe65e46732e8",
+    ("crossgf", "unconstrained", 4, 1): "4f26972f88b4249daa8fcd665372310b3f3f7589ab95cff4c864fe65e46732e8",
+    ("crossgf", "unconstrained", 2, 3): "dc3c6ec4fd85cf7f0589cd98aa89d8cce1760b6d69cf2999b423ac519bd0fb2d",
+    ("crossgf", "unconstrained", 5, 5): "37c3ce8d4db686eb198909d650160dd732bc555dd53e5cdc23c41abb9b5fdd7b",
+    ("crossgf", "multus", 1, 1): "3dae675fd0ad856719ce5aa0077b7b5c5830ad6cbee7056424d22255683e68d8",
+    ("crossgf", "multus", 1, 4): "3bb9ae35933f095406390a53a84cf903e3ed6aca876f9c9cecba94ac699482df",
+    ("crossgf", "multus", 4, 1): "9be3c235fa2c0bd63f1a85f04c88070560179b1aad5caffe7c73d4780067e913",
+    ("crossgf", "multus", 2, 3): "a2305581c2e6fc2b5c84b4d3c38e3d3948c21dab41bca044cc53b9aeeba6424c",
+    ("crossgf", "multus", 5, 5): "6ea45b9cf75b96078eadc2ca947e5a310bb21ddd68b064c194164473bfb4715e",
+    ("moments", "unconstrained", 0): "fa859149c3207784a53aa73545aed113c078b844af06d4b4f30e0b4e19910395",
+    ("moments", "unconstrained", 1): "fa859149c3207784a53aa73545aed113c078b844af06d4b4f30e0b4e19910395",
+    ("moments", "solus", 0): "7539ffa23a66456322eefbbf784d5d9b16ef3e178a1c0314d8abb66a01c348bf",
+    ("moments", "multus", 0): "4cb2b776f6f78935b516e8571b7dc9b84697ffc654c38af73dc6f1ea282728f4",
+    ("moments", "multus", 1): "6c11e298c007a954893536448662d3f0d0e07cde6aeb664015bdb2c1888cbfe3",
+    ("moments", "bimultus", 0): "8399776045b991f94a9457a03733ab8cf1b46ade9d9575856b5b70a23cb5a320",
+    ("moments", "bimultus", 1): "8399776045b991f94a9457a03733ab8cf1b46ade9d9575856b5b70a23cb5a320",
+    ("moments", "persolus", 0): "c9497eef73a3283772a4279729651cd60488d712b863a7baf424a5a6db900e79",
+    ("asymptotics", "unconstrained"): "e22664967f4cf0acd8bcd7c0d6fabd41854c6920d375bad11cda2475a6021513",
+    ("asymptotics", "solus"): "ac3d45d87dd6207b3f6c229953fc454cd1f9c37bd765633dc28d169ed59b7d0d",
+    ("asymptotics", "multus"): "9525044fb1091c32888f712676fe1f6d2ce8b7784cda954d0313c352fec44e74",
+    ("asymptotics", "bimultus"): "a75d33cb8cc8ad4dadeb49cc3838a3f0888b1460b3920e2f9a4e53f46740cd02",
+    ("asymptotics", "persolus"): "f0dc2d11d770891b6bfe6200fed834eb3e015240fb9c81f20a11e22c4fb00052",
+}
+
+
+def _argv(case):
+    command, cls, *rest = case
+    argv = [command, "--class", cls]
+    if command == "counts":
+        argv += ["--nmax", "60"]
+    elif command == "crossgf":
+        i, j = rest
+        argv += ["--i", str(i), "--j", str(j), "--order", "40"]
+    elif command == "moments":
+        argv += ["--bit", str(rest[0]), "--lengths", _LENGTHS]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "case", list(GOLDEN), ids=["-".join(map(str, c)) for c in GOLDEN]
+)
+def test_stdout_digest_is_pinned(capsys, case):
+    code = main(_argv(case))
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[case]

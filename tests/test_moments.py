@@ -70,16 +70,10 @@ def test_run_variance_report():
 def _numerator_per_moment(family, m, order):
     """One telescoping sum per moment order, a series op per term: the
     route the one-pass moment_numerator replaced, kept as its reference."""
-    if family.g_in_moment_sum:
-        acc = family.G.expand(order)
-    else:
-        acc = TruncatedSeries.zero(order)
+    acc = TruncatedSeries.zero(order)
     h = family.H.expand(order)
     for k in range(1, order + 3):
-        gf = family.hk_moment_overrides.get(k)
-        if gf is None:
-            gf = family.hk(k)
-        acc = acc + (h - gf.expand(order)).scale(moment_weight(m, k))
+        acc = acc + (h - family.hk(k).expand(order)).scale(moment_weight(m, k))
     return acc
 
 
