@@ -20,9 +20,8 @@ that print no limit constant never load it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .catalog import count_gf
 from .ensembles import StringClass
@@ -143,8 +142,7 @@ def mean_asymptote(n: int, string_class: StringClass, bit: int) -> mpf:
     return mpmath.log(n) / lb - (off - mpmath.euler / lb)
 
 
-@dataclass(frozen=True)
-class DensityLimits:
+class DensityLimits(NamedTuple):
     """Limits of E(S_n)/n and V(S_n)/n over a class."""
 
     string_class: StringClass
@@ -184,8 +182,7 @@ REFERENCE_DENSITY_ESTIMATES = {
 }
 
 
-@dataclass(frozen=True)
-class AsymptoteReport:
+class AsymptoteReport(NamedTuple):
     """Exact finite-n moments next to their conjectured asymptotes."""
 
     n: int

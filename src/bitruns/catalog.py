@@ -38,8 +38,8 @@ constructor, and the exhaustive oracle certifies all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .ensembles import StringClass
 from .errors import UndefinedFamily, UnsupportedClass
@@ -72,8 +72,7 @@ def count_gf(string_class: StringClass) -> RationalGF:
     return _COUNT_GFS[string_class]
 
 
-@dataclass(frozen=True)
-class BitsumTriple:
+class BitsumTriple(NamedTuple):
     """GFs of the total bitsum a_n, total squared bitsum b_n and
     c_n = d_n b_n - a_n^2 over a class."""
 
@@ -251,8 +250,7 @@ def bitsum_hk(string_class: StringClass, k: int) -> RationalGF:
     return alternating_bitsum_gf(string_class, k - 1)
 
 
-@dataclass(frozen=True)
-class RunFamily:
+class RunFamily(NamedTuple):
     """H, the GF of the class, and H_k, that of the class strings with no
     run of k designated bits: the data behind the longest-run moments."""
 

@@ -67,13 +67,22 @@ def _emit(args, command: str, params: dict, header: list, rows: list) -> None:
         json.dump(doc, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        widths = [
-            max(len(str(header[i])), max((len(str(r[i])) for r in rows), default=0))
-            for i in range(len(header))
-        ]
-        print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)).rstrip())
-        for r in rows:
+        table = [header, *rows]
+        widths = [_width([r[i] for r in table]) for i in range(len(header))]
+        for r in table:
             print("  ".join(str(v).ljust(w) for v, w in zip(r, widths)).rstrip())
+
+
+def _width(column) -> int:
+    """Longest rendering in the column.  The digit count of an integer
+    grows with its magnitude, so of the integers only the largest and the
+    smallest are rendered: every cell is stringified once, to print it,
+    and no rendered copy of the table is held."""
+    ints = [v for v in column if type(v) is int]
+    width = max((len(str(v)) for v in column if type(v) is not int), default=0)
+    if ints:
+        width = max(width, len(str(max(ints))), len(str(min(ints))))
+    return width
 
 
 def _class_arg(p, choices=None) -> None:
@@ -263,7 +272,7 @@ def _cmd_crossgf(args) -> int:
 
 
 def _cmd_compositions(args) -> int:
-    from .ensembles import DEFAULT_ORACLE_BOUND, iter_strings, run_stats, to_composition
+    from .ensembles import DEFAULT_ORACLE_BOUND, bit_string, run_stats, to_composition
 
     if args.n < 0:
         raise ValueError(f"length must be nonnegative, got {args.n}")
@@ -271,13 +280,14 @@ def _cmd_compositions(args) -> int:
         raise OracleBoundExceeded(
             f"n={args.n} exceeds the enumeration bound {DEFAULT_ORACLE_BOUND}"
         )
+    n = args.n
     rows = []
-    for bits in iter_strings(args.n):
-        r0, _, s = run_stats(bits)
-        parts = to_composition(bits)
+    for v in range(1 << n):
+        r0, _, s = run_stats(v, n)
+        parts = to_composition(v, n)
         rows.append(
             [
-                "".join(map(str, bits)),
+                bit_string(v, n),
                 "+".join(map(str, parts)),
                 len(parts),
                 max(parts),

@@ -15,10 +15,9 @@ every class at small n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .catalog import cross_gf, run_family
 from .ensembles import (
@@ -114,8 +113,7 @@ def cross_moment(n: int, string_class: StringClass) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class CrossReport:
+class CrossReport(NamedTuple):
     """Exact joint moments of the two longest runs plus their correlation
     rendered to 6 places."""
 

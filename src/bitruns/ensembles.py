@@ -10,15 +10,15 @@ The five ensembles:
 
 Everything here is brute force on purpose: this module is the ground
 truth that the generating-function and binomial-sum pipelines are
-checked against.
+checked against.  A string of length n is an integer v < 2^n whose
+bit i is position i, so the per-string statistics are word operations.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import EmptyEnsemble, OracleBoundExceeded
 
@@ -66,19 +66,6 @@ def _zeros_clumped_ok(v: int, n: int) -> bool:
     return c & ~((c << 1) | (c >> 1)) & mask == 0
 
 
-def class_member(bits: Sequence[int], string_class: StringClass) -> bool:
-    """True iff the 0/1 sequence belongs to the class.  The empty string
-    satisfies every predicate vacuously."""
-    n = len(bits)
-    v = 0
-    for i, b in enumerate(bits):
-        if b:
-            v |= 1 << i
-    return string_class in _CLASSES_BY_PREDICATES[
-        _ones_isolated_ok(v, n), _ones_clumped_ok(v, n), _zeros_clumped_ok(v, n)
-    ]
-
-
 def _classes_satisfied(ones_isolated: bool, ones_clumped: bool, zeros_clumped: bool):
     yield StringClass.UNCONSTRAINED
     if ones_isolated:
@@ -100,23 +87,6 @@ _CLASSES_BY_PREDICATES = {
 }
 
 
-def run_stats(bits: Sequence[int]) -> RunStats:
-    """Longest 0-run, longest 1-run and bitsum of the sequence."""
-    r0 = r1 = s = 0
-    cur = -1
-    run = 0
-    for b in bits:
-        run = run + 1 if b == cur else 1
-        cur = b
-        if b:
-            s += 1
-            if run > r1:
-                r1 = run
-        elif run > r0:
-            r0 = run
-    return RunStats(r0, r1, s)
-
-
 def _longest_one_run(v: int) -> int:
     r = 0
     while v:
@@ -125,8 +95,35 @@ def _longest_one_run(v: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+def _check_string(v: int, n: int) -> None:
+    if not 0 <= v < 1 << n:
+        raise ValueError(f"{v} is not a string of length {n}")
+
+
+def class_member(v: int, n: int, string_class: StringClass) -> bool:
+    """True iff the n-bit string v belongs to the class.  The empty
+    string (n = 0) satisfies every predicate vacuously."""
+    _check_string(v, n)
+    return string_class in _CLASSES_BY_PREDICATES[
+        _ones_isolated_ok(v, n), _ones_clumped_ok(v, n), _zeros_clumped_ok(v, n)
+    ]
+
+
+def run_stats(v: int, n: int) -> RunStats:
+    """Longest 0-run, longest 1-run and bitsum of the n-bit string v."""
+    _check_string(v, n)
+    return RunStats(
+        _longest_one_run(~v & ((1 << n) - 1)), _longest_one_run(v), v.bit_count()
+    )
+
+
+def bit_string(v: int, n: int) -> str:
+    """The n-bit string v as 0/1 text, position 0 first."""
+    _check_string(v, n)
+    return format(v | 1 << n, "b")[:0:-1]
+
+
+class JointDistribution(NamedTuple):
     """Exact counts of (r0, r1, s) triples over all class strings of length n."""
 
     n: int
@@ -202,25 +199,15 @@ def oracle_moment(dist: JointDistribution, expr: str) -> Fraction:
     return Fraction(num, dist.total)
 
 
-def to_composition(bits: Sequence[int]) -> list:
-    """Waiting-time composition of the string with a 1 appended.
+def to_composition(v: int, n: int) -> list:
+    """Waiting-time composition of the n-bit string v with a 1 appended.
 
     Parts are the gaps between successive 1s (each part is one plus the
-    number of 0s preceding that 1).  Parts sum to len(bits)+1, the number
-    of parts is the bitsum of the appended string, and the largest part
-    is the longest 0-run plus one.
+    number of 0s preceding that 1).  Parts sum to n+1, the number of
+    parts is the bitsum of the appended string, and the largest part is
+    the longest 0-run plus one.
     """
-    parts = []
-    gap = 0
-    for b in list(bits) + [1]:
-        gap += 1
-        if b:
-            parts.append(gap)
-            gap = 0
-    return parts
-
-
-def iter_strings(n: int) -> Iterator[tuple]:
-    """All 0/1 tuples of length n, in integer order (bit i = position i)."""
-    for v in range(1 << n):
-        yield tuple((v >> i) & 1 for i in range(n))
+    _check_string(v, n)
+    # position 0 first, then the appended 1; the text after it is empty
+    gaps = format(v | 1 << n, "b")[::-1].split("1")
+    return [len(g) + 1 for g in gaps[:-1]]

@@ -33,10 +33,9 @@ available as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .catalog import bitsum_triple
 from .ensembles import StringClass
@@ -91,8 +90,7 @@ def _at_most(x: int, s: int, string_class: StringClass):
     return count
 
 
-@dataclass(frozen=True)
-class JointTable:
+class JointTable(NamedTuple):
     """Counts of length-n class strings by (x zeros, longest zero run y)."""
 
     n: int
@@ -122,8 +120,7 @@ def joint_table(n: int, string_class: StringClass) -> JointTable:
     return JointTable(n, string_class, tuple(rows))
 
 
-@dataclass(frozen=True)
-class JointReport:
+class JointReport(NamedTuple):
     """Exact joint moments of (longest zero run, bitsum) plus their
     correlation rendered to 6 places."""
 

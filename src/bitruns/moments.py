@@ -18,10 +18,9 @@ coefficient of z^n in sum_{k=1}^{N+1} (R_{N+2} - R_k) sums
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .catalog import RunFamily, bitsum_hk, count_gf, run_family
 from .ensembles import StringClass
@@ -117,8 +116,7 @@ def run_moment(n: int, string_class: StringClass, bit: int, m: int) -> Fraction:
     return (r.mean, r.second_moment, r.third_moment, r.fourth_moment)[m - 1]
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     """First four exact moments of a longest-run statistic."""
 
     n: int

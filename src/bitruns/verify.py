@@ -8,10 +8,9 @@ a failure pinpoints the formula and index at fault.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .catalog import bitsum_triple, count_gf, cross_gf, defined_families
 from .crossrun import cross_numerator
@@ -19,10 +18,10 @@ from .ensembles import (
     DEFAULT_ORACLE_BOUND,
     JointDistribution,
     StringClass,
+    _longest_one_run,
+    bit_string,
     enumerate_classes,
     oracle_moment,
-    iter_strings,
-    run_stats,
     to_composition,
 )
 from .errors import OracleBoundExceeded
@@ -38,8 +37,7 @@ Oracle = Callable[[int, StringClass], JointDistribution]
 _SKIP_EMPTY = {StringClass.MULTUS, StringClass.BIMULTUS, StringClass.PERSOLUS}
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -177,16 +175,19 @@ def check_joint_dp(nmax: int, oracle: Oracle) -> list:
 def check_compositions(nmax: int, oracle: Oracle) -> list:
     bad = ""
     for n in range(nmax + 1):
+        mask = (1 << n) - 1
         seen = set()
-        for bits in iter_strings(n):
-            parts = tuple(to_composition(bits))
-            r0, _, s = run_stats(bits)
+        for v in range(1 << n):
+            parts = tuple(to_composition(v, n))
+            # r0 and the bitsum from word operations, not from the split
+            r0 = _longest_one_run(~v & mask)
+            s = v.bit_count()
             if sum(parts) != n + 1:
-                bad = f"n={n} {bits}: parts sum {sum(parts)} != {n + 1}"
+                bad = f"n={n} {bit_string(v, n)}: parts sum {sum(parts)} != {n + 1}"
             elif len(parts) != s + 1:
-                bad = f"n={n} {bits}: {len(parts)} parts != bitsum+1 {s + 1}"
+                bad = f"n={n} {bit_string(v, n)}: {len(parts)} parts != bitsum+1 {s + 1}"
             elif max(parts) != r0 + 1:
-                bad = f"n={n} {bits}: max part {max(parts)} != r0+1 {r0 + 1}"
+                bad = f"n={n} {bit_string(v, n)}: max part {max(parts)} != r0+1 {r0 + 1}"
             elif parts in seen:
                 bad = f"n={n}: duplicate composition {parts}"
             if bad:

@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bitruns
 
@@ -204,6 +207,39 @@ def test_bad_value_is_one_line_usage_error(argv):
     assert proc.stdout == ""
 
 
+def _two_pass_plain(header, rows):
+    """The plain table as rendered before, with every cell stringified
+    once for the widths and once to print."""
+    widths = [
+        max(len(str(header[i])), max((len(str(r[i])) for r in rows), default=0))
+        for i in range(len(header))
+    ]
+    lines = [header, *rows]
+    return "".join(
+        "  ".join(str(v).ljust(w) for v, w in zip(r, widths)).rstrip() + "\n"
+        for r in lines
+    )
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[0, "a"], [-7, "bc"]],
+        [[-1, 10**40], [99, -(10**39)], ["wide text", 3]],
+        [[True, 2**200], [False, -(2**199)]],
+    ],
+)
+def test_plain_table_matches_two_pass_rendering(capsys, rows):
+    from argparse import Namespace
+
+    from bitruns.cli import _emit
+
+    header = ["n", "value"]
+    _emit(Namespace(format="plain"), "t", {}, header, rows)
+    assert capsys.readouterr().out == _two_pass_plain(header, rows)
+
+
 def test_moments_at_precision_60(capsys):
     code, out, err = run_cli(
         capsys, "--format", "csv", "moments", "--class", "multus", "--bit", "1",
@@ -223,7 +259,7 @@ def test_verify_over_oracle_bound_exits_before_enumerating(capsys, monkeypatch):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(verify, "enumerate_classes", forbidden)
-    monkeypatch.setattr(verify, "iter_strings", forbidden)
+    monkeypatch.setattr(verify, "to_composition", forbidden)
     code, out, err = run_cli(capsys, "verify", "--nmax", "25")
     assert code == EXIT_LIMIT
     assert out == ""
@@ -367,3 +403,90 @@ def test_series_order_bound_exits_before_expanding(capsys, monkeypatch, argv):
         f"bitruns: {flag} 100000000000 exceeds the series order bound {MAX_SERIES_ORDER}\n"
     )
     assert MAX_SERIES_ORDER >= 14285
+
+
+# -- random command lines ------------------------------------------------------
+
+_CLASSES = ["unconstrained", "solus", "multus", "bimultus", "persolus", "bogus"]
+_SMALL = st.sampled_from(["0", "1", "2", "3"])
+_BAD = st.sampled_from(["-1", "-4", "x", "1.5", ""])
+_INTS = _SMALL | _SMALL | _BAD
+_BITS = st.sampled_from(["0", "1", "0", "1", "2", "x"])
+_LENGTHS = st.sampled_from(["1", "2,3", "5,1", "4"]) | st.sampled_from(
+    ["0", "-1", "x", "", "1,,2"]
+)
+
+
+def _oversized(value):
+    return _INTS | st.just(value)
+
+
+#: Flags of each subcommand and the values drawn for them.  Oversized
+#: values go to the flags with a documented bound, the only ones where a
+#: huge value is refused before the work starts.
+_GRID = {
+    "counts": {"--class": st.sampled_from(_CLASSES), "--nmax": _oversized("20001")},
+    "moments": {
+        "--class": st.sampled_from(_CLASSES),
+        "--bit": _BITS,
+        "--lengths": _LENGTHS,
+    },
+    "table1": {"--lengths": _LENGTHS},
+    "table2": {"--lengths": _LENGTHS},
+    "joint": {"--class": st.sampled_from(_CLASSES), "--n": _INTS},
+    "fewones": {"--ones": _INTS, "--run": _INTS, "--nmax": _INTS},
+    "crossgf": {
+        "--class": st.sampled_from(_CLASSES),
+        "--i": _INTS,
+        "--j": _INTS,
+        "--order": _oversized("20001"),
+    },
+    "compositions": {"--n": _oversized("25")},
+    "asymptotics": {
+        "--class": st.sampled_from(_CLASSES),
+        "--bit": _BITS,
+        "--lengths": _LENGTHS,
+    },
+    "verify": {
+        "--scope": st.sampled_from(["counts", "compositions", "joint-dp", "all", "bogus"]),
+        "--nmax": _oversized("25"),
+    },
+    "bogus": {},
+}
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(sorted(_GRID)))
+    argv = [command]
+    for flag, values in _GRID[command].items():
+        # usually present: a missing required flag is a usage error
+        if draw(st.sampled_from([True] * 9 + [False])):
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["plain", "csv", "json", "xml"]))]
+    if draw(st.booleans()):
+        argv += ["--precision", draw(_oversized("40"))]
+    prefix = draw(st.sampled_from([[]] * 9 + [["--version"], ["--help"], ["-h"]]))
+    return prefix + argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_command_lines())
+def test_random_command_lines_end_in_a_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage error, --help, --version
+            code = exc.code
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_LIMIT, EXIT_VERIFY), (argv, code)
+    assert "Traceback" not in err
+    # argparse prints its usage block above the message; the message
+    # itself is one line
+    messages = [
+        line for line in err.splitlines() if line and not line[0].isspace()
+        and not line.startswith("usage:")
+    ]
+    assert len(messages) <= (code != EXIT_OK), (argv, err)

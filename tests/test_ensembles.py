@@ -4,15 +4,76 @@ import pytest
 
 from bitruns.ensembles import (
     StringClass,
+    bit_string,
     class_member,
     enumerate_classes,
     enumerate_joint,
-    iter_strings,
     oracle_moment,
     run_stats,
     to_composition,
 )
 from bitruns.errors import EmptyEnsemble, OracleBoundExceeded
+
+
+def _word(bits):
+    """(v, n) for a 0/1 sequence, position i at bit i."""
+    return sum(b << i for i, b in enumerate(bits)), len(bits)
+
+
+def _bits(v, n):
+    return tuple((v >> i) & 1 for i in range(n))
+
+
+# -- the bit-tuple routes the integer forms replaced, kept as references --
+
+
+def _tuple_run_stats(bits):
+    r0 = r1 = s = 0
+    cur = -1
+    run = 0
+    for b in bits:
+        run = run + 1 if b == cur else 1
+        cur = b
+        if b:
+            s += 1
+            if run > r1:
+                r1 = run
+        elif run > r0:
+            r0 = run
+    return (r0, r1, s)
+
+
+def _tuple_composition(bits):
+    parts = []
+    gap = 0
+    for b in list(bits) + [1]:
+        gap += 1
+        if b:
+            parts.append(gap)
+            gap = 0
+    return parts
+
+
+def _tuple_member(bits, cls):
+    """Class membership read off the runs, with no bit arithmetic."""
+    n = len(bits)
+    ones_isolated = all(not (bits[i] and bits[i + 1]) for i in range(n - 1))
+
+    def clumped(b):
+        return all(
+            bits[i] != b
+            or (i > 0 and bits[i - 1] == b)
+            or (i < n - 1 and bits[i + 1] == b)
+            for i in range(n)
+        )
+
+    return {
+        StringClass.UNCONSTRAINED: True,
+        StringClass.SOLUS: ones_isolated,
+        StringClass.MULTUS: clumped(1),
+        StringClass.BIMULTUS: clumped(1) and clumped(0),
+        StringClass.PERSOLUS: ones_isolated and clumped(0),
+    }[cls]
 
 
 def test_from_name():
@@ -36,13 +97,14 @@ def test_from_name():
     ],
 )
 def test_class_member(bits, cls, member):
-    assert class_member(bits, cls) is member
+    assert class_member(*_word(bits), cls) is member
 
 
 def test_run_stats():
-    assert run_stats((0, 0, 1, 1, 1, 0)) == (2, 3, 3)
-    assert run_stats(()) == (0, 0, 0)
-    assert run_stats((1, 1)) == (0, 2, 2)
+    assert run_stats(*_word((0, 0, 1, 1, 1, 0))) == (2, 3, 3)
+    assert run_stats(0, 0) == (0, 0, 0)
+    assert run_stats(0b11, 2) == (0, 2, 2)
+    assert run_stats(0b11, 4) == (2, 2, 2)  # leading zeros are positions 2, 3
 
 
 def test_enumerate_joint_totals():
@@ -83,7 +145,7 @@ def _per_class_loop(n, cls):
     acc = {}
     for v in range(1 << n):
         if member(v):
-            key = run_stats([(v >> i) & 1 for i in range(n)])
+            key = _tuple_run_stats(_bits(v, n))
             acc[key] = acc.get(key, 0) + 1
     return tuple(sorted(acc.items())), sum(acc.values())
 
@@ -119,17 +181,38 @@ def test_oracle_moment_empty_ensemble():
 
 
 def test_to_composition():
-    assert to_composition((0, 1, 0, 0)) == [2, 3]
-    assert to_composition(()) == [1]
+    assert to_composition(*_word((0, 1, 0, 0))) == [2, 3]
+    assert to_composition(0, 0) == [1]
     for n in range(7):
-        for bits in iter_strings(n):
-            parts = to_composition(bits)
-            r0, _, s = run_stats(bits)
+        for v in range(1 << n):
+            parts = to_composition(v, n)
+            r0, _, s = run_stats(v, n)
             assert sum(parts) == n + 1
             assert len(parts) == s + 1
             assert max(parts) == r0 + 1
 
 
-def test_iter_strings():
-    assert list(iter_strings(0)) == [()]
-    assert len(set(iter_strings(4))) == 16
+def test_bit_string():
+    assert bit_string(0, 0) == ""
+    assert bit_string(0b0110, 5) == "01100"
+    assert bit_string(*_word((1, 0, 0, 1))) == "1001"
+
+
+def test_integer_forms_match_tuple_routes():
+    for n in range(13):
+        for v in range(1 << n):
+            bits = _bits(v, n)
+            assert bit_string(v, n) == "".join(map(str, bits))
+            assert to_composition(v, n) == _tuple_composition(bits), (v, n)
+            assert run_stats(v, n) == _tuple_run_stats(bits), (v, n)
+            for cls in StringClass:
+                assert class_member(v, n, cls) is _tuple_member(bits, cls), (v, n, cls)
+
+
+@pytest.mark.parametrize("fn", [run_stats, to_composition, bit_string])
+def test_string_out_of_range(fn):
+    for v, n in ((4, 2), (-1, 3), (1, 0)):
+        with pytest.raises(ValueError):
+            fn(v, n)
+    with pytest.raises(ValueError):
+        class_member(8, 3, StringClass.SOLUS)

@@ -1,8 +1,11 @@
-"""Plain stdout of the catalog's CLI consumers, pinned by sha256.
+"""Stdout of the catalog's CLI consumers and of `compositions`, pinned
+by sha256.
 
-The digests were recorded from the hand-written closed forms that the
-alternating-run constructor replaced, so any change in an exact count,
-moment or rendered digit of these commands shows here.
+The catalog digests (plain format) were recorded from the hand-written
+closed forms that the alternating-run constructor replaced, so any
+change in an exact count, moment or rendered digit of these commands
+shows here.  The `compositions` digests, in all three formats, were
+recorded from the bit-tuple enumeration that the integer forms replaced.
 """
 
 import hashlib
@@ -66,3 +69,46 @@ def test_stdout_digest_is_pinned(capsys, case):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[case]
+
+
+#: (format, n) -> digest of `bitruns --format F compositions --n N`.
+COMPOSITIONS = {
+    ("plain", 0): "5c2a7ee1788ec74a4bb2e76c3bc4c2fd86f03ccbbb7e1a45d2bde88480f4bb29",
+    ("plain", 1): "78451d4731eb7ff45acd35d3e07539464293f3600f3df8e8a5d4d69de24154db",
+    ("plain", 2): "c996bacb13bbb0c5324d1c2245b2e9d19a415221d7a56ae13ee6420f50a39578",
+    ("plain", 3): "2393358dfede80d9c33547e02572ec5c0699429a6f86575d67a9e535189555db",
+    ("plain", 4): "64c1b9c3e7dcfc9c0e99d8e07124d5f008e186c252c95b59e3547c0fb575f87e",
+    ("plain", 5): "c96e7eff20ea9d952809d7ff5e432973c16afd4d1bea6ac810a4bfa5a683563a",
+    ("plain", 6): "bf2bd02ad58c7ff7d2215360677f819ecf34c339ac30613fb51beba205aa572c",
+    ("plain", 7): "f3e6867c61d9c36a7a70ee83d6d8ba07da00ea661e3893d1a87445a2d4578a04",
+    ("plain", 8): "0139467db457bfea0eeb3a98cd68a4e4bd6ef65d08c0ea9309eeb3e89fd40900",
+    ("csv", 0): "798e913bae5d932fc340f8b0229bc48082971058b33f07fad438bead77f76a70",
+    ("csv", 1): "421a738c5260bbdf2ac27a7b34eb63733b09731e0edbd190dd23df4051d78e2f",
+    ("csv", 2): "145afdea7334c4c142b8a6a354298c715af8a749c5fcd98a9c08899722d9addc",
+    ("csv", 3): "4d2ffee2e382dc3dd26df8a3291496b162ecb7c37cf5317d821a732b85c81197",
+    ("csv", 4): "cb51de1e88fc676b1269672f1edf701f934cc0396ceb0867a37448eef1e1ec86",
+    ("csv", 5): "fe475f121f11aa9bd65701e356eca85664beed06e7ff13d43ca9bed9133748a0",
+    ("csv", 6): "2ee7467a790eb8d27bd29d634bcbb4e547ca3b6856ecf48b0073b8a4a04b1e87",
+    ("csv", 7): "ba6a5f6a42257042b68adade68d4c099c18b0f37ada153420466cfc29514be8b",
+    ("csv", 8): "05894358361c71eeea355e64b1525d5138b493811be203c7d243956c2fa0e8e0",
+    ("json", 0): "3133f2559e3273c6fb7557608af54f4735f98ed211bd591a77ca2b81fac89ad0",
+    ("json", 1): "b0cca459cf21fb3e4488477d11c7963c7cb2415850cc0af30699e42083fe8d7d",
+    ("json", 2): "4d453b09f94d19c78cceb1149c079b76294f1994fa24ac305ba7ffdf5b3e77a7",
+    ("json", 3): "5dd0eef955c69e5b2a546ff1ef7917632035677c6f6eff475f7c2166744f5f26",
+    ("json", 4): "2a1f6036701c05ea7d6cfc96053f825fee2d1323bf51abae506699e99aaffb8e",
+    ("json", 5): "3cbbc3ed237041a6848b40ca5fc43b9ee7eae3ebf6ac1c8bb053ccc44194245f",
+    ("json", 6): "88503a88fb0401172ea74bc6a5ddf947b14a7e69c420ec789b37061f2e4ac63f",
+    ("json", 7): "b2090642f26b3d4e51522143a7b86acd1912f0d98ba82812cc54245d427356cb",
+    ("json", 8): "a35bd80217ce919d599091e4994c495f9323b01f51cd8cb983d1745626c81065",
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(COMPOSITIONS), ids=["-".join(map(str, c)) for c in COMPOSITIONS]
+)
+def test_compositions_digest_is_pinned(capsys, case):
+    fmt, n = case
+    code = main(["--format", fmt, "compositions", "--n", str(n)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPOSITIONS[case]

@@ -57,7 +57,7 @@ def test_oracle_bound_checked_before_any_enumeration(monkeypatch):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(verify, "enumerate_classes", forbidden)
-    monkeypatch.setattr(verify, "iter_strings", forbidden)
+    monkeypatch.setattr(verify, "to_composition", forbidden)
     for scope in available_scopes():
         with pytest.raises(OracleBoundExceeded):
             run_checks(scope, DEFAULT_ORACLE_BOUND + 1)
