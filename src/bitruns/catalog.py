@@ -18,9 +18,12 @@ z^lo when the range has no upper end), so the GF is
 Capping the runs of one bit at k - 1 gives the run family's H_k,
 capping both gives the two-run f_{a,b}, and a cap below a range's
 minimum gives A_b = 0.  Every one of them counts exactly for every
-k >= 1, under the z^0 convention below.  Marking each 1 by u and taking d/du at u = 1 gives
-the bitsum-marked R = (1 + A_0)^2 θA_1 / (1 - A_0 A_1)^2 with
-θ = z d/dz (``alternating_bitsum_gf``).
+k >= 1, under the z^0 convention below.  Marking each 1 by u and taking
+d/du at u = 1 gives the bitsum-marked R = (1 + A_0)^2 θA_1 /
+(1 - A_0 A_1)^2 with θ = z d/dz.  Every class has uncapped 0-runs and a
+one-term a_1 = z^l1, so H_k and R_k of the 0-runs are geometric series
+in z^(k + l1) over fixed rational functions (``zero_cap_form``), and the
+``table2`` sums read them at single lengths without building either.
 
 The z^0 convention: for multus, bimultus and persolus every GF sets
 the coefficient of z^0 to 0, though the empty string is a member (the
@@ -233,21 +236,35 @@ def _theta_ones(string_class: StringClass) -> tuple:
     return terms(terms_mul(q1, _theta(a1)) + minus)
 
 
-def alternating_bitsum_gf(string_class: StringClass, zero_cap=None) -> RationalGF:
-    """GF of the total bitsum over the class strings whose 0-runs are at
-    most `zero_cap` long: (q_0 + a_0)^2 t_1 / (q_0 q_1 - a_0 a_1)^2."""
-    (_, p0, _), _, den = _parts(string_class, zero_cap, None)
-    d = merged(den)
-    return _gf(terms_mul(p0, p0, _theta_ones(string_class)), terms_mul(d, d))
+class ZeroCapForm(NamedTuple):
+    """H_k and R_k of the 0-runs as series in the cap, for n >= 1.
+
+    Capping the 0-runs below k > lo0 gives A_0 = (z^lo0 - z^k)/(1 - z).
+    With E = (1 - z) q1 - z^(lo0 + l1), P0 = 1 - z + z^lo0 and
+    Q = q1 + z^l1 the constructor's GFs are
+
+        H_k = (P0 - z^k) Q / (E + z^(k + l1)),
+        R_k = (P0 - z^k)^2 t1 / (E + z^(k + l1))^2,
+
+    and for k <= lo0 no 0-run fits: H_k = Q / q1, R_k = t1 / q1^2.
+    E has constant term 1.  At z^0 these count the empty string for
+    every class."""
+
+    lo0: int
+    l1: int
+    q1: tuple
+    p0: tuple
+    q: tuple
+    e: tuple
+    t1: tuple
 
 
-def bitsum_hk(string_class: StringClass, k: int) -> RationalGF:
-    """R_k: GF of the total bitsum over class strings whose longest 0-run
-    is shorter than k.  Through z^n it equals the triple's ``a`` once
-    k > n."""
-    if k < 1:
-        raise ValueError("run thresholds must be >= 1")
-    return alternating_bitsum_gf(string_class, k - 1)
+def zero_cap_form(string_class: StringClass) -> ZeroCapForm:
+    """The pieces of H_k and R_k for the 0-runs of the class."""
+    # every row of _RUNS has 0-runs with no upper end and a one-term a_1
+    (_, p0, _), (q1, q, ((l1, _),)), den = _parts(string_class, None, None)
+    lo0 = _RUNS[string_class][0][0]
+    return ZeroCapForm(lo0, l1, q1, p0, q, merged(den), _theta_ones(string_class))
 
 
 class RunFamily(NamedTuple):

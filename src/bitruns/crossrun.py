@@ -27,7 +27,7 @@ from .ensembles import (
     oracle_moment,
 )
 from .errors import DegenerateVariance, UndefinedFamily, UnsupportedClass
-from .moments import _counts_cached, _numerator_cached
+from .moments import _numerator_cached, checked_counts
 from .render import signed_sqrt_ratio
 from .series import TruncatedSeries, gf_expand, valuation
 
@@ -107,10 +107,8 @@ def _cross_numerator_cached(string_class: StringClass, order: int) -> TruncatedS
 
 def cross_moment(n: int, string_class: StringClass) -> Fraction:
     """Exact E[R0 * R1] over class strings of length n."""
-    return Fraction(
-        _cross_numerator_cached(string_class, n)[n],
-        _counts_cached(string_class, n)[n],
-    )
+    counts = checked_counts(string_class, [n])
+    return Fraction(_cross_numerator_cached(string_class, n)[n], counts[n])
 
 
 class CrossReport(NamedTuple):
@@ -151,11 +149,11 @@ def _assemble(n, string_class, er0, er1, er0sq, er1sq, er0r1) -> CrossReport:
 
 def cross_report_table(ns: Sequence[int], string_class: StringClass) -> list:
     """CrossReports for several lengths from one set of series expansions."""
-    if any(n < 0 for n in ns):
-        raise ValueError("lengths must be nonnegative")
+    if not ns:
+        return []
+    counts = checked_counts(string_class, ns)
     order = max(ns)
     xnum = _cross_numerator_cached(string_class, order)
-    counts = _counts_cached(string_class, order)
     r0, r0sq = _numerator_cached(string_class, 0, order)[:2]
     r1, r1sq = _numerator_cached(string_class, 1, order)[:2]
     out = []

@@ -1,11 +1,13 @@
 """Joint distribution of (zero count, longest zero run) from bounded-
 composition counts, and the run-bitsum correlation.
 
-The correlation of the longest zero run with the bitsum is computed from
-bitsum-marked generating functions (``moments.rs_numerator`` and the
-catalog's bitsum triples) in O(n^2) big-integer operations.  The joint
-table below is the independent route that checks it; the ``joint``
-command, ``verify --scope joint-dp`` and the few-ones counts read it.
+The correlation of the longest zero run with the bitsum takes its three
+run numerators from one sum over the zero-run cap
+(``moments.zero_run_bitsum_numerators``), which reads [z^n] at each
+requested length and expands no capped GF, and the bitsum moments from
+the catalog's bitsum triples.  The joint table below is the independent
+route that checks it; the ``joint`` command, ``verify --scope joint-dp``
+and the few-ones counts read it.
 
 Fix s ones, so a length-n string has x = n - s zeros, and let N(x, s, y)
 count the class strings whose zero runs are all <= y.  The zero runs are
@@ -40,7 +42,7 @@ from typing import NamedTuple, Sequence
 from .catalog import bitsum_triple
 from .ensembles import StringClass
 from .errors import DegenerateVariance, OutOfFormulaRange, UnsupportedClass
-from .moments import _counts_cached, _numerator_cached, rs_numerator
+from .moments import checked_counts, zero_run_bitsum_numerators
 from .render import signed_sqrt_ratio
 from .series import TruncatedSeries
 
@@ -136,23 +138,22 @@ class JointReport(NamedTuple):
 
 
 def joint_rs_report_table(ns: Sequence[int], string_class: StringClass) -> list:
-    """JointReports for several lengths, in the order given, from one set
-    of series expansions at max(ns)."""
-    if any(n < 0 for n in ns):
-        raise ValueError("lengths must be nonnegative")
-    order = max(ns)
-    rs = rs_numerator(string_class, order)
-    counts = _counts_cached(string_class, order)
+    """JointReports for several lengths, in the order given: the bitsum
+    moments from the triple's series at max(ns), the run moments from the
+    zero-run cap sum at each length."""
+    if not ns:
+        return []
     triple = bitsum_triple(string_class)
+    counts = checked_counts(string_class, ns)
+    order = max(ns)
     s1, s2 = triple.a.expand(order), triple.b.expand(order)
-    r1, r2 = _numerator_cached(string_class, 0, order)[:2]
     out = []
-    for n in ns:
+    for n, (r1, r2, rs) in zip(ns, zero_run_bitsum_numerators(string_class, ns)):
         d = counts[n]
-        er, es = Fraction(r1[n], d), Fraction(s1[n], d)
-        ers = Fraction(rs[n], d)
+        er, es = Fraction(r1, d), Fraction(s1[n], d)
+        ers = Fraction(rs, d)
         cov = ers - er * es
-        vr = Fraction(r2[n], d) - er * er
+        vr = Fraction(r2, d) - er * er
         vs = Fraction(s2[n], d) - es * es
         if vr == 0 or vs == 0:
             raise DegenerateVariance(

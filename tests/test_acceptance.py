@@ -33,6 +33,7 @@ from bitruns.jointdp import (
     rs_numerator_approx,
 )
 from bitruns.moments import moment_numerator, run_moment
+from bitruns.render import signed_sqrt_ratio
 
 U = StringClass.UNCONSTRAINED
 SOL = StringClass.SOLUS
@@ -220,6 +221,17 @@ def test_criterion_4_table2_full_scale():
             assert _matches_published(exact, TABLE2_FULL[n][col]), (n, cls, str(exact))
 
 
+# Recorded from the former series route, which expanded every H_k and R_k
+# through z^2000; ten places, unconstrained and solus.
+TABLE2_2000 = ("-0.1693732428", "-0.2116256761")
+
+
+def test_table2_row_at_2000_is_pinned():
+    for cls, want in zip((U, SOL), TABLE2_2000):
+        r = joint_rs_report(2000, cls)
+        assert signed_sqrt_ratio(r.covariance, r.var_run * r.var_bitsum, 10) == want
+
+
 # ---------------------------------------------------------------------------
 # criterion 5: few-ones sequences and the five-ones peak formulas, exact
 
@@ -342,7 +354,7 @@ def test_criterion_7_constants():
 
 
 # ---------------------------------------------------------------------------
-# full-size table run; optional because it takes tens of minutes
+# full-size table run, one length at a time; optional, a few seconds
 
 @pytest.mark.slow
 def test_full_table2_to_1400():

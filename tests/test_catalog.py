@@ -3,9 +3,9 @@ import math
 import pytest
 
 from bitruns.catalog import (
-    alternating_bitsum_gf,
+    _parts,
+    _theta_ones,
     alternating_gf,
-    bitsum_hk,
     bitsum_triple,
     count_gf,
     cross_gf,
@@ -14,11 +14,19 @@ from bitruns.catalog import (
 )
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.errors import UndefinedFamily, UnsupportedClass
-from bitruns.moments import moment_numerator, moment_weight
+from bitruns.jointdp import _at_most
+from bitruns.moments import (
+    moment_numerator,
+    moment_weight,
+    zero_cap_coefficients,
+    zero_run_bitsum_numerators,
+)
 from bitruns.series import (
     RationalGF,
     TruncatedSeries,
     dense_terms,
+    gf_expand,
+    merged,
     terms_mul,
     valuation,
 )
@@ -64,11 +72,32 @@ def test_bitsum_triple_unsupported():
         bitsum_triple(StringClass.MULTUS)
 
 
+# The constructor's bitsum-marked GFs, which the zero-run cap sum
+# replaced, kept as its reference: copies of the former
+# catalog.alternating_bitsum_gf and catalog.bitsum_hk.
+
+
+def _constructor_bitsum_gf(string_class, zero_cap=None):
+    """(q_0 + a_0)^2 t_1 / (q_0 q_1 - a_0 a_1)^2 with the 0-runs capped."""
+    (_, p0, _), _, den = _parts(string_class, zero_cap, None)
+    d = merged(den)
+    return RationalGF.from_terms(
+        terms_mul(p0, p0, _theta_ones(string_class)), terms_mul(d, d)
+    )
+
+
+def _constructor_bitsum_hk(string_class, k):
+    """R_k: the total bitsum over class strings whose longest 0-run is < k."""
+    if k < 1:
+        raise ValueError("run thresholds must be >= 1")
+    return _constructor_bitsum_gf(string_class, k - 1)
+
+
 def test_bitsum_hk_match_oracle():
-    """bitsum_hk(k) sums the bitsum over strings whose longest 0-run is < k."""
+    """R_k sums the bitsum over strings whose longest 0-run is < k."""
     for cls in StringClass:
         for k in range(1, 12):
-            series = bitsum_hk(cls, k).expand(10)
+            series = _constructor_bitsum_hk(cls, k).expand(10)
             for n in range(11):
                 want = sum(
                     cnt * s
@@ -77,9 +106,24 @@ def test_bitsum_hk_match_oracle():
                 )
                 assert series[n] == want, (cls, k, n)
         if cls is not MUL:
-            assert bitsum_hk(cls, 12).expand(10) == bitsum_triple(cls).a.expand(10)
+            assert _constructor_bitsum_hk(cls, 12).expand(10) == bitsum_triple(cls).a.expand(10)
     with pytest.raises(ValueError):
-        bitsum_hk(StringClass.SOLUS, 0)
+        _constructor_bitsum_hk(StringClass.SOLUS, 0)
+
+
+def test_zero_cap_coefficients_match_oracle():
+    """[z^n] H_k and [z^n] R_k from the cap sum count and sum the bitsum
+    over the strings whose longest 0-run is < k, for k = 1..n + 1."""
+    ns = range(1, 11)
+    for cls in StringClass:
+        caps = zero_cap_coefficients(cls, ns)
+        for n in ns:
+            counts = enumerate_joint(n, cls).counts
+            h, r = caps[n]
+            for k in range(1, n + 2):
+                below = [(s, cnt) for (r0, _, s), cnt in counts if r0 < k]
+                assert h[k - 1] == sum(cnt for _, cnt in below), (cls, n, k)
+                assert r[k - 1] == sum(s * cnt for s, cnt in below), (cls, n, k)
 
 
 def test_defined_families():
@@ -162,9 +206,9 @@ def _valuation_cases():
         for k in range(1, 41):
             yield fam.hk(k), fam.H
     for cls in (StringClass.UNCONSTRAINED, StringClass.SOLUS):
-        top = bitsum_hk(cls, 42)
+        top = _constructor_bitsum_hk(cls, 42)
         for k in range(1, 41):
-            yield bitsum_hk(cls, k), top
+            yield _constructor_bitsum_hk(cls, k), top
     for cls in (StringClass.UNCONSTRAINED, StringClass.MULTUS, StringClass.BIMULTUS):
         ones, zeros = run_family(cls, 1), run_family(cls, 0)
         for m in range(1, 21):
@@ -197,7 +241,7 @@ def test_count_gfs_are_the_uncapped_constructor():
 
 def test_uncapped_bitsum_gf_is_the_triples_a():
     for cls in (U, SOL, BIM, PER):
-        assert valuation(alternating_bitsum_gf(cls), bitsum_triple(cls).a) == math.inf, cls
+        assert valuation(_constructor_bitsum_gf(cls), bitsum_triple(cls).a) == math.inf, cls
 
 
 # The hand-written closed forms that the constructor replaced, kept as its
@@ -316,7 +360,7 @@ def test_cross_gf_equals_reference_form():
 def test_bitsum_hk_equals_reference_form():
     for cls in (U, SOL):
         for k in range(1, 61):
-            assert valuation(bitsum_hk(cls, k), _ref_bitsum_hk(cls, k)) == math.inf
+            assert valuation(_constructor_bitsum_hk(cls, k), _ref_bitsum_hk(cls, k)) == math.inf
 
 
 @pytest.mark.parametrize("cls,bit", list(REFERENCE_FAMILIES))
@@ -331,3 +375,72 @@ def test_moment_numerator_equals_reference_route(cls, bit):
         d = h - (first if k == 1 and first is not None else hk(k)).expand(order)
         acc = [a + d.scale(moment_weight(m, k)) for m, a in enumerate(acc, 1)]
     assert list(moment_numerator(run_family(cls, bit), order)) == acc
+
+
+# ---------------------------------------------------------------------------
+# the zero-run cap sum against the routes it replaced
+
+CAP_ORDER = 60
+
+
+def _series_rs_numerator(string_class, order):
+    """Copy of the former moments.rs_numerator: sum over k of the expanded
+    R_(order + 2) - R_k, each R_k from its first differing coefficient."""
+    top = _constructor_bitsum_hk(string_class, order + 2)
+    full = top.expand(order).coeffs
+    acc = [0] * (order + 1)
+    for k in range(1, order + 2):
+        gf = _constructor_bitsum_hk(string_class, k)
+        v = valuation(gf, top)
+        if v > order:
+            continue
+        c = gf_expand(gf, order, full[:v]).coeffs
+        for n in range(v, order + 1):
+            acc[n] += full[n] - c[n]
+    return TruncatedSeries(acc)
+
+
+@pytest.mark.parametrize("cls", [U, SOL])
+def test_zero_cap_coefficients_equal_bounded_compositions(cls):
+    """[z^n] H_k and [z^n] R_k are the sums over s of N(n - s, s, k - 1)
+    and s N(n - s, s, k - 1), for every k and n <= 60."""
+    ns = range(CAP_ORDER + 1)
+    caps = zero_cap_coefficients(cls, ns)
+    for n in ns:
+        at_most = [(s, _at_most(n - s, s, cls)) for s in range(n + 1)]
+        h, r = caps[n]
+        for k in range(1, n + 2):
+            counts = [(s, count(k - 1)) for s, count in at_most]
+            assert h[k - 1] == sum(c for _, c in counts), (n, k)
+            assert r[k - 1] == sum(s * c for s, c in counts), (n, k)
+
+
+@pytest.mark.parametrize("cls", list(StringClass))
+def test_zero_cap_coefficients_equal_constructor_gfs(cls):
+    """For every k and 1 <= n <= 60 the cap sum reads the coefficients of
+    the constructor's H_k and R_k; at z^0 it counts the empty string."""
+    ns = range(CAP_ORDER + 1)
+    caps = zero_cap_coefficients(cls, ns)
+    assert caps[0] == ([1], [0])
+    for k in range(1, CAP_ORDER + 2):
+        hk = alternating_gf(cls, k - 1).expand(CAP_ORDER)
+        rk = _constructor_bitsum_hk(cls, k).expand(CAP_ORDER)
+        for n in range(max(k - 1, 1), CAP_ORDER + 1):
+            h, r = caps[n]
+            assert (h[k - 1], r[k - 1]) == (hk[n], rk[n]), (k, n)
+
+
+@pytest.mark.parametrize("cls", list(StringClass))
+def test_zero_run_bitsum_numerators_equal_series_route(cls):
+    """The three table2 numerators equal moment_numerator's first two for
+    bit 0 and the former rs_numerator, at every n <= 60, for a sweep, for
+    single lengths and for repeated, unsorted lengths."""
+    r1, r2 = moment_numerator(run_family(cls, 0), CAP_ORDER)[:2]
+    rs = _series_rs_numerator(cls, CAP_ORDER)
+    want = {n: (r1[n], r2[n], rs[n]) for n in range(CAP_ORDER + 1)}
+    ns = list(range(CAP_ORDER + 1))
+    assert zero_run_bitsum_numerators(cls, ns) == [want[n] for n in ns]
+    for n in (0, 1, 2, 3, 17, CAP_ORDER):
+        assert zero_run_bitsum_numerators(cls, [n]) == [want[n]]
+    mixed = [40, 3, 40, 0, 11]
+    assert zero_run_bitsum_numerators(cls, mixed) == [want[n] for n in mixed]

@@ -11,14 +11,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitruns.catalog import defined_families
-from bitruns.crossrun import cross_report_table
+from bitruns.crossrun import cross_moment, cross_report, cross_report_table
 from bitruns.ensembles import StringClass, enumerate_classes
 from bitruns.errors import DegenerateVariance, EmptyEnsemble, UnsupportedClass
-from bitruns.jointdp import joint_rs_report_table, joint_table
+from bitruns.jointdp import joint_rs_report, joint_rs_report_table, joint_table
 from bitruns.moments import run_variance_table
 
 U, SOLUS, MULTUS, BIMULTUS, PERSOLUS = StringClass
@@ -54,6 +54,7 @@ def test_route_classes_match_the_catalog():
 
 @settings(max_examples=100, deadline=None)
 @given(cls=st.sampled_from(StringClass), n=st.integers(1, 14))
+@example(cls=BIMULTUS, n=1)  # the one length with no class strings
 def test_routes_agree_with_the_oracle(cls, n):
     dist = _oracle(n)[cls]
     families = [b for c, b in defined_families() if c is cls]
@@ -61,6 +62,19 @@ def test_routes_agree_with_the_oracle(cls, n):
         for bit in families:
             with pytest.raises(EmptyEnsemble):
                 run_variance_table([n], cls, bit)
+        routes = []
+        if cls in CROSS_CLASSES:
+            routes.append((cross_report_table, cross_report))
+            with pytest.raises(EmptyEnsemble):
+                cross_moment(n, cls)
+        if cls in JOINT_RS_CLASSES:
+            routes.append((joint_rs_report_table, joint_rs_report))
+        for table, single in routes:
+            for ns in ([n], [n + 2, n]):
+                with pytest.raises(EmptyEnsemble):
+                    table(ns, cls)
+            with pytest.raises(EmptyEnsemble):
+                single(n, cls)
         return
 
     e_r0, e_r0sq, e_r1, e_r1sq, e_s, e_ssq, e_r0r1, e_r0s = (
@@ -117,3 +131,9 @@ def test_routes_agree_with_the_oracle(cls, n):
         table = joint_table(n, cls)
         assert table.total == dist.total
         assert _table_moments(table) == [e_r0, e_r0sq, e_s, e_ssq, e_r0s]
+
+
+@pytest.mark.parametrize("cls", list(StringClass))
+def test_no_lengths_give_no_rows(cls):
+    assert cross_report_table([], cls) == []
+    assert joint_rs_report_table([], cls) == []
