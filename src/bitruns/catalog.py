@@ -20,10 +20,12 @@ capping both gives the two-run f_{a,b}, and a cap below a range's
 minimum gives A_b = 0.  Every one of them counts exactly for every
 k >= 1, under the z^0 convention below.  Marking each 1 by u and taking
 d/du at u = 1 gives the bitsum-marked R = (1 + A_0)^2 θA_1 /
-(1 - A_0 A_1)^2 with θ = z d/dz.  Every class has uncapped 0-runs and a
-one-term a_1 = z^l1, so H_k and R_k of the 0-runs are geometric series
-in z^(k + l1) over fixed rational functions (``zero_cap_form``), and the
-``table2`` sums read them at single lengths without building either.
+(1 - A_0 A_1)^2 with θ = z d/dz.  In every run family the runs have no
+upper length and the other bit's a is one term z^l, so capping the runs
+below k turns the denominator into E + z^(k + l) for a fixed E: H_k,
+and for the 0-runs R_k, are geometric series in z^(k + l) over fixed
+rational functions (``cap_form``).  The run moments read them at single
+lengths without building any H_k.
 
 The z^0 convention: for multus, bimultus and persolus every GF sets
 the coefficient of z^0 to 0, though the empty string is a member (the
@@ -236,35 +238,43 @@ def _theta_ones(string_class: StringClass) -> tuple:
     return terms(terms_mul(q1, _theta(a1)) + minus)
 
 
-class ZeroCapForm(NamedTuple):
-    """H_k and R_k of the 0-runs as series in the cap, for n >= 1.
+class CapForm(NamedTuple):
+    """H_k of the runs of one bit as a series in the cap, for n >= 1.
 
-    Capping the 0-runs below k > lo0 gives A_0 = (z^lo0 - z^k)/(1 - z).
-    With E = (1 - z) q1 - z^(lo0 + l1), P0 = 1 - z + z^lo0 and
-    Q = q1 + z^l1 the constructor's GFs are
+    Capping the runs of bit b below k > lo gives A_b = (z^lo - z^k)/(1 - z).
+    The other bit's runs are uncapped and their a is the one term
+    z^lo_other.  With E = (1 - z) q_other - z^(lo + lo_other),
+    P = 1 - z + z^lo and Q = q_other + z^lo_other the constructor's GF is
 
-        H_k = (P0 - z^k) Q / (E + z^(k + l1)),
-        R_k = (P0 - z^k)^2 t1 / (E + z^(k + l1))^2,
+        H_k = (P - z^k) Q / (E + z^(k + lo_other)),
 
-    and for k <= lo0 no 0-run fits: H_k = Q / q1, R_k = t1 / q1^2.
-    E has constant term 1.  At z^0 these count the empty string for
-    every class."""
+    and for k <= lo no run of bit b fits: H_k = Q / q_other.  For bit 0,
+    t1 gives the bitsum-marked R_k = (P - z^k)^2 t1 / (E + z^(k + lo_other))^2,
+    and R_k = t1 / q_other^2 for k <= lo; for bit 1 t1 is None.  E has
+    constant term 1.  At z^0 these count the empty string for every
+    class."""
 
-    lo0: int
-    l1: int
-    q1: tuple
-    p0: tuple
+    lo: int
+    lo_other: int
+    q_other: tuple
+    p: tuple
     q: tuple
     e: tuple
-    t1: tuple
+    t1: tuple | None
 
 
-def zero_cap_form(string_class: StringClass) -> ZeroCapForm:
-    """The pieces of H_k and R_k for the 0-runs of the class."""
-    # every row of _RUNS has 0-runs with no upper end and a one-term a_1
-    (_, p0, _), (q1, q, ((l1, _),)), den = _parts(string_class, None, None)
-    lo0 = _RUNS[string_class][0][0]
-    return ZeroCapForm(lo0, l1, q1, p0, q, merged(den), _theta_ones(string_class))
+def cap_form(string_class: StringClass, bit: int) -> CapForm:
+    """The pieces of H_k, and for bit 0 of R_k, when the runs of `bit`
+    are capped; raises UndefinedFamily where those runs have one allowed
+    length."""
+    run_family(string_class, bit)
+    # every run family's runs have no upper end, and every row of _RUNS
+    # has a one-term a for the other bit
+    zeros, ones, den = _parts(string_class, None, None)
+    (_, p, _), (q_other, q, ((lo_other, _),)) = (ones, zeros) if bit else (zeros, ones)
+    t1 = None if bit else _theta_ones(string_class)
+    lo = _RUNS[string_class][bit][0]
+    return CapForm(lo, lo_other, q_other, p, q, merged(den), t1)
 
 
 class RunFamily(NamedTuple):

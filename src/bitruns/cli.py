@@ -40,6 +40,25 @@ EXIT_LIMIT = 3
 #: like 2^n, so the output grows as n^2: 60 MB of digits at this bound.
 MAX_SERIES_ORDER = 20000
 
+#: Largest `--lengths` entry of `moments`, `asymptotics` and `table2`.
+#: The cap sum holds a few rows of N integers of up to N bits and costs
+#: O(N^2): on a 2-vCPU Xeon VM, `moments --class solus --lengths 10000`
+#: takes 42 s and 50 MB, and the time grows about 5x per doubling.
+MAX_CAP_SUM_LENGTH = 10000
+
+#: Largest `table1 --lengths` entry.  The run-run product is O(N^3):
+#: 32 s at 400 on the same VM, so about 8 minutes at this bound.
+MAX_TABLE1_LENGTH = 1000
+
+#: Largest `joint --n`.  The table holds n^2/2 counts of up to n bits:
+#: 5 s and 72 MB at this bound.
+MAX_JOINT_LENGTH = 1000
+
+#: Largest `fewones --nmax`.  With --ones above nmax every length sums
+#: O(n) bounded-composition counts of O(n) terms: 5.1 s at 400, about
+#: 6x per doubling, so over a minute at this bound.
+MAX_FEWONES_NMAX = 1000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -105,11 +124,13 @@ def _lengths(text: str) -> list:
     return out
 
 
-def _check_order(flag: str, order: int) -> None:
-    if order > MAX_SERIES_ORDER:
-        raise SeriesOrderExceeded(
-            f"{flag} {order} exceeds the series order bound {MAX_SERIES_ORDER}"
-        )
+def _check_bound(flag: str, value: int, bound: int, what: str = "series order") -> None:
+    if value > bound:
+        raise SeriesOrderExceeded(f"{flag} {value} exceeds the {what} bound {bound}")
+
+
+def _check_lengths(lengths: list, bound: int) -> None:
+    _check_bound("--lengths", max(lengths), bound, "length")
 
 
 # -- subcommands ------------------------------------------------------------
@@ -119,7 +140,7 @@ def _cmd_counts(args) -> int:
     from .catalog import count_gf
     from .ensembles import StringClass
 
-    _check_order("--nmax", args.nmax)
+    _check_bound("--nmax", args.nmax, MAX_SERIES_ORDER)
     cls = StringClass.from_name(args.string_class)
     series = count_gf(cls).expand(args.nmax)
     rows = [[n, series[n]] for n in range(args.nmax + 1)]
@@ -128,6 +149,7 @@ def _cmd_counts(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    _check_lengths(args.lengths, MAX_CAP_SUM_LENGTH)
     from .ensembles import StringClass
     from .moments import run_variance_table
     from .render import format_fraction
@@ -157,6 +179,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    _check_lengths(args.lengths, MAX_TABLE1_LENGTH)
     from .crossrun import cross_report_table
     from .ensembles import StringClass
     from .render import signed_sqrt_ratio
@@ -184,6 +207,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_table2(args) -> int:
+    _check_lengths(args.lengths, MAX_CAP_SUM_LENGTH)
     from .ensembles import StringClass
     from .jointdp import joint_rs_report_table
     from .render import signed_sqrt_ratio
@@ -209,6 +233,7 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_joint(args) -> int:
+    _check_bound("--n", args.n, MAX_JOINT_LENGTH, "length")
     from .ensembles import StringClass
     from .jointdp import joint_table
 
@@ -231,10 +256,11 @@ def _cmd_joint(args) -> int:
 
 
 def _cmd_fewones(args) -> int:
-    from .jointdp import fewones_closed_form, fewones_count
-
     if args.nmax < 0:
         raise ValueError(f"nmax must be nonnegative, got {args.nmax}")
+    _check_bound("--nmax", args.nmax, MAX_FEWONES_NMAX, "length")
+    from .jointdp import fewones_closed_form, fewones_count
+
     rows = []
     closed_ok = 2 <= args.ones < 6 and args.run >= 2
     for n in range(1, args.nmax + 1):
@@ -257,7 +283,7 @@ def _cmd_crossgf(args) -> int:
     from .catalog import cross_gf
     from .ensembles import StringClass
 
-    _check_order("--order", args.order)
+    _check_bound("--order", args.order, MAX_SERIES_ORDER)
     cls = StringClass.from_name(args.string_class)
     series = cross_gf(cls, args.i, args.j).expand(args.order)
     rows = [[n, series[n]] for n in range(args.order + 1)]
@@ -306,6 +332,7 @@ def _cmd_compositions(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
+    _check_lengths(args.lengths, MAX_CAP_SUM_LENGTH)
     from .asymptotics import (
         density_limits,
         finite_vs_asymptote,

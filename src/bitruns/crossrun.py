@@ -27,7 +27,7 @@ from .ensembles import (
     oracle_moment,
 )
 from .errors import DegenerateVariance, UndefinedFamily, UnsupportedClass
-from .moments import _numerator_cached, checked_counts
+from .moments import checked_counts, run_numerators
 from .render import signed_sqrt_ratio
 from .series import TruncatedSeries, gf_expand, valuation
 
@@ -98,8 +98,8 @@ def cross_numerator(string_class: StringClass, order: int) -> TruncatedSeries:
     return TruncatedSeries(acc)
 
 
-# Bounded like moments._numerator_cached: cross_report_table expands once
-# at the largest length, so this only serves repeated cross_moment calls.
+# Bounded: cross_report_table expands once at the largest length, so
+# this only serves repeated cross_moment calls.
 @lru_cache(maxsize=8)
 def _cross_numerator_cached(string_class: StringClass, order: int) -> TruncatedSeries:
     return cross_numerator(string_class, order)
@@ -148,25 +148,26 @@ def _assemble(n, string_class, er0, er1, er0sq, er1sq, er0r1) -> CrossReport:
 
 
 def cross_report_table(ns: Sequence[int], string_class: StringClass) -> list:
-    """CrossReports for several lengths from one set of series expansions."""
+    """CrossReports for several lengths, in the order given: the product
+    from one series expansion at max(ns), the run moments from the cap
+    sum."""
     if not ns:
         return []
     counts = checked_counts(string_class, ns)
     order = max(ns)
     xnum = _cross_numerator_cached(string_class, order)
-    r0, r0sq = _numerator_cached(string_class, 0, order)[:2]
-    r1, r1sq = _numerator_cached(string_class, 1, order)[:2]
+    zeros, ones = (run_numerators(string_class, bit, ns) for bit in (0, 1))
     out = []
-    for n in ns:
+    for n, (r0, r0sq, *_), (r1, r1sq, *_) in zip(ns, zeros, ones):
         d = counts[n]
         out.append(
             _assemble(
                 n,
                 string_class,
-                Fraction(r0[n], d),
-                Fraction(r1[n], d),
-                Fraction(r0sq[n], d),
-                Fraction(r1sq[n], d),
+                Fraction(r0, d),
+                Fraction(r1, d),
+                Fraction(r0sq, d),
+                Fraction(r1sq, d),
                 Fraction(xnum[n], d),
             )
         )

@@ -15,7 +15,8 @@ class OracleBoundExceeded(BitrunsError):
 
 
 class SeriesOrderExceeded(BitrunsError):
-    """A series was requested beyond the configured order bound."""
+    """A series order or a length was requested beyond its configured
+    bound."""
 
 
 class EmptyEnsemble(BitrunsError):

@@ -1,51 +1,54 @@
 """Exact moments of the longest run length over an ensemble.
 
-The m-th power of the longest run of a designated bit has a generating
-function built from the family (H, H_k): the coefficient of z^n in
+The m-th power of the longest run of a designated bit telescopes over
+the family (H, H_k), H_k the GF of the class strings with no run of k
+such bits: with d_n = [z^n] H,
 
-    sum_k w_m(k) (H - H_k)
+    sum_{k=1..n} w_m(k) (d_n - [z^n] H_k)
 
-is sum over class strings of length n of (longest run)^m, where the
-telescoping weights are w_1 = 1, w_2 = 2k - 1, w_3 = 3k^2 - 3k + 1 and
-w_4 = 4k^3 - 6k^2 + 4k - 1.  Truncating the sum at k = N + 2 is exact
-through z^N since H - H_k vanishes to that order afterwards.
+is the sum over class strings of length n of (longest run)^m, where the
+weights are w_m(k) = k^m - (k-1)^m: w_1 = 1, w_2 = 2k - 1,
+w_3 = 3k^2 - 3k + 1 and w_4 = 4k^3 - 6k^2 + 4k - 1.  The same
+telescoping gives the run-bitsum product: with R_k the bitsum-marked GF
+of strings whose longest 0-run is below k and a_n = [z^n] R the total
+bitsum, the sum over k = 1..n of a_n - [z^n] R_k sums (longest 0-run) *
+bitsum.
 
-The same telescoping gives the run-bitsum product: with R_k the
-bitsum-marked GF of strings whose longest 0-run is below k, the sum over
-k = 1..n of a_n - [z^n] R_k is the sum of (longest 0-run) * bitsum over
-class strings of length n, where a_n = [z^n] R_(n+1) is the total bitsum.
+No H_k or R_k is expanded.  With the catalog's ``cap_form``,
+1/(E + z^(k + l)) is a geometric series in z^(k + l), so with
+U_c = 1 / E^(c + 1), for k > lo,
 
-``table2`` reads that sum, and sum_{k=1..n} w_m(k) (d_n - [z^n] H_k)
-with d_n = [z^n] H_(n+1) for m = 1, 2, at a few lengths, so it expands
-no H_k or R_k.  With the catalog's ``zero_cap_form``, 1/(E + z^(k + l1)) is a
-geometric series in z^(k + l1), so with V_c = z^(c l1) / E^(c + 1) and
-W_c = V_(c + 1) / z^l1, for k > lo0,
+    [z^n] H_k = sum_c (-1)^c ([z^(n - c(k + l))] P Q U_c
+                - [z^(n - c(k + l) - k)] Q U_c),
+    [z^n] R_k = sum_c (-1)^c (c + 1) ([z^(n - c(k + l))] P^2 t1 U_(c+1)
+                - 2 [z^(n - c(k + l) - k)] P t1 U_(c+1)
+                + [z^(n - c(k + l) - 2k)] t1 U_(c+1)),
 
-    [z^n] H_k = sum_c (-1)^c ([z^(n - ck)] P0 Q V_c - [z^(n - (c+1)k)] Q V_c),
-    [z^n] R_k = sum_c (-1)^c (c + 1) ([z^(n - ck)] P0^2 t1 W_c
-                - 2 [z^(n - (c+1)k)] P0 t1 W_c + [z^(n - (c+2)k)] t1 W_c).
-
-V_c and W_c vanish below z^(c l1), so only c(k + l1) <= n contributes:
-O(n/k) terms per k.  Both are z^(c l1) times a row U = 1 / E^(c + 1) or
-1 / E^(c + 2), and each row U_c = 1 / E^(c + 1) is the one before it
-divided by E, one short recurrence, read at most through
-z^(N - (c - 1)(lo0 + 1 + l1) - l1) for c >= 1.  The rows are streamed,
-two held at a time, and every (n, k) coefficient is accumulated from
-strided slices of them.
+and only c(k + l) <= n contributes: O(n/k) terms per k.  At a fixed n
+and c, the coefficients for k = lo + 1, lo + 2, ... are strided slices
+of the rows P Q U_c and Q U_c, so the weighted sums over k are a few
+dot products per (n, c).  Each row U_c is the one before it divided by
+E, one short recurrence, needed only through z^(N - c(lo + 1 + l)) for
+N = max(ns); the rows are streamed, and each is multiplied once by its
+sparse numerators.  Memory is O(N) integers for the rows plus a few
+sums per length; the time is O(N^2) for the rows plus O(n log n) dot
+product terms per requested length n, so a dense sweep of every length
+to N costs O(N^2 log N).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import add, mul
+from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
-from .catalog import RunFamily, count_gf, run_family, zero_cap_form
+from .catalog import cap_form, count_gf
 from .ensembles import StringClass
-from .errors import EmptyEnsemble, UnsupportedMoment
-from .series import RationalGF, TruncatedSeries, gf_expand, terms_mul, valuation
+from .errors import EmptyEnsemble, UndefinedFamily, UnsupportedMoment
+from .series import RationalGF, TruncatedSeries, terms_mul
 
 MAX_MOMENT = 4
 
@@ -61,38 +64,6 @@ def moment_weight(m: int, k: int) -> int:
     if m == 4:
         return 4 * k**3 - 6 * k * k + 4 * k - 1
     raise UnsupportedMoment(f"moment order {m} not in 1..{MAX_MOMENT}")
-
-
-def moment_numerator(family: RunFamily, order: int) -> tuple:
-    """Series for moments 1..MAX_MOMENT in one pass: entry m - 1 has
-    z^n coefficient summing (longest run)^m over class strings of
-    length n <= order.
-
-    Each H_k is expanded once and its difference from H is added into
-    all the sums with the weights w_m(k).  H_k agrees with H below
-    z^v, v = valuation(H_k, H), so its expansion starts at z^v from H's
-    coefficients and only the coefficients from z^v on enter the sums.
-    Coefficient n does not depend on `order`, so one expansion at the
-    largest length serves every shorter one.
-    """
-    h = family.H.expand(order).coeffs
-    acc = [[0] * (order + 1) for _ in range(MAX_MOMENT)]
-    a1, a2, a3, a4 = acc
-    for k in range(1, order + 3):
-        gf = family.hk(k)
-        v = valuation(gf, family.H)
-        if v > order:
-            continue
-        w2, w3, w4 = (moment_weight(m, k) for m in (2, 3, 4))
-        c = gf_expand(gf, order, h[:v]).coeffs
-        for n in range(v, order + 1):
-            d = h[n] - c[n]
-            if d:
-                a1[n] += d
-                a2[n] += w2 * d
-                a3[n] += w3 * d
-                a4[n] += w4 * d
-    return tuple(TruncatedSeries(a) for a in acc)
 
 
 def _divide(src: list, e: tuple, length: int) -> list:
@@ -111,92 +82,115 @@ def _divide(src: list, e: tuple, length: int) -> list:
     return out[pad:]
 
 
-def _add_strided(acc: list, start: int, row: list, top: int, step: int, coeff: int) -> None:
-    """acc[start + j] += coeff * row[top - j * step] for every j >= 0 with
-    a nonnegative index; step 0 adds coeff * row[top] to all of
-    acc[start:]."""
-    if top < 0:
-        return
-    if not step:
-        x = coeff * row[top]
-        acc[start:] = [y + x for y in acc[start:]]
-        return
-    seg = row[top::-step]
-    end = start + len(seg)
-    acc[start:end] = map(add, acc[start:end], map(mul, seg, repeat(coeff)))
+def _times(t: tuple, row: list, length: int) -> list:
+    """Coefficients z^0..z^(length-1) of the sparse t times row, which
+    holds at least that many; row itself when t is 1."""
+    if t == ((0, 1),):
+        return row
+    out = [0] * max(length, 0)
+    for i, (x, a) in enumerate(t):
+        seg = row[: max(length - x, 0)]
+        if a != 1:
+            seg = map(mul, seg, repeat(a))
+        out[x:] = map(add, out[x:], seg) if i else seg
+    return out
 
 
-def zero_cap_coefficients(string_class: StringClass, ns: Sequence[int]) -> dict:
-    """n -> (h, r) for each length n in ns: h[k - 1] = [z^n] H_k and
-    r[k - 1] = [z^n] R_k of the 0-runs for k = 1..n + 1.
+def _strided_sum(row: list, top: int, step: int) -> int:
+    """row[top] + row[top - step] + ... down to index 0, for step >= 1;
+    0 if top < 0."""
+    return sum(row[top::-step]) if top >= 0 else 0
 
-    k = n + 1 caps nothing, so h[n] is the class count and r[n] the total
-    bitsum at length n >= 1 (at n = 0 both count the empty string).  No
-    H_k or R_k is expanded; see the module docstring.
-    """
-    form = zero_cap_form(string_class)
-    lo0, l1, e = form.lo0, form.l1, form.e
-    k0 = lo0 + 1
-    order = max(ns)
-    small_h = RationalGF.from_terms(form.q, form.q1).expand(order)
-    small_r = RationalGF.from_terms(form.t1, terms_mul(form.q1, form.q1)).expand(order)
-    acc = {
-        n: (
-            [small_h[n]] * min(lo0, n + 1) + [0] * (n + 1 - lo0),
-            [small_r[n]] * min(lo0, n + 1) + [0] * (n + 1 - lo0),
-        )
-        for n in ns
-    }
-    # (j, x, a): a * [z^(n - x - (c + j) k)] of z^(c l1) times the row:
-    # V_c = z^(c l1) U_c for H and W_c = z^(c l1) U_(c + 1) for R, where
-    # U_c = 1 / E^(c + 1).
-    h_terms = [(0, x, a) for x, a in terms_mul(form.p0, form.q)]
-    h_terms += [(1, x, -a) for x, a in form.q]
-    r_terms = [(0, x, a) for x, a in terms_mul(form.p0, form.p0, form.t1)]
-    r_terms += [(1, x, -2 * a) for x, a in terms_mul(form.p0, form.t1)]
-    r_terms += [(2, x, a) for x, a in form.t1]
+
+def run_numerators(
+    string_class: StringClass, bit: int, ns: Sequence[int], bitsum: bool = False
+) -> list:
+    """For each length n in ns, in order: the sums of R^m, m = 1..MAX_MOMENT,
+    over the class strings of length n, R their longest run of `bit`,
+    followed with `bitsum` (bit 0 only) by the sum of R * bitsum.  No H_k
+    is expanded; see the module docstring."""
+    if not ns:
+        return []
+    form = cap_form(string_class, bit)
+    if bitsum and form.t1 is None:
+        raise UndefinedFamily(f"no bitsum-marked run family for bit={bit}")
+    lo, l, e = form.lo, form.lo_other, form.e
+    k0, step = lo + 1, lo + 1 + l
+    lengths = sorted(set(ns))
+    order = lengths[-1]
+    weights = [
+        [moment_weight(m, k) for k in range(k0, order + 1)]
+        for m in range(2, MAX_MOMENT + 1)
+    ]
+    # k <= lo: no run fits, H_k = Q / q_other and R_k = t1 / q_other^2,
+    # and sum_{k=1..j} w_m(k) = j^m
+    small_h = RationalGF.from_terms(form.q, form.q_other).expand(order)
+    if bitsum:
+        q2 = terms_mul(form.q_other, form.q_other)
+        small_r = RationalGF.from_terms(form.t1, q2).expand(order)
+        # t1 starts at z^l: the R rows are kept divided by z^l, read l lower
+        t = tuple((x - l, a) for x, a in form.t1)
+        r_terms = (terms_mul(form.p, form.p, t), terms_mul(form.p, t), t)
+    # sums[n]: sum over k = 1..n of w_m(k) [z^n] H_k for m = 1..MAX_MOMENT
+    # and of [z^n] R_k; full[n]: [z^n] of the uncapped H and R
+    sums, full = {}, {}
+    for n in lengths:
+        j = min(lo, n)
+        sums[n] = [small_h[n] * j**m for m in range(1, MAX_MOMENT + 1)]
+        sums[n].append(small_r[n] * j if bitsum else 0)
     u = _divide([1], e, order + 1)
     c = 0
-    while c * (k0 + l1) <= order:
-        # every R term has the factor t1, which starts at z^l1
-        u_next = _divide(u, e, max(order - c * (k0 + l1) - l1 + 1, 0))
-        sign = -1 if c & 1 else 1
-        for n, (h, r) in acc.items():
-            top = n - c * (k0 + l1)
-            if top < 0:
-                continue
-            for j, x, a in h_terms:
-                _add_strided(h, lo0, u, top - x - j * k0, c + j, sign * a)
-            for j, x, a in r_terms:
-                _add_strided(r, lo0, u_next, top - x - j * k0, c + j, sign * (c + 1) * a)
+    while c * step <= order:
+        # At top = n - c step, [z^n] H_k for k = k0, k0 + 1, ... is
+        # (-1)^c times [z^top] of P Q U_c stepping down by c, less
+        # [z^(top - k0)] of Q U_c stepping down by c + 1, summed over c;
+        # U_c = 1 / E^(c + 1).  [z^n] R_k has (c + 1) (-1)^c times the
+        # reads of P^2 t U_(c+1), -2 P t U_(c+1) and t U_(c+1) from
+        # top - l, top - l - k0 and top - l - 2 k0, by c, c + 1 and c + 2.
+        last = order - c * step + 1
+        b_row = _times(form.q, u, last)
+        a_row = _times(form.p, b_row, last)
+        u_next = _divide(u, e, max(last - (l if bitsum else step), 0))
+        if bitsum:
+            r_a, r_b, r_c = (
+                _times(r, u_next, last - l - i * k0) for i, r in enumerate(r_terms)
+            )
+        for n in lengths[bisect_left(lengths, c * step) :]:
+            top = n - c * step
+            seg = a_row[top::-c] if c else [a_row[n]] * (n - lo)
+            if top >= k0:
+                seg_b = b_row[top - k0 :: -(c + 1)]
+                seg[: len(seg_b)] = map(sub, seg, seg_b)
+            got = [sum(seg)] + [sum(map(mul, w, seg)) for w in weights]
+            if not c:
+                full[n] = (a_row[n], r_a[n - l] if bitsum and n >= l else 0)
+            if bitsum:
+                first = _strided_sum(r_a, top - l, c) if c else full[n][1] * len(seg)
+                got.append(
+                    (c + 1)
+                    * (
+                        first
+                        - 2 * _strided_sum(r_b, top - l - k0, c + 1)
+                        + _strided_sum(r_c, top - l - 2 * k0, c + 2)
+                    )
+                )
+            s = sums[n]
+            s[: len(got)] = map(sub if c & 1 else add, s, got)
         u = u_next
         c += 1
-    return acc
+    out = {}
+    for n in lengths:
+        h, r = full[n]
+        s = sums[n]
+        row = [n**m * h - s[m - 1] for m in range(1, MAX_MOMENT + 1)]
+        out[n] = tuple(row + [n * r - s[-1]] if bitsum else row)
+    return [out[n] for n in ns]
 
 
 def zero_run_bitsum_numerators(string_class: StringClass, ns: Sequence[int]) -> list:
     """(sum of R0, of R0^2, of R0 * bitsum) over the class strings of each
-    length in ns, R0 the longest 0-run, from one cap expansion."""
-    caps = zero_cap_coefficients(string_class, ns)
-    out = []
-    for n in ns:
-        h, r = caps[n]
-        d, a = h[n], r[n]
-        out.append(
-            (
-                n * d - sum(h[:n]),
-                n * n * d - sum(map(mul, range(1, 2 * n, 2), h)),
-                n * a - sum(r[:n]),
-            )
-        )
-    return out
-
-
-# Bounded: the table functions read every length off one expansion, so
-# these only save repeated single-length calls such as run_moment over m.
-@lru_cache(maxsize=8)
-def _numerator_cached(string_class: StringClass, bit: int, order: int) -> tuple:
-    return moment_numerator(run_family(string_class, bit), order)
+    length in ns, R0 the longest 0-run, from one cap sum."""
+    return [(r[0], r[1], r[-1]) for r in run_numerators(string_class, 0, ns, bitsum=True)]
 
 
 @lru_cache(maxsize=8)
@@ -239,14 +233,13 @@ class MomentReport(NamedTuple):
 
 def run_variance_table(ns: Sequence[int], string_class: StringClass, bit: int) -> list:
     """MomentReports for several lengths, in the order given, from one
-    set of series expansions at max(ns)."""
+    cap sum."""
     if not ns:
         return []
     counts = checked_counts(string_class, ns)
-    num = _numerator_cached(string_class, bit, max(ns))
     out = []
-    for n in ns:
-        mean, second, third, fourth = (Fraction(s[n], counts[n]) for s in num)
+    for n, sums in zip(ns, run_numerators(string_class, bit, ns)):
+        mean, second, third, fourth = (Fraction(s, counts[n]) for s in sums)
         out.append(
             MomentReport(
                 n=n,

@@ -32,7 +32,7 @@ from bitruns.jointdp import (
     joint_table,
     rs_numerator_approx,
 )
-from bitruns.moments import moment_numerator, run_moment
+from bitruns.moments import run_moment, run_numerators
 from bitruns.render import signed_sqrt_ratio
 
 U = StringClass.UNCONSTRAINED
@@ -77,15 +77,17 @@ MOMENT_NUMERATORS = {
 }
 
 
-def test_criterion_1_golden_coefficients():
+def test_criterion_1_golden_coefficients(series_moments):
     for cls, want in COUNT_SERIES.items():
         assert list(count_gf(cls).expand(len(want) - 1).coeffs) == want, cls
     for (cls, which), want in BITSUM_SERIES.items():
         gf = getattr(bitsum_triple(cls), which)
         assert list(gf.expand(len(want) - 1).coeffs) == want, (cls, which)
     for (cls, bit, m), want in MOMENT_NUMERATORS.items():
-        got = moment_numerator(run_family(cls, bit), 10)[m - 1]
+        got = series_moments(run_family(cls, bit), 10)[m - 1]
         assert list(got.coeffs) == want, (cls, bit, m)
+        got = run_numerators(cls, bit, range(len(want)))
+        assert [row[m - 1] for row in got] == want, (cls, bit, m)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from bitruns.catalog import (
     _theta_ones,
     alternating_gf,
     bitsum_triple,
+    cap_form,
     count_gf,
     cross_gf,
     defined_families,
@@ -15,12 +16,7 @@ from bitruns.catalog import (
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.errors import UndefinedFamily, UnsupportedClass
 from bitruns.jointdp import _at_most
-from bitruns.moments import (
-    moment_numerator,
-    moment_weight,
-    zero_cap_coefficients,
-    zero_run_bitsum_numerators,
-)
+from bitruns.moments import moment_weight, run_numerators, zero_run_bitsum_numerators
 from bitruns.series import (
     RationalGF,
     TruncatedSeries,
@@ -111,12 +107,59 @@ def test_bitsum_hk_match_oracle():
         _constructor_bitsum_hk(StringClass.SOLUS, 0)
 
 
+def _sparse_times(t, row, order):
+    """Coefficients z^0..z^order of the sparse t times the dense row."""
+    out = [0] * (order + 1)
+    for x, a in t:
+        for i in range(x, order + 1):
+            out[i] += a * row[i - x]
+    return out
+
+
+def _cap_coefficients(string_class, bit, order):
+    """n -> (h, r) for n = 0..order: h[k - 1] = [z^n] H_k for the runs of
+    `bit` and, for bit 0, r[k - 1] = [z^n] R_k, for k = 1..n + 1.
+
+    A per-k reader of cap_form's geometric series, independent of the
+    streamed sum in bitruns.moments: each H_k and R_k is assembled as
+    (P - z^k) Q sum_c (-1)^c z^(c(k + l)) / E^(c + 1) and (P - z^k)^2 t1
+    sum_c (-1)^c (c + 1) z^(c(k + l)) / E^(c + 2) and expanded."""
+    f = cap_form(string_class, bit)
+    rows, den = [], f.e
+    for _ in range(order + 2):
+        rows.append(RationalGF.from_terms(((0, 1),), den).expand(order).coeffs)
+        den = terms_mul(den, f.e)
+    small_h = RationalGF.from_terms(f.q, f.q_other).expand(order)
+    small_r = RationalGF.from_terms(f.t1 or (), terms_mul(f.q_other, f.q_other)).expand(order)
+    cols = []
+    for k in range(1, order + 2):
+        if k <= f.lo:
+            cols.append((small_h, small_r))
+            continue
+        p_k = f.p + ((k, -1),)
+        h, r = [0] * (order + 1), [0] * (order + 1)
+        c = 0
+        while c * (k + f.lo_other) <= order:
+            shift = c * (k + f.lo_other)
+            for i in range(shift, order + 1):
+                h[i] += (-1) ** c * rows[c][i - shift]
+                r[i] += (-1) ** c * (c + 1) * rows[c + 1][i - shift]
+            c += 1
+        h = _sparse_times(terms_mul(p_k, f.q), h, order)
+        r = _sparse_times(terms_mul(p_k, p_k, f.t1 or ()), r, order)
+        cols.append((h, r))
+    return {
+        n: ([col[0][n] for col in cols[: n + 1]], [col[1][n] for col in cols[: n + 1]])
+        for n in range(order + 1)
+    }
+
+
 def test_zero_cap_coefficients_match_oracle():
-    """[z^n] H_k and [z^n] R_k from the cap sum count and sum the bitsum
+    """[z^n] H_k and [z^n] R_k read off cap_form count and sum the bitsum
     over the strings whose longest 0-run is < k, for k = 1..n + 1."""
     ns = range(1, 11)
     for cls in StringClass:
-        caps = zero_cap_coefficients(cls, ns)
+        caps = _cap_coefficients(cls, 0, ns[-1])
         for n in ns:
             counts = enumerate_joint(n, cls).counts
             h, r = caps[n]
@@ -364,9 +407,10 @@ def test_bitsum_hk_equals_reference_form():
 
 
 @pytest.mark.parametrize("cls,bit", list(REFERENCE_FAMILIES))
-def test_moment_numerator_equals_reference_route(cls, bit):
+def test_moment_numerator_equals_reference_route(series_moments, cls, bit):
     """G plus the weighted reference H_k, with the k = 1 replacement,
-    gives the moment numerators the exact H_k give with no G."""
+    gives the moment numerators the exact H_k give with no G, on the
+    series route and on the cap sum."""
     hk, _, g, first = REFERENCE_FAMILIES[cls, bit]
     order = 60
     h = run_family(cls, bit).H.expand(order)
@@ -374,7 +418,9 @@ def test_moment_numerator_equals_reference_route(cls, bit):
     for k in range(1, order + 3):
         d = h - (first if k == 1 and first is not None else hk(k)).expand(order)
         acc = [a + d.scale(moment_weight(m, k)) for m, a in enumerate(acc, 1)]
-    assert list(moment_numerator(run_family(cls, bit), order)) == acc
+    assert list(series_moments(run_family(cls, bit), order)) == acc
+    got = run_numerators(cls, bit, range(order + 1))
+    assert [TruncatedSeries(col) for col in zip(*got)] == acc
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +451,7 @@ def test_zero_cap_coefficients_equal_bounded_compositions(cls):
     """[z^n] H_k and [z^n] R_k are the sums over s of N(n - s, s, k - 1)
     and s N(n - s, s, k - 1), for every k and n <= 60."""
     ns = range(CAP_ORDER + 1)
-    caps = zero_cap_coefficients(cls, ns)
+    caps = _cap_coefficients(cls, 0, CAP_ORDER)
     for n in ns:
         at_most = [(s, _at_most(n - s, s, cls)) for s in range(n + 1)]
         h, r = caps[n]
@@ -417,10 +463,9 @@ def test_zero_cap_coefficients_equal_bounded_compositions(cls):
 
 @pytest.mark.parametrize("cls", list(StringClass))
 def test_zero_cap_coefficients_equal_constructor_gfs(cls):
-    """For every k and 1 <= n <= 60 the cap sum reads the coefficients of
+    """For every k and 1 <= n <= 60 cap_form gives the coefficients of
     the constructor's H_k and R_k; at z^0 it counts the empty string."""
-    ns = range(CAP_ORDER + 1)
-    caps = zero_cap_coefficients(cls, ns)
+    caps = _cap_coefficients(cls, 0, CAP_ORDER)
     assert caps[0] == ([1], [0])
     for k in range(1, CAP_ORDER + 2):
         hk = alternating_gf(cls, k - 1).expand(CAP_ORDER)
@@ -430,12 +475,43 @@ def test_zero_cap_coefficients_equal_constructor_gfs(cls):
             assert (h[k - 1], r[k - 1]) == (hk[n], rk[n]), (k, n)
 
 
+@pytest.mark.parametrize("cls", [c for c, bit in defined_families() if bit])
+def test_one_cap_coefficients_equal_constructor_gfs(cls):
+    """For every k and 1 <= n <= 60 cap_form gives the coefficients of
+    the constructor's H_k for the 1-runs, and at n <= 10 the counts of
+    the strings whose longest 1-run is < k."""
+    caps = _cap_coefficients(cls, 1, CAP_ORDER)
+    assert caps[0][0] == [1]
+    for k in range(1, CAP_ORDER + 2):
+        hk = alternating_gf(cls, None, k - 1).expand(CAP_ORDER)
+        for n in range(max(k - 1, 1), CAP_ORDER + 1):
+            assert caps[n][0][k - 1] == hk[n], (k, n)
+    for n in range(1, 11):
+        counts = enumerate_joint(n, cls).counts
+        for k in range(1, n + 2):
+            want = sum(cnt for (_, r1, _), cnt in counts if r1 < k)
+            assert caps[n][0][k - 1] == want, (n, k)
+
+
+def test_cap_form_pieces():
+    """E, P and Q for the 1-runs of multus, and the families without one."""
+    f = cap_form(MUL, 1)
+    assert (f.lo, f.lo_other) == (2, 1)
+    assert f.e == dense_terms((1, -2, 1, -1))  # (1 - z)^2 - z^3
+    assert f.p == dense_terms((1, -1, 1)) and f.q == ((0, 1),)
+    assert f.t1 is None
+    assert cap_form(SOL, 0).t1 == _theta_ones(SOL)
+    for cls in (SOL, PER):
+        with pytest.raises(UndefinedFamily):
+            cap_form(cls, 1)
+
+
 @pytest.mark.parametrize("cls", list(StringClass))
-def test_zero_run_bitsum_numerators_equal_series_route(cls):
-    """The three table2 numerators equal moment_numerator's first two for
+def test_zero_run_bitsum_numerators_equal_series_route(series_moments, cls):
+    """The three table2 numerators equal the series route's first two for
     bit 0 and the former rs_numerator, at every n <= 60, for a sweep, for
     single lengths and for repeated, unsorted lengths."""
-    r1, r2 = moment_numerator(run_family(cls, 0), CAP_ORDER)[:2]
+    r1, r2 = series_moments(run_family(cls, 0), CAP_ORDER)[:2]
     rs = _series_rs_numerator(cls, CAP_ORDER)
     want = {n: (r1[n], r2[n], rs[n]) for n in range(CAP_ORDER + 1)}
     ns = list(range(CAP_ORDER + 1))

@@ -405,6 +405,61 @@ def test_series_order_bound_exits_before_expanding(capsys, monkeypatch, argv):
     assert MAX_SERIES_ORDER >= 14285
 
 
+def _size_bounds():
+    from bitruns import cli
+
+    cap, t1 = cli.MAX_CAP_SUM_LENGTH, cli.MAX_TABLE1_LENGTH
+    joint, fewones = cli.MAX_JOINT_LENGTH, cli.MAX_FEWONES_NMAX
+    return [
+        (("moments", "--class", "solus", "--lengths", f"10,{cap + 1}"), "--lengths", cap),
+        (("asymptotics", "--class", "solus", "--lengths", f"{cap + 1}"), "--lengths", cap),
+        (("table2", "--lengths", f"{cap + 1},5"), "--lengths", cap),
+        (("table1", "--lengths", f"10,{t1 + 1}"), "--lengths", t1),
+        (("joint", "--class", "solus", "--n", f"{joint + 1}"), "--n", joint),
+        (("fewones", "--ones", "3", "--run", "2", "--nmax", f"{fewones + 1}"), "--nmax", fewones),
+    ]
+
+
+#: The functions that do each bounded command's work.
+_WORK = {
+    "moments": ("moments", "run_variance_table"),
+    "asymptotics": ("asymptotics", "finite_vs_asymptote"),
+    "table2": ("jointdp", "joint_rs_report_table"),
+    "table1": ("crossrun", "cross_report_table"),
+    "joint": ("jointdp", "joint_table"),
+    "fewones": ("jointdp", "fewones_count"),
+}
+
+
+@pytest.mark.parametrize("argv,flag,bound", _size_bounds(), ids=[c[0][0] for c in _size_bounds()])
+def test_size_bound_exits_before_any_work(capsys, monkeypatch, argv, flag, bound):
+    """A length above its command's bound exits 3 with one line, before
+    the command's work starts, and at once."""
+    import importlib
+    import time
+
+    def forbidden(*args):
+        raise AssertionError("work started")
+
+    module, name = _WORK[argv[0]]
+    monkeypatch.setattr(importlib.import_module(f"bitruns.{module}"), name, forbidden)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 0.5
+    assert code == EXIT_LIMIT
+    assert out == ""
+    assert err == f"bitruns: {flag} {bound + 1} exceeds the length bound {bound}\n"
+
+
+def test_size_bounds_admit_the_paper_sizes():
+    from bitruns import cli
+
+    # moments and asymptotics at n = 10^4; table1 beyond its n = 400 row
+    assert cli.MAX_CAP_SUM_LENGTH >= 10000
+    assert cli.MAX_TABLE1_LENGTH >= 400
+    assert cli.MAX_TABLE1_LENGTH < cli.MAX_CAP_SUM_LENGTH
+
+
 # -- random command lines ------------------------------------------------------
 
 _CLASSES = ["unconstrained", "solus", "multus", "bimultus", "persolus", "bogus"]
@@ -429,12 +484,12 @@ _GRID = {
     "moments": {
         "--class": st.sampled_from(_CLASSES),
         "--bit": _BITS,
-        "--lengths": _LENGTHS,
+        "--lengths": _LENGTHS | st.just("3,10001"),
     },
-    "table1": {"--lengths": _LENGTHS},
-    "table2": {"--lengths": _LENGTHS},
-    "joint": {"--class": st.sampled_from(_CLASSES), "--n": _INTS},
-    "fewones": {"--ones": _INTS, "--run": _INTS, "--nmax": _INTS},
+    "table1": {"--lengths": _LENGTHS | st.just("1001")},
+    "table2": {"--lengths": _LENGTHS | st.just("10001")},
+    "joint": {"--class": st.sampled_from(_CLASSES), "--n": _oversized("1001")},
+    "fewones": {"--ones": _INTS, "--run": _INTS, "--nmax": _oversized("1001")},
     "crossgf": {
         "--class": st.sampled_from(_CLASSES),
         "--i": _INTS,
@@ -445,7 +500,7 @@ _GRID = {
     "asymptotics": {
         "--class": st.sampled_from(_CLASSES),
         "--bit": _BITS,
-        "--lengths": _LENGTHS,
+        "--lengths": _LENGTHS | st.just("10001"),
     },
     "verify": {
         "--scope": st.sampled_from(["counts", "compositions", "joint-dp", "all", "bogus"]),

@@ -112,3 +112,26 @@ def test_compositions_digest_is_pinned(capsys, case):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == COMPOSITIONS[case]
+
+
+#: Paper-size runs, recorded from the series route that the cap sum
+#: replaced; a few seconds on the cap sum, so deselected by default.
+PAPER_SIZE = {
+    (
+        "moments", "--class", "multus", "--bit", "1",
+        "--lengths", ",".join(map(str, range(100, 1001, 100))),
+    ): "da62a0443f8e5376585ca596efa6fa7800e8d02ee326e0c69766b38f294a37f4",
+    ("moments", "--class", "solus", "--lengths", "2000"):
+        "efc0d18af3c37ee5efa39f5743b88403c1e2e3243ed36f3e56778b10e99a5e74",
+    ("asymptotics", "--class", "solus", "--lengths", "2000"):
+        "6d61ee93049c38661eb46763868a651dcab402864137c2d9b1d548ae78ced90c",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("argv", list(PAPER_SIZE), ids=["moments-multus-1", "moments-solus", "asymptotics-solus"])
+def test_paper_size_digest_is_pinned(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == PAPER_SIZE[argv]

@@ -5,14 +5,15 @@ import pytest
 
 from bitruns.catalog import defined_families, run_family
 from bitruns.ensembles import StringClass, enumerate_joint
-from bitruns.errors import BitrunsError, EmptyEnsemble, UnsupportedMoment
+from bitruns.errors import BitrunsError, EmptyEnsemble, UndefinedFamily, UnsupportedMoment
 from bitruns.moments import (
     MAX_MOMENT,
-    moment_numerator,
     moment_weight,
     run_moment,
+    run_numerators,
     run_variance_report,
     run_variance_table,
+    zero_run_bitsum_numerators,
 )
 from bitruns.series import TruncatedSeries
 
@@ -69,7 +70,7 @@ def test_run_variance_report():
 
 def _numerator_per_moment(family, m, order):
     """One telescoping sum per moment order, a series op per term: the
-    route the one-pass moment_numerator replaced, kept as its reference."""
+    route the one-pass series route replaced, kept as its reference."""
     acc = TruncatedSeries.zero(order)
     h = family.H.expand(order)
     for k in range(1, order + 3):
@@ -78,9 +79,9 @@ def _numerator_per_moment(family, m, order):
 
 
 @pytest.mark.parametrize("cls,bit", defined_families())
-def test_moment_numerator_matches_per_moment_sums(cls, bit):
+def test_moment_numerator_matches_per_moment_sums(series_moments, cls, bit):
     fam = run_family(cls, bit)
-    got = moment_numerator(fam, 40)
+    got = series_moments(fam, 40)
     assert len(got) == MAX_MOMENT
     for m in range(1, MAX_MOMENT + 1):
         assert got[m - 1] == _numerator_per_moment(fam, m, 40), m
@@ -107,3 +108,79 @@ def test_run_variance_table_matches_single_lengths(cls, bit):
     with pytest.raises(ValueError):
         run_variance_table(ok + [-1], cls, bit)
     assert run_variance_table([], cls, bit) == []
+
+
+# ---------------------------------------------------------------------------
+# the cap sum against the oracle and the series route
+
+ORACLE_N = 14
+SERIES_N = 90
+
+
+def _oracle_numerators(dist, bit):
+    """Sums of R^m, m = 1..MAX_MOMENT, and of R * bitsum over the strings
+    of one length, R the longest run of `bit`."""
+    sums = [
+        sum(cnt * key[bit] ** m for key, cnt in dist.counts)
+        for m in range(1, MAX_MOMENT + 1)
+    ]
+    return tuple(sums + [sum(cnt * key[bit] * key[2] for key, cnt in dist.counts)])
+
+
+@pytest.mark.parametrize("cls,bit", defined_families())
+def test_run_numerators_match_oracle(cls, bit):
+    ns = list(range(ORACLE_N + 1))
+    want = [_oracle_numerators(enumerate_joint(n, cls), bit) for n in ns]
+    assert run_numerators(cls, bit, ns) == [w[:MAX_MOMENT] for w in want]
+    if bit == 0:
+        assert run_numerators(cls, 0, ns, bitsum=True) == want
+
+
+@pytest.mark.parametrize(
+    "cls,bit,ns",
+    [
+        (StringClass.MULTUS, 1, [1]),
+        (StringClass.MULTUS, 1, [1, 2]),
+        (StringClass.BIMULTUS, 0, [2]),
+        (StringClass.BIMULTUS, 0, [3]),
+        (StringClass.BIMULTUS, 1, [2, 3]),
+        (StringClass.PERSOLUS, 0, [2]),
+        (StringClass.PERSOLUS, 0, [3, 2]),
+    ],
+)
+def test_run_numerators_below_the_shortest_run(cls, bit, ns):
+    """Lengths with no room for a cap above the shortest run: every k <=
+    n fits no run, or only at k = n."""
+    want = [_oracle_numerators(enumerate_joint(n, cls), bit) for n in ns]
+    assert run_numerators(cls, bit, ns) == [w[:MAX_MOMENT] for w in want]
+    if bit == 0:
+        assert run_numerators(cls, 0, ns, bitsum=True) == want
+
+
+@pytest.mark.parametrize("cls,bit", defined_families())
+def test_run_numerators_equal_series_route(series_moments, cls, bit):
+    """The cap sum equals the series route at every n <= 90, for a
+    dense sweep, single lengths, and shuffled and repeated lengths."""
+    ref = series_moments(run_family(cls, bit), SERIES_N)
+    want = {n: tuple(s[n] for s in ref) for n in range(SERIES_N + 1)}
+    ns = list(range(SERIES_N + 1))
+    assert run_numerators(cls, bit, ns) == [want[n] for n in ns]
+    for n in (0, 1, 2, 3, 4, 17, SERIES_N):
+        assert run_numerators(cls, bit, [n]) == [want[n]]
+    mixed = list(range(0, SERIES_N + 1, 7)) * 2
+    random.Random(f"{cls}/{bit}").shuffle(mixed)
+    assert run_numerators(cls, bit, mixed) == [want[n] for n in mixed]
+    assert run_numerators(cls, bit, []) == []
+
+
+def test_run_numerators_bitsum_needs_bit_0():
+    with pytest.raises(UndefinedFamily):
+        run_numerators(StringClass.MULTUS, 1, [5], bitsum=True)
+    with pytest.raises(UndefinedFamily):
+        run_numerators(StringClass.SOLUS, 1, [5])
+    assert zero_run_bitsum_numerators(StringClass.MULTUS, [4]) == [
+        tuple(
+            _oracle_numerators(enumerate_joint(4, StringClass.MULTUS), 0)[i]
+            for i in (0, 1, 4)
+        )
+    ]
