@@ -31,7 +31,7 @@ _EXPORTS = {
         "mean_asymptote",
         "variance_limit",
     ),
-    "catalog": ("bitsum_triple", "count_gf", "cross_gf", "run_family"),
+    "catalog": ("bitsum_gfs", "count_gf", "cross_gf", "run_family"),
     "crossrun": ("cross_moment", "cross_report", "cross_report_oracle", "cross_report_table"),
     "ensembles": (
         "JointDistribution",
@@ -68,7 +68,7 @@ __all__ = [
     "RunStats",
     "StringClass",
     "TruncatedSeries",
-    "bitsum_triple",
+    "bitsum_gfs",
     "class_member",
     "count_gf",
     "cross_gf",

@@ -33,12 +33,18 @@ constructor subtracts the denominator from the numerator), and
 comparisons with enumeration start at n = 1 there.  The one exception
 is the multus count GF, which keeps the empty string.
 
-The count GFs and bitsum triples stay hand-written, as their few
-nonzero (exponent, coefficient) terms: the constructor's bimultus count
-is not in lowest terms, and ``asymptotics`` reads the growth constant
-off the reduced denominator; the triple's c = d_n b_n - a_n^2 is no
-derivative of the class GF.  The test suite ties both to the
-constructor, and the exhaustive oracle certifies all of them.
+The total bitsum a and squared bitsum b are (u d/du) F and
+(u d/du)^2 F at u = 1 for the class GF F with each 1 marked by u, so
+they are built from ``cap_form``'s pieces for the 0-runs
+(``bitsum_gfs``): a = P^2 t1 / E^2 and
+b = P^2 ((q_1 θt1 - 2 t1 θq_1) E + 2 z^lo t1^2) / (q_1 E^3).  Both vanish
+at z^0, so the z^0 convention does not touch them.
+
+The count GFs stay hand-written, as their few nonzero (exponent,
+coefficient) terms: the constructor's bimultus count is not in lowest
+terms, and ``asymptotics`` reads the growth constant off the reduced
+denominator.  The test suite ties them to the constructor, and the
+exhaustive oracle certifies them.
 """
 
 from __future__ import annotations
@@ -49,9 +55,6 @@ from typing import NamedTuple
 from .ensembles import StringClass
 from .errors import UndefinedFamily, UnsupportedClass
 from .series import RationalGF, dense_terms, merged, terms, terms_mul
-
-_Z = ((1, 1),)
-_Z2 = ((2, 1),)
 
 
 def _p(*coeffs: int):
@@ -75,86 +78,6 @@ _COUNT_GFS = {
 def count_gf(string_class: StringClass) -> RationalGF:
     """Generating function of the class counts d_n."""
     return _COUNT_GFS[string_class]
-
-
-class BitsumTriple(NamedTuple):
-    """GFs of the total bitsum a_n, total squared bitsum b_n and
-    c_n = d_n b_n - a_n^2 over a class."""
-
-    string_class: StringClass
-    a: RationalGF
-    b: RationalGF
-    c: RationalGF
-
-
-_SOLUS_DEN = _p(1, -1, -1)
-
-_BITSUM_TRIPLES = {
-    StringClass.UNCONSTRAINED: BitsumTriple(
-        StringClass.UNCONSTRAINED,
-        a=_gf(_Z, terms_mul(_p(1, -2), _p(1, -2))),
-        b=_gf(_Z, terms_mul(_p(1, -2), _p(1, -2), _p(1, -2))),
-        c=_gf(_Z, terms_mul(_p(1, -4), _p(1, -4))),
-    ),
-    StringClass.SOLUS: BitsumTriple(
-        StringClass.SOLUS,
-        a=_gf(_Z, terms_mul(_SOLUS_DEN, _SOLUS_DEN)),
-        b=_gf(
-            terms_mul(_Z, _p(1, -1, 1)),
-            terms_mul(_SOLUS_DEN, _SOLUS_DEN, _SOLUS_DEN),
-        ),
-        c=_gf(
-            terms_mul(_Z, _p(1, -1)),
-            terms_mul(_p(1, 1), _p(1, 1), _p(1, 1), _p(1, -3, 1), _p(1, -3, 1)),
-        ),
-    ),
-    StringClass.BIMULTUS: BitsumTriple(
-        StringClass.BIMULTUS,
-        a=_gf(terms_mul(_Z2, _p(2, -1)), terms_mul(_p(1, -1, -1), _p(1, -1, -1))),
-        b=_gf(
-            terms_mul(_Z2, _p(4, -7, 4, -1, 4, -1)),
-            terms_mul(_p(1, -1, 1), _p(1, -1, -1), _p(1, -1, -1), _p(1, -1, -1)),
-        ),
-        c=_gf(
-            terms_mul(_Z2, _p(4, -11, 11, -13, 2, 17, -5, -1)),
-            terms_mul(
-                _p(1, 1), _p(1, 1), _p(1, -3, 1), _p(1, -3, 1), _p(1, -1, 2, 1, 1)
-            ),
-        ),
-    ),
-    StringClass.PERSOLUS: BitsumTriple(
-        StringClass.PERSOLUS,
-        a=_gf(
-            terms_mul(_Z, _p(1, -1, 1), _p(1, -1, 1)),
-            terms_mul(_p(1, -1, 0, -1), _p(1, -1, 0, -1)),
-        ),
-        b=_gf(
-            terms_mul(_Z, _p(1, -1, 1), _p(1, -1, 1), _p(1, -1, 0, 1)),
-            terms_mul(_p(1, -1, 0, -1), _p(1, -1, 0, -1), _p(1, -1, 0, -1)),
-        ),
-        c=_gf(
-            terms_mul(((3, 1),), _p(2, 4, -6, -6, -16, -8, 8, 14, 5, -2, -3, -1)),
-            terms_mul(
-                _p(1, -1, -2, -1),
-                _p(1, -1, -2, -1),
-                _p(1, 0, 1, -1),
-                _p(1, 0, 1, -1),
-                _p(1, 0, 1, -1),
-            ),
-        ),
-    ),
-}
-
-
-def bitsum_triple(string_class: StringClass) -> BitsumTriple:
-    """The (a, b, c) bitsum GFs; every class but multus has closed forms
-    here."""
-    try:
-        return _BITSUM_TRIPLES[string_class]
-    except KeyError:
-        raise UnsupportedClass(
-            f"no bitsum generating functions for {string_class}"
-        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +198,29 @@ def cap_form(string_class: StringClass, bit: int) -> CapForm:
     t1 = None if bit else _theta_ones(string_class)
     lo = _RUNS[string_class][bit][0]
     return CapForm(lo, lo_other, q_other, p, q, merged(den), t1)
+
+
+@lru_cache(maxsize=None)  # one entry per class
+def bitsum_gfs(string_class: StringClass) -> tuple:
+    """(a, b): the GFs of the total bitsum a_n and the total squared
+    bitsum b_n over the class strings of length n.
+
+    With u marking each 1, a = (u d/du) F and b = (u d/du)^2 F at u = 1
+    for the class GF F; with cap_form's pieces for the 0-runs,
+
+        a = P^2 t1 / E^2,
+        b = P^2 ((q_1 θt1 - 2 t1 θq_1) E + 2 z^lo t1^2) / (q_1 E^3)."""
+    f = cap_form(string_class, 0)
+    t1, q1, e = f.t1, f.q_other, f.e
+    p2, e2 = terms_mul(f.p, f.p), terms_mul(e, e)
+    inner = terms(
+        terms_mul(q1, _theta(t1), e)
+        + tuple((x, -2 * c) for x, c in terms_mul(t1, _theta(q1), e))
+        + tuple((x + f.lo, 2 * c) for x, c in terms_mul(t1, t1))
+    )
+    a = RationalGF.from_terms(terms_mul(p2, t1), e2)
+    b = RationalGF.from_terms(terms_mul(p2, inner), terms_mul(q1, e2, e))
+    return a, b
 
 
 class RunFamily(NamedTuple):

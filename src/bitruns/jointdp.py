@@ -5,7 +5,8 @@ The correlation of the longest zero run with the bitsum takes its three
 run numerators from one sum over the zero-run cap
 (``moments.zero_run_bitsum_numerators``), which reads [z^n] at each
 requested length and expands no capped GF, and the bitsum moments from
-the catalog's bitsum triples.  The joint table below is the independent
+the catalog's bitsum GFs a and b, built from the same constructor for
+every class.  The joint table below is the independent
 route that checks it; the ``joint`` command, ``verify --scope joint-dp``
 and the few-ones counts read it.
 
@@ -39,7 +40,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .catalog import bitsum_triple
+from .catalog import bitsum_gfs
 from .ensembles import StringClass
 from .errors import DegenerateVariance, OutOfFormulaRange, UnsupportedClass
 from .moments import checked_counts, zero_run_bitsum_numerators
@@ -139,14 +140,13 @@ class JointReport(NamedTuple):
 
 def joint_rs_report_table(ns: Sequence[int], string_class: StringClass) -> list:
     """JointReports for several lengths, in the order given: the bitsum
-    moments from the triple's series at max(ns), the run moments from the
-    zero-run cap sum at each length."""
+    moments from the series of a and b at max(ns), the run moments from
+    the zero-run cap sum at each length."""
     if not ns:
         return []
-    triple = bitsum_triple(string_class)
     counts = checked_counts(string_class, ns)
     order = max(ns)
-    s1, s2 = triple.a.expand(order), triple.b.expand(order)
+    s1, s2 = (gf.expand(order) for gf in bitsum_gfs(string_class))
     out = []
     for n, (r1, r2, rs) in zip(ns, zero_run_bitsum_numerators(string_class, ns)):
         d = counts[n]

@@ -48,7 +48,7 @@ from typing import NamedTuple, Sequence
 from .catalog import cap_form, count_gf
 from .ensembles import StringClass
 from .errors import EmptyEnsemble, UndefinedFamily, UnsupportedMoment
-from .series import RationalGF, TruncatedSeries, terms_mul
+from .series import RationalGF, terms_mul
 
 MAX_MOMENT = 4
 
@@ -194,14 +194,16 @@ def zero_run_bitsum_numerators(string_class: StringClass, ns: Sequence[int]) -> 
 
 
 @lru_cache(maxsize=8)
-def _counts_cached(string_class: StringClass, order: int):
-    return count_gf(string_class).expand(order)
+def _counts_cached(string_class: StringClass, order: int) -> tuple:
+    # the empty string is a member of every class, whatever the count
+    # GF's z^0 convention
+    return (1,) + count_gf(string_class).expand(order).coeffs[1:]
 
 
-def checked_counts(string_class: StringClass, ns: Sequence[int]) -> TruncatedSeries:
-    """The class counts through max(ns), a nonempty list of lengths;
-    raises ValueError for a negative length and EmptyEnsemble for one
-    with no class strings."""
+def checked_counts(string_class: StringClass, ns: Sequence[int]) -> tuple:
+    """The class counts through max(ns), a nonempty list of lengths, with
+    the empty string counted at n = 0; raises ValueError for a negative
+    length and EmptyEnsemble for one with no class strings."""
     if any(n < 0 for n in ns):
         raise ValueError("lengths must be nonnegative")
     counts = _counts_cached(string_class, max(ns))

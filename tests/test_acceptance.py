@@ -20,7 +20,7 @@ from bitruns.asymptotics import (
     growth_constant_residual,
     variance_limit,
 )
-from bitruns.catalog import bitsum_triple, count_gf, run_family
+from bitruns.catalog import bitsum_gfs, count_gf, run_family
 from bitruns.crossrun import cross_moment, cross_numerator, cross_report_table
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.jointdp import (
@@ -81,8 +81,11 @@ def test_criterion_1_golden_coefficients(series_moments):
     for cls, want in COUNT_SERIES.items():
         assert list(count_gf(cls).expand(len(want) - 1).coeffs) == want, cls
     for (cls, which), want in BITSUM_SERIES.items():
-        gf = getattr(bitsum_triple(cls), which)
-        assert list(gf.expand(len(want) - 1).coeffs) == want, (cls, which)
+        order = len(want) - 1
+        a, b = (gf.expand(order).coeffs for gf in bitsum_gfs(cls))
+        d = count_gf(cls).expand(order).coeffs
+        got = {"a": a, "b": b, "c": [dn * bn - an * an for dn, bn, an in zip(d, b, a)]}[which]
+        assert list(got) == want, (cls, which)
     for (cls, bit, m), want in MOMENT_NUMERATORS.items():
         got = series_moments(run_family(cls, bit), 10)[m - 1]
         assert list(got.coeffs) == want, (cls, bit, m)

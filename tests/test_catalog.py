@@ -6,14 +6,14 @@ from bitruns.catalog import (
     _parts,
     _theta_ones,
     alternating_gf,
-    bitsum_triple,
+    bitsum_gfs,
     cap_form,
     count_gf,
     cross_gf,
     defined_families,
     run_family,
 )
-from bitruns.ensembles import StringClass, enumerate_joint
+from bitruns.ensembles import StringClass, enumerate_classes, enumerate_joint
 from bitruns.errors import UndefinedFamily, UnsupportedClass
 from bitruns.jointdp import _at_most
 from bitruns.moments import moment_weight, run_numerators, zero_run_bitsum_numerators
@@ -44,28 +44,22 @@ def test_count_gf_prefixes():
     assert count_gf(StringClass.PERSOLUS).expand(7).coeffs == (0, 1, 1, 3, 4, 5, 8, 12)
 
 
-def test_bitsum_triples_match_oracle():
-    for cls in (
-        StringClass.UNCONSTRAINED,
-        StringClass.SOLUS,
-        StringClass.BIMULTUS,
-        StringClass.PERSOLUS,
-    ):
-        t = bitsum_triple(cls)
-        a, b, c = t.a.expand(9), t.b.expand(9), t.c.expand(9)
-        d = count_gf(cls).expand(9)
-        for n in range(1, 10):
-            dist = enumerate_joint(n, cls)
-            wa = sum(cnt * s for (_, _, s), cnt in dist.counts)
-            wb = sum(cnt * s * s for (_, _, s), cnt in dist.counts)
-            assert a[n] == wa
-            assert b[n] == wb
-            assert c[n] == d[n] * wb - wa * wa
-
-
-def test_bitsum_triple_unsupported():
-    with pytest.raises(UnsupportedClass):
-        bitsum_triple(StringClass.MULTUS)
+def test_bitsum_gfs_match_oracle():
+    """a_n and b_n sum the bitsum and its square over the class strings
+    for every class, multus included, at n <= 14; the reference c is
+    d_n b_n - a_n^2."""
+    order = 14
+    dists = [enumerate_classes(n) for n in range(order + 1)]
+    for cls in StringClass:
+        a, b = (gf.expand(order) for gf in bitsum_gfs(cls))
+        for n, by_class in enumerate(dists):
+            counts = by_class[cls].counts
+            assert a[n] == sum(cnt * s for (_, _, s), cnt in counts), (cls, n)
+            assert b[n] == sum(cnt * s * s for (_, _, s), cnt in counts), (cls, n)
+        if cls in REFERENCE_BITSUMS:
+            c = REFERENCE_BITSUMS[cls][2].expand(order).coeffs
+            d = count_gf(cls).expand(order).coeffs
+            assert c == tuple(dn * bn - an * an for dn, bn, an in zip(d, b.coeffs, a.coeffs)), cls
 
 
 # The constructor's bitsum-marked GFs, which the zero-run cap sum
@@ -101,8 +95,7 @@ def test_bitsum_hk_match_oracle():
                     if r0 < k
                 )
                 assert series[n] == want, (cls, k, n)
-        if cls is not MUL:
-            assert _constructor_bitsum_hk(cls, 12).expand(10) == bitsum_triple(cls).a.expand(10)
+        assert _constructor_bitsum_hk(cls, 12).expand(10) == bitsum_gfs(cls)[0].expand(10)
     with pytest.raises(ValueError):
         _constructor_bitsum_hk(StringClass.SOLUS, 0)
 
@@ -282,9 +275,16 @@ def test_count_gfs_are_the_uncapped_constructor():
             assert valuation(gf, count) == math.inf, cls
 
 
-def test_uncapped_bitsum_gf_is_the_triples_a():
-    for cls in (U, SOL, BIM, PER):
-        assert valuation(_constructor_bitsum_gf(cls), bitsum_triple(cls).a) == math.inf, cls
+def test_bitsum_gfs_equal_reference_forms():
+    """a and b equal the hand-written forms as rational functions, and a
+    is the uncapped bitsum-marked R."""
+    for cls in StringClass:
+        a, b = bitsum_gfs(cls)
+        assert valuation(_constructor_bitsum_gf(cls), a) == math.inf, cls
+        if cls in REFERENCE_BITSUMS:
+            ref_a, ref_b, _ = REFERENCE_BITSUMS[cls]
+            assert valuation(a, ref_a) == math.inf, cls
+            assert valuation(b, ref_b) == math.inf, cls
 
 
 # The hand-written closed forms that the constructor replaced, kept as its
@@ -298,6 +298,60 @@ def _gf(num, den):
 
 def _p(*coeffs):
     return dense_terms(coeffs)
+
+
+#: The hand-written (a, b, c) bitsum GFs, c_n = d_n b_n - a_n^2, that
+#: bitsum_gfs replaced; multus had none.
+_SOLUS_DEN = _p(1, -1, -1)
+
+REFERENCE_BITSUMS = {
+    U: (
+        _gf(((1, 1),), terms_mul(_p(1, -2), _p(1, -2))),
+        _gf(((1, 1),), terms_mul(_p(1, -2), _p(1, -2), _p(1, -2))),
+        _gf(((1, 1),), terms_mul(_p(1, -4), _p(1, -4))),
+    ),
+    SOL: (
+        _gf(((1, 1),), terms_mul(_SOLUS_DEN, _SOLUS_DEN)),
+        _gf(_p(0, 1, -1, 1), terms_mul(_SOLUS_DEN, _SOLUS_DEN, _SOLUS_DEN)),
+        _gf(
+            _p(0, 1, -1),
+            terms_mul(_p(1, 1), _p(1, 1), _p(1, 1), _p(1, -3, 1), _p(1, -3, 1)),
+        ),
+    ),
+    BIM: (
+        _gf(_p(0, 0, 2, -1), terms_mul(_p(1, -1, -1), _p(1, -1, -1))),
+        _gf(
+            _p(0, 0, 4, -7, 4, -1, 4, -1),
+            terms_mul(_p(1, -1, 1), _p(1, -1, -1), _p(1, -1, -1), _p(1, -1, -1)),
+        ),
+        _gf(
+            _p(0, 0, 4, -11, 11, -13, 2, 17, -5, -1),
+            terms_mul(
+                _p(1, 1), _p(1, 1), _p(1, -3, 1), _p(1, -3, 1), _p(1, -1, 2, 1, 1)
+            ),
+        ),
+    ),
+    PER: (
+        _gf(
+            terms_mul(((1, 1),), _p(1, -1, 1), _p(1, -1, 1)),
+            terms_mul(_p(1, -1, 0, -1), _p(1, -1, 0, -1)),
+        ),
+        _gf(
+            terms_mul(((1, 1),), _p(1, -1, 1), _p(1, -1, 1), _p(1, -1, 0, 1)),
+            terms_mul(_p(1, -1, 0, -1), _p(1, -1, 0, -1), _p(1, -1, 0, -1)),
+        ),
+        _gf(
+            terms_mul(((3, 1),), _p(2, 4, -6, -6, -16, -8, 8, 14, 5, -2, -3, -1)),
+            terms_mul(
+                _p(1, -1, -2, -1),
+                _p(1, -1, -2, -1),
+                _p(1, 0, 1, -1),
+                _p(1, 0, 1, -1),
+                _p(1, 0, 1, -1),
+            ),
+        ),
+    ),
+}
 
 
 def _ref_hk_unconstrained(k):

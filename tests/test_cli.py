@@ -46,6 +46,14 @@ def test_moments_json_metadata(capsys):
     assert doc["rows"][1]["mean"] == "3.755000"
 
 
+@pytest.mark.parametrize("cls", [c.value for c in bitruns.StringClass])
+def test_moments_at_length_zero(capsys, cls):
+    """The empty string is the one member of every class at n = 0."""
+    code, out, err = run_cli(capsys, "--format", "csv", "moments", "--class", cls, "--lengths", "0")
+    assert (code, err) == (EXIT_OK, "")
+    assert list(csv.reader(io.StringIO(out)))[1] == ["0"] + ["0.000000"] * 5
+
+
 def test_table1_plain(capsys):
     code, out, _ = run_cli(capsys, "table1", "--lengths", "10")
     assert code == EXIT_OK

@@ -1,4 +1,5 @@
-"""Every exact route against the oracle on random (class, n <= 14).
+"""Every exact route against the oracle on random (class, n <= 14), and
+on every class at n = 0, where the empty string is the one member.
 
 Three independent routes give the same moments: the generating-function
 tables (`run_variance_table`, `cross_report_table`,
@@ -24,8 +25,8 @@ from bitruns.moments import run_variance_table
 U, SOLUS, MULTUS, BIMULTUS, PERSOLUS = StringClass
 
 #: Classes each route covers; the rest must raise UnsupportedClass.
+#: joint_rs_report_table covers every class.
 CROSS_CLASSES = {U, MULTUS, BIMULTUS}
-JOINT_RS_CLASSES = {U, SOLUS, BIMULTUS, PERSOLUS}
 JOINT_TABLE_CLASSES = {U, SOLUS}
 
 _oracle = lru_cache(maxsize=None)(enumerate_classes)
@@ -53,8 +54,14 @@ def test_route_classes_match_the_catalog():
 
 
 @settings(max_examples=100, deadline=None)
-@given(cls=st.sampled_from(StringClass), n=st.integers(1, 14))
+@given(cls=st.sampled_from(StringClass), n=st.integers(0, 14))
 @example(cls=BIMULTUS, n=1)  # the one length with no class strings
+# n = 0: the empty string alone, in every class
+@example(cls=U, n=0)
+@example(cls=SOLUS, n=0)
+@example(cls=MULTUS, n=0)
+@example(cls=BIMULTUS, n=0)
+@example(cls=PERSOLUS, n=0)
 def test_routes_agree_with_the_oracle(cls, n):
     dist = _oracle(n)[cls]
     families = [b for c, b in defined_families() if c is cls]
@@ -62,13 +69,11 @@ def test_routes_agree_with_the_oracle(cls, n):
         for bit in families:
             with pytest.raises(EmptyEnsemble):
                 run_variance_table([n], cls, bit)
-        routes = []
+        routes = [(joint_rs_report_table, joint_rs_report)]
         if cls in CROSS_CLASSES:
             routes.append((cross_report_table, cross_report))
             with pytest.raises(EmptyEnsemble):
                 cross_moment(n, cls)
-        if cls in JOINT_RS_CLASSES:
-            routes.append((joint_rs_report_table, joint_rs_report))
         for table, single in routes:
             for ns in ([n], [n + 2, n]):
                 with pytest.raises(EmptyEnsemble):
@@ -110,10 +115,7 @@ def test_routes_agree_with_the_oracle(cls, n):
         assert x.mean_product == e_r0r1
         assert x.covariance == e_r0r1 - e_r0 * e_r1
 
-    if cls not in JOINT_RS_CLASSES:
-        with pytest.raises(UnsupportedClass):
-            joint_rs_report_table([n], cls)
-    elif var_r0 == 0 or var_s == 0:
+    if var_r0 == 0 or var_s == 0:
         with pytest.raises(DegenerateVariance):
             joint_rs_report_table([n], cls)
     else:

@@ -135,3 +135,22 @@ def test_paper_size_digest_is_pinned(capsys, argv):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == PAPER_SIZE[argv]
+
+
+#: format -> digest of `bitruns --format F table2 --precision 10
+#: --lengths 500,1000,1400`, recorded from the hand-written bitsum GFs
+#: that the alternating-run constructor replaced.
+TABLE2 = {
+    "plain": "b29c62f85acc8376c78301b7570f31b687a78dc62f81511b5c824579444343f9",
+    "csv": "3b3da72489a8d2a09109595ce3afb7c7c5e197ffd36726d453b2157bfedfbd90",
+    "json": "d85da3754e91fc7280682c9c7f4965645c88f0f1b374b0b4fe1cd9cb7d3bc6e3",
+}
+
+
+@pytest.mark.parametrize("fmt", list(TABLE2))
+def test_table2_digest_is_pinned(capsys, fmt):
+    argv = ["--format", fmt, "table2", "--precision", "10", "--lengths", "500,1000,1400"]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE2[fmt]

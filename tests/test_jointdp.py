@@ -227,10 +227,33 @@ def test_joint_rs_report_matches_dp(cls):
 def test_joint_rs_report_rejects_bad_input():
     with pytest.raises(ValueError):
         joint_rs_report_table([5, -1], StringClass.SOLUS)
-    with pytest.raises(UnsupportedClass):
-        joint_rs_report(5, StringClass.MULTUS)
     with pytest.raises(ValueError):
         joint_table(-1, StringClass.SOLUS)
+
+
+def test_joint_rs_report_multus_matches_oracle():
+    """Multus, which had no hand-written bitsum GFs, against the oracle."""
+    ns = list(range(14, 1, -1))
+    for n, r in zip(ns, joint_rs_report_table(ns, StringClass.MULTUS)):
+        dist = enumerate_joint(n, StringClass.MULTUS)
+        er, es, err, ess, ers = (
+            Fraction(sum(c * f(r0, s) for (r0, _, s), c in dist.counts), dist.total)
+            for f in (
+                lambda r0, s: r0,
+                lambda r0, s: s,
+                lambda r0, s: r0 * r0,
+                lambda r0, s: s * s,
+                lambda r0, s: r0 * s,
+            )
+        )
+        got = (
+            r.mean_run, r.mean_bitsum, r.var_run, r.var_bitsum,
+            r.mean_product, r.covariance,
+        )
+        assert got == (er, es, err - er * er, ess - es * es, ers, ers - er * es), n
+    for n in (0, 1):  # the empty string; the one string "0"
+        with pytest.raises(DegenerateVariance):
+            joint_rs_report(n, StringClass.MULTUS)
 
 
 @pytest.mark.parametrize("cls", [U, SOL])
