@@ -46,8 +46,7 @@ def test_count_gf_prefixes():
 
 def test_bitsum_gfs_match_oracle():
     """a_n and b_n sum the bitsum and its square over the class strings
-    for every class, multus included, at n <= 14; the reference c is
-    d_n b_n - a_n^2."""
+    for every class, multus included, at n <= 14."""
     order = 14
     dists = [enumerate_classes(n) for n in range(order + 1)]
     for cls in StringClass:
@@ -56,10 +55,22 @@ def test_bitsum_gfs_match_oracle():
             counts = by_class[cls].counts
             assert a[n] == sum(cnt * s for (_, _, s), cnt in counts), (cls, n)
             assert b[n] == sum(cnt * s * s for (_, _, s), cnt in counts), (cls, n)
-        if cls in REFERENCE_BITSUMS:
-            c = REFERENCE_BITSUMS[cls][2].expand(order).coeffs
-            d = count_gf(cls).expand(order).coeffs
-            assert c == tuple(dn * bn - an * an for dn, bn, an in zip(d, b.coeffs, a.coeffs)), cls
+
+
+def test_bitsum_triples_match_oracle():
+    """The reference (a, b, c) triples and the constructor's (a, b) agree
+    with the oracle at n <= 9, and c_n = d_n b_n - a_n^2."""
+    for cls, triple in REFERENCE_BITSUMS.items():
+        a, b, c = (gf.expand(9) for gf in triple)
+        assert (a, b) == tuple(gf.expand(9) for gf in bitsum_gfs(cls)), cls
+        d = count_gf(cls).expand(9)
+        for n in range(1, 10):
+            dist = enumerate_joint(n, cls)
+            wa = sum(cnt * s for (_, _, s), cnt in dist.counts)
+            wb = sum(cnt * s * s for (_, _, s), cnt in dist.counts)
+            assert a[n] == wa, (cls, n)
+            assert b[n] == wb, (cls, n)
+            assert c[n] == d[n] * wb - wa * wa, (cls, n)
 
 
 # The constructor's bitsum-marked GFs, which the zero-run cap sum
