@@ -1,25 +1,26 @@
 """Correlation between the longest 0-run and the longest 1-run.
 
-The product sum over a class comes from the two-run families f_{i,j}
-(strings with no run of i ones and no run of j zeros) via
+A string of length n has R1 <= n, so summing R1 = #{i : 1 <= i <= R1}
+gives
 
-    sum_{i,j >= 1} i j (f_{i+1,j+1} - f_{i,j+1} - f_{i+1,j} + f_{i,j}),
+    sum R0 R1 = sum_{i=1..n} (sum R0 - sum_{R1 < i} R0),
 
-whose z^n coefficient is the sum of R1 * R0 over class strings of
-length n.  A string of length n has R0 + R1 <= n, so the pairs with
-i + j <= n give z^n exactly.
-The catalog builds f_{i,j} for every class with a run family for both
-bits (unconstrained, multus, bimultus); the exhaustive oracle covers
-every class at small n.
+where sum_{R1 < i} R0 is the first moment of the longest 0-run over the
+class strings whose 1-runs are at most i - 1 long.  The cap sum of
+``moments.run_numerators`` reads that moment at the requested lengths
+with the 1-runs capped (``other_cap``), so the product takes one cap
+sum per cap i - 1 = 0..N - 1, N = max(ns): O(N^3) in all.  It needs a
+run family for both bits (unconstrained, multus, bimultus); the
+exhaustive oracle covers every class at small n.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .catalog import cross_gf, run_family
+from .catalog import run_family
 from .ensembles import (
     DEFAULT_ORACLE_BOUND,
     StringClass,
@@ -29,86 +30,37 @@ from .ensembles import (
 from .errors import DegenerateVariance, UndefinedFamily, UnsupportedClass
 from .moments import checked_counts, run_numerators
 from .render import signed_sqrt_ratio
-from .series import TruncatedSeries, gf_expand, valuation
 
 
-def cross_numerator(string_class: StringClass, order: int) -> TruncatedSeries:
-    """Series whose z^n coefficient sums R0 * R1 over the class.
-
-    A string of length n has R0 + R1 <= n, so only the pairs with
-    i + j <= order reach z^order.  Summing those pairs by parts leaves
-    each f_{a,b} once, with weight 1 for a + b <= order, 1 - ab for
-    a + b = order + 1 and (a - 1)(b - 1) for a + b = order + 2.  The
-    unconstrained f_{a,b} = f_{b,a} by complementing bits, so there
-    each unordered pair is expanded once and counted twice.
-
-    Pairs are taken in groups by their smaller index m.  Every f_{a,b}
-    of a group agrees below z^v, v = valuation(f_{a,b}, B), with the
-    one-run GF B of that index: strings with no run of m ones (a = m)
-    or of m zeros (b = m).  So B is expanded once per group, each
-    f_{a,b} only from z^v on, and the agreeing coefficients enter the
-    sum once per group as B's, weighted by the pairs that share them.
-    """
+def _check_class(string_class: StringClass) -> None:
     try:
-        ones, zeros = run_family(string_class, 1), run_family(string_class, 0)
+        run_family(string_class, 1)
     except UndefinedFamily:
         raise UnsupportedClass(
             f"no two-run generating function for {string_class}"
         ) from None
-    symmetric = string_class is StringClass.UNCONSTRAINED
-    acc = [0] * (order + 1)
-
-    def weight(a: int, b: int) -> int:
-        s = a + b
-        if s <= order:
-            w = 1
-        elif s == order + 1:
-            w = 1 - a * b
-        else:
-            w = (a - 1) * (b - 1)
-        return 2 * w if symmetric and a != b else w
-
-    # (family, its H expanded, whether m bounds the zeros)
-    sides = [(ones, ones.H.expand(order).coeffs, False)]
-    if not symmetric:
-        sides.append((zeros, zeros.H.expand(order).coeffs, True))
-    for m in range(1, order // 2 + 2):
-        for family, h, zero_side in sides:
-            # the other index: a > m on the zeros side, b >= m on the ones side
-            others = range(m + zero_side, order + 3 - m)
-            if not others:
-                continue
-            base = family.hk(m)
-            bs = gf_expand(base, order, h[: min(valuation(base, family.H), order + 1)]).coeffs
-            shared = [0] * (order + 2)  # shared[v]: weight of pairs agreeing below z^v
-            for o in others:
-                a, b = (o, m) if zero_side else (m, o)
-                f = cross_gf(string_class, a, b)
-                w = weight(a, b)
-                v = min(valuation(f, base), order + 1)
-                shared[v] += w
-                c = gf_expand(f, order, bs[:v]).coeffs
-                for n in range(v, order + 1):
-                    acc[n] += w * c[n]
-            agree = 0
-            for n in range(order, -1, -1):
-                agree += shared[n + 1]
-                if agree:
-                    acc[n] += agree * bs[n]
-    return TruncatedSeries(acc)
 
 
-# Bounded: cross_report_table expands once at the largest length, so
-# this only serves repeated cross_moment calls.
-@lru_cache(maxsize=8)
-def _cross_numerator_cached(string_class: StringClass, order: int) -> TruncatedSeries:
-    return cross_numerator(string_class, order)
+def cross_numerator(string_class: StringClass, ns: Sequence[int]) -> list:
+    """The sum of R0 * R1 over the class strings of each length in ns, in
+    order; see the module docstring."""
+    _check_class(string_class)
+    if not ns:
+        return []
+    whole = {n: r[0] for n, r in zip(ns, run_numerators(string_class, 0, ns))}
+    acc = dict.fromkeys(ns, 0)
+    lengths = sorted(acc)
+    for cap in range(lengths[-1]):
+        longer = lengths[bisect_right(lengths, cap) :]
+        for n, r in zip(longer, run_numerators(string_class, 0, longer, other_cap=cap)):
+            acc[n] += whole[n] - r[0]
+    return [acc[n] for n in ns]
 
 
 def cross_moment(n: int, string_class: StringClass) -> Fraction:
     """Exact E[R0 * R1] over class strings of length n."""
     counts = checked_counts(string_class, [n])
-    return Fraction(_cross_numerator_cached(string_class, n)[n], counts[n])
+    return Fraction(cross_numerator(string_class, [n])[0], counts[n])
 
 
 class CrossReport(NamedTuple):
@@ -126,13 +78,17 @@ class CrossReport(NamedTuple):
     rho: str
 
 
-def _assemble(n, string_class, er0, er1, er0sq, er1sq, er0r1) -> CrossReport:
+def _variances(n, string_class, er0, er1, er0sq, er1sq) -> tuple:
     v0 = er0sq - er0 * er0
     v1 = er1sq - er1 * er1
     if v0 == 0 or v1 == 0:
         raise DegenerateVariance(
             f"zero run-length variance at n={n} for {string_class}"
         )
+    return v0, v1
+
+
+def _assemble(n, string_class, er0, er1, v0, v1, er0r1) -> CrossReport:
     cov = er0r1 - er0 * er1
     return CrossReport(
         n=n,
@@ -147,31 +103,37 @@ def _assemble(n, string_class, er0, er1, er0sq, er1sq, er0r1) -> CrossReport:
     )
 
 
-def cross_report_table(ns: Sequence[int], string_class: StringClass) -> list:
-    """CrossReports for several lengths, in the order given: the product
-    from one series expansion at max(ns), the run moments from the cap
+def cross_run_moments(ns: Sequence[int], string_class: StringClass) -> list:
+    """(E R0, E R1, var R0, var R1) for each length in ns, a nonempty
+    list, in order, from the cap sum.  Raises DegenerateVariance where
+    either variance is 0: this costs O(N^2) against the product's O(N^3),
+    so a length that cannot give a correlation fails before any product
     sum."""
-    if not ns:
-        return []
     counts = checked_counts(string_class, ns)
-    order = max(ns)
-    xnum = _cross_numerator_cached(string_class, order)
+    _check_class(string_class)
     zeros, ones = (run_numerators(string_class, bit, ns) for bit in (0, 1))
     out = []
     for n, (r0, r0sq, *_), (r1, r1sq, *_) in zip(ns, zeros, ones):
         d = counts[n]
-        out.append(
-            _assemble(
-                n,
-                string_class,
-                Fraction(r0, d),
-                Fraction(r1, d),
-                Fraction(r0sq, d),
-                Fraction(r1sq, d),
-                Fraction(xnum[n], d),
-            )
-        )
+        er0, er1 = Fraction(r0, d), Fraction(r1, d)
+        v0, v1 = _variances(n, string_class, er0, er1, Fraction(r0sq, d), Fraction(r1sq, d))
+        out.append((er0, er1, v0, v1))
     return out
+
+
+def cross_report_table(ns: Sequence[int], string_class: StringClass) -> list:
+    """CrossReports for several lengths, in the order given: the run
+    moments and the product from the cap sum, every variance checked
+    before the product."""
+    if not ns:
+        return []
+    moments = cross_run_moments(ns, string_class)
+    counts = checked_counts(string_class, ns)
+    xnum = cross_numerator(string_class, ns)
+    return [
+        _assemble(n, string_class, *m, Fraction(x, counts[n]))
+        for n, m, x in zip(ns, moments, xnum)
+    ]
 
 
 def cross_report(n: int, string_class: StringClass) -> CrossReport:
@@ -185,12 +147,8 @@ def cross_report_oracle(
 ) -> CrossReport:
     """Same report by exhaustive enumeration; works for every class."""
     dist = enumerate_joint(n, string_class, bound)
-    return _assemble(
-        n,
-        string_class,
-        oracle_moment(dist, "R0"),
-        oracle_moment(dist, "R1"),
-        oracle_moment(dist, "R0^2"),
-        oracle_moment(dist, "R1^2"),
-        oracle_moment(dist, "R0*R1"),
+    er0, er1 = oracle_moment(dist, "R0"), oracle_moment(dist, "R1")
+    v0, v1 = _variances(
+        n, string_class, er0, er1, oracle_moment(dist, "R0^2"), oracle_moment(dist, "R1^2")
     )
+    return _assemble(n, string_class, er0, er1, v0, v1, oracle_moment(dist, "R0*R1"))

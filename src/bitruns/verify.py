@@ -126,7 +126,7 @@ def check_cross_run(nmax: int, oracle: Oracle) -> list:
         # product moments
         if not bad:
             counts = count_gf(cls).expand(nmax)
-            xnum = cross_numerator(cls, nmax)
+            xnum = cross_numerator(cls, range(nmax + 1))
             for n in range(1, nmax + 1):
                 dist = oracle(n, cls)
                 if dist.total == 0:

@@ -3,7 +3,9 @@ from functools import lru_cache
 
 import pytest
 
+from bitruns import crossrun
 from bitruns.catalog import cross_gf
+from bitruns.cli import EXIT_USAGE, main
 from bitruns.crossrun import (
     cross_moment,
     cross_numerator,
@@ -13,27 +15,53 @@ from bitruns.crossrun import (
 )
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.errors import DegenerateVariance, UnsupportedClass
+from bitruns.moments import MAX_MOMENT, run_numerators
 from bitruns.series import TruncatedSeries
 
 
-@pytest.mark.parametrize(
-    "cls", [StringClass.UNCONSTRAINED, StringClass.MULTUS, StringClass.BIMULTUS]
-)
+CROSS_CLASSES = [StringClass.UNCONSTRAINED, StringClass.MULTUS, StringClass.BIMULTUS]
+
+
+@pytest.mark.parametrize("cls", CROSS_CLASSES)
 def test_cross_moment_matches_oracle(cls):
-    for n in range(1, 11):
+    xnum = cross_numerator(cls, range(15))
+    for n in range(15):
         dist = enumerate_joint(n, cls)
-        if dist.total == 0:
-            continue
-        want = Fraction(
-            sum(c * r0 * r1 for (r0, r1, _), c in dist.counts), dist.total
-        )
-        assert cross_moment(n, cls) == want, (cls, n)
+        assert xnum[n] == sum(c * r0 * r1 for (r0, r1, _), c in dist.counts), (cls, n)
+        if dist.total and n <= 10:
+            assert cross_moment(n, cls) == Fraction(xnum[n], dist.total), (cls, n)
+    # any order, repeats and a single length read the same sums
+    mixed = [14, 3, 14, 0, 9]
+    assert cross_numerator(cls, mixed) == [xnum[n] for n in mixed]
+    assert cross_numerator(cls, []) == []
+
+
+@pytest.mark.parametrize("cls", CROSS_CLASSES)
+def test_capped_cap_sum_matches_oracle(cls):
+    """run_numerators with the 1-runs capped at c sums R0^m over the class
+    strings with R1 <= c: caps below the shortest 1-run (g = 0), at it
+    (one allowed length) and above it, for every n <= 14."""
+    ns = range(15)
+    dists = [enumerate_joint(n, cls).counts for n in ns]
+    for cap in range(15):
+        got = run_numerators(cls, 0, ns, other_cap=cap)
+        for n, counts in zip(ns, dists):
+            want = tuple(
+                sum(c * r0**m for (r0, r1, _), c in counts if r1 <= cap)
+                for m in range(1, MAX_MOMENT + 1)
+            )
+            assert got[n] == want, (cls, cap, n)
+
+
+def test_capped_cap_sum_has_no_bitsum():
+    with pytest.raises(ValueError):
+        run_numerators(StringClass.MULTUS, 0, [5], bitsum=True, other_cap=3)
 
 
 def test_cross_numerator_unsupported_class():
     for cls in (StringClass.SOLUS, StringClass.PERSOLUS):
         with pytest.raises(UnsupportedClass):
-            cross_numerator(cls, 5)
+            cross_numerator(cls, [5])
 
 
 def test_cross_report_consistency():
@@ -71,9 +99,30 @@ def test_degenerate_variance():
         cross_report(0, StringClass.UNCONSTRAINED)
 
 
+def _forbid_product(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("product sum started")
+
+    monkeypatch.setattr(crossrun, "cross_numerator", forbidden)
+
+
+def test_degenerate_length_fails_before_the_product(monkeypatch):
+    """At n = 1 every multus string is 0, so var R1 = 0: that ends the
+    table before the product sum to n = 200 starts."""
+    _forbid_product(monkeypatch)
+    with pytest.raises(DegenerateVariance):
+        cross_report_table([200, 1], StringClass.MULTUS)
+
+
+def test_table1_checks_both_classes_before_either_product(monkeypatch, capsys):
+    _forbid_product(monkeypatch)
+    assert main(["table1", "--lengths", "1,200"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "bitruns: zero run-length variance at n=1 for multus\n"
+
+
 def _cross_numerator_full(cls, order):
-    """The unpruned sum over all (order + 1)^2 pairs, as the reference
-    for the pruned and symmetric cross_numerator."""
+    """The sum over all (order + 1)^2 two-run GFs f_{i,j}, as a reference
+    for cross_numerator."""
     acc = TruncatedSeries.zero(order)
 
     @lru_cache(maxsize=None)
@@ -87,15 +136,16 @@ def _cross_numerator_full(cls, order):
     return acc
 
 
-@pytest.mark.parametrize("cls", [StringClass.UNCONSTRAINED, StringClass.MULTUS])
+@pytest.mark.parametrize("cls", CROSS_CLASSES)
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 40])
 def test_cross_numerator_matches_full_pair_sum(cls, order):
-    assert cross_numerator(cls, order) == _cross_numerator_full(cls, order)
+    want = list(_cross_numerator_full(cls, order).coeffs)
+    assert cross_numerator(cls, range(order + 1)) == want
 
 
-# The dense route that sparse construction and seeded expansion replaced,
-# kept as the reference: coefficient lists built term by term and every
-# f_{a,b} expanded from z^0.
+# The pair sum by parts over the two-run GFs, with coefficient lists
+# built term by term and every f_{a,b} expanded from z^0, kept as a
+# reference.
 
 
 def _dense(*terms):
@@ -154,4 +204,5 @@ def _cross_numerator_dense(cls, order):
 @pytest.mark.parametrize("cls", [StringClass.UNCONSTRAINED, StringClass.MULTUS])
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 40, 90])
 def test_cross_numerator_matches_dense_route(cls, order):
-    assert cross_numerator(cls, order) == _cross_numerator_dense(cls, order)
+    want = list(_cross_numerator_dense(cls, order).coeffs)
+    assert cross_numerator(cls, range(order + 1)) == want
