@@ -25,9 +25,7 @@ upper length and the other bit's a is one term z^l, so capping the runs
 below k turns the denominator into E + z^(k + l) for a fixed E: H_k,
 and for the 0-runs R_k, are geometric series in z^(k + l) over fixed
 rational functions (``cap_form``).  The run moments read them at single
-lengths without building any H_k.  Capping the other bit's runs too
-only turns its a into z^l g for a polynomial g, and the series into
-one in z^(k + l) g.
+lengths without building any H_k.
 
 The z^0 convention: for multus, bimultus and persolus every GF sets
 the coefficient of z^0 to 0, though the empty string is a member (the
@@ -166,20 +164,17 @@ def _theta_ones(string_class: StringClass) -> tuple:
 class CapForm(NamedTuple):
     """H_k of the runs of one bit as a series in the cap, for n >= 1.
 
-    Capping the runs of bit b below k > lo gives A_b = (z^lo - z^k)/(1 - z).
-    The other bit's a is z^lo_other g: g = 1 for uncapped runs (every row
-    of _RUNS has a one-term a) and for a cap that leaves one allowed
-    length, 1 - z^(c + 1 - lo_other) for a cap c that leaves more, and 0
-    for a cap below lo_other.  With
-    E = (1 - z) q_other - z^(lo + lo_other) g, P = 1 - z + z^lo and
-    Q = q_other + z^lo_other g the constructor's GF is
+    Capping the runs of bit b below k > lo gives A_b = (z^lo - z^k)/(1 - z),
+    and the other bit's a is the one term z^lo_other (every row of _RUNS
+    has a one-term a).  With E = (1 - z) q_other - z^(lo + lo_other),
+    P = 1 - z + z^lo and Q = q_other + z^lo_other the constructor's GF is
 
-        H_k = (P - z^k) Q / (E + z^(k + lo_other) g),
+        H_k = (P - z^k) Q / (E + z^(k + lo_other)),
 
-    and for k <= lo no run of bit b fits: H_k = Q / q_other.  For bit 0
-    with the 1-runs uncapped, t1 gives the bitsum-marked
+    and for k <= lo no run of bit b fits: H_k = Q / q_other.  For bit 0,
+    t1 gives the bitsum-marked
     R_k = (P - z^k)^2 t1 / (E + z^(k + lo_other))^2, and R_k = t1 / q_other^2
-    for k <= lo; otherwise t1 is None.  E has constant term 1.  At z^0
+    for k <= lo; for bit 1, t1 is None.  E has constant term 1.  At z^0
     these count the empty string for every class."""
 
     lo: int
@@ -189,22 +184,18 @@ class CapForm(NamedTuple):
     q: tuple
     e: tuple
     t1: tuple | None
-    g: tuple
 
 
-def cap_form(string_class: StringClass, bit: int, other_cap=None) -> CapForm:
+def cap_form(string_class: StringClass, bit: int) -> CapForm:
     """The pieces of H_k, and for bit 0 of R_k, when the runs of `bit`
-    are capped and those of the other bit are at most `other_cap` long
-    (None: no cap); raises UndefinedFamily where the runs of `bit` have
-    one allowed length."""
+    are capped; raises UndefinedFamily where the runs of `bit` have one
+    allowed length."""
     run_family(string_class, bit)
-    caps = (other_cap, None) if bit else (None, other_cap)
-    zeros, ones, den = _parts(string_class, *caps)
-    (_, p, _), (q_other, q, a_other) = (ones, zeros) if bit else (zeros, ones)
+    zeros, ones, den = _parts(string_class, None, None)
+    (_, p, _), (q_other, q, _) = (ones, zeros) if bit else (zeros, ones)
     lo, lo_other = _RUNS[string_class][bit][0], _RUNS[string_class][1 - bit][0]
-    t1 = None if bit or other_cap is not None else _theta_ones(string_class)
-    g = tuple((x - lo_other, c) for x, c in a_other)
-    return CapForm(lo, lo_other, q_other, p, q, merged(den), t1, g)
+    t1 = None if bit else _theta_ones(string_class)
+    return CapForm(lo, lo_other, q_other, p, q, merged(den), t1)
 
 
 @lru_cache(maxsize=None)  # one entry per class

@@ -46,8 +46,9 @@ MAX_SERIES_ORDER = 20000
 #: takes 42 s and 50 MB, and the time grows about 5x per doubling.
 MAX_CAP_SUM_LENGTH = 10000
 
-#: Largest `table1 --lengths` entry.  The run-run product is O(N^3):
-#: 9.5 s at 400 and 157 s at this bound on the same VM.
+#: Largest `table1 --lengths` entry.  The run-run product costs O(N^3)
+#: big-integer additions: 0.6 s at 400 and 6.0 s and 16 MB at this bound
+#: on the same VM.
 MAX_TABLE1_LENGTH = 1000
 
 #: Largest `joint --n`.  The table holds n^2/2 counts of up to n bits:
@@ -186,10 +187,11 @@ def _cmd_table1(args) -> int:
 
     p = args.precision
     classes = (StringClass.UNCONSTRAINED, StringClass.MULTUS)
-    # every variance of both classes, before either O(N^3) product sum
-    for cls in classes:
-        cross_run_moments(args.lengths, cls)
-    cols = {cls: cross_report_table(args.lengths, cls) for cls in classes}
+    # every variance of both classes, before either product sum
+    moments = {cls: cross_run_moments(args.lengths, cls) for cls in classes}
+    cols = {
+        cls: cross_report_table(args.lengths, cls, moments[cls]) for cls in classes
+    }
     rows = []
     for i, n in enumerate(args.lengths):
         row = [n]

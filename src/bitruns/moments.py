@@ -34,13 +34,6 @@ sparse numerators.  Memory is O(N) integers for the rows plus a few
 sums per length; the time is O(N^2) for the rows plus O(n log n) dot
 product terms per requested length n, so a dense sweep of every length
 to N costs O(N^2 log N).
-
-Capping the runs of the other bit as well (``other_cap``) gives the
-moments over the strings whose other runs are at most that long.  The
-denominator becomes E + z^(k + l) g with cap_form's g, so the rows are
-U_c = g^c / E^(c + 1): each row is the one before it times g, then
-divided by E.  Uncapped, g = 1 and the rows are unchanged; capped below
-the other bit's shortest run, g = 0 and only U_0 is read.
 """
 
 from __future__ import annotations
@@ -114,18 +107,16 @@ def run_numerators(
     bit: int,
     ns: Sequence[int],
     bitsum: bool = False,
-    other_cap=None,
 ) -> list:
     """For each length n in ns, in order: the sums of R^m, m = 1..MAX_MOMENT,
-    over the class strings of length n whose runs of the other bit are at
-    most `other_cap` long (None: all of them), R their longest run of
-    `bit`, followed with `bitsum` (bit 0, no cap) by the sum of
-    R * bitsum.  No H_k is expanded; see the module docstring."""
-    if bitsum and other_cap is not None:
-        raise ValueError("the bitsum product needs the other bit uncapped")
+    over the class strings of length n, R their longest run of `bit`,
+    followed with `bitsum` (bit 0) by the sum of R * bitsum.  No H_k is
+    expanded; see the module docstring."""
     if not ns:
         return []
-    form = cap_form(string_class, bit, other_cap)
+    if any(n < 0 for n in ns):
+        raise ValueError("lengths must be nonnegative")
+    form = cap_form(string_class, bit)
     if bitsum and form.t1 is None:
         raise UndefinedFamily(f"no bitsum-marked run family for bit={bit}")
     lo, l, e = form.lo, form.lo_other, form.e
@@ -153,19 +144,18 @@ def run_numerators(
         sums[n] = [small_h[n] * j**m for m in range(1, MAX_MOMENT + 1)]
         sums[n].append(small_r[n] * j if bitsum else 0)
     u = _divide([1], e, order + 1)
-    # g = 0 (the other bit capped below its shortest run): only c = 0
-    for c in range(order // step + 1 if form.g else 1):
+    for c in range(order // step + 1):
         # At top = n - c step, [z^n] H_k for k = k0, k0 + 1, ... is
         # (-1)^c times [z^top] of P Q U_c stepping down by c, less
         # [z^(top - k0)] of Q U_c stepping down by c + 1, summed over c;
-        # U_c = g^c / E^(c + 1).  [z^n] R_k has (c + 1) (-1)^c times the
+        # U_c = 1 / E^(c + 1).  [z^n] R_k has (c + 1) (-1)^c times the
         # reads of P^2 t U_(c+1), -2 P t U_(c+1) and t U_(c+1) from
         # top - l, top - l - k0 and top - l - 2 k0, by c, c + 1 and c + 2.
         last = order - c * step + 1
         b_row = _times(form.q, u, last)
         a_row = _times(form.p, b_row, last)
         size = max(last - (l if bitsum else step), 0)
-        u_next = _divide(_times(form.g, u, size), e, size)
+        u_next = _divide(u, e, size)
         if bitsum:
             r_a, r_b, r_c = (
                 _times(r, u_next, last - l - i * k0) for i, r in enumerate(r_terms)

@@ -12,10 +12,10 @@ from bitruns.crossrun import (
     cross_report,
     cross_report_oracle,
     cross_report_table,
+    largest_part_row,
 )
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.errors import DegenerateVariance, UnsupportedClass
-from bitruns.moments import MAX_MOMENT, run_numerators
 from bitruns.series import TruncatedSeries
 
 
@@ -36,26 +36,30 @@ def test_cross_moment_matches_oracle(cls):
     assert cross_numerator(cls, []) == []
 
 
-@pytest.mark.parametrize("cls", CROSS_CLASSES)
-def test_capped_cap_sum_matches_oracle(cls):
-    """run_numerators with the 1-runs capped at c sums R0^m over the class
-    strings with R1 <= c: caps below the shortest 1-run (g = 0), at it
-    (one allowed length) and above it, for every n <= 14."""
-    ns = range(15)
-    dists = [enumerate_joint(n, cls).counts for n in ns]
-    for cap in range(15):
-        got = run_numerators(cls, 0, ns, other_cap=cap)
-        for n, counts in zip(ns, dists):
-            want = tuple(
-                sum(c * r0**m for (r0, r1, _), c in counts if r1 <= cap)
-                for m in range(1, MAX_MOMENT + 1)
-            )
-            assert got[n] == want, (cls, cap, n)
+def _compositions(x, m, lo):
+    """Every composition of x into m parts >= lo."""
+    if m == 0:
+        if x == 0:
+            yield ()
+        return
+    for first in range(lo, x - lo * (m - 1) + 1):
+        for rest in _compositions(x - first, m - 1, lo):
+            yield (first,) + rest
 
 
-def test_capped_cap_sum_has_no_bitsum():
-    with pytest.raises(ValueError):
-        run_numerators(StringClass.MULTUS, 0, [5], bitsum=True, other_cap=3)
+@pytest.mark.parametrize("lo", [1, 2])
+def test_largest_part_rows_match_enumeration(lo):
+    """M(x, m), the sum of the largest part over the compositions of x
+    into m parts >= lo, for every x <= 16 and every m."""
+    top = 16
+    for m in range(1, top + 2):
+        want = [sum(map(max, _compositions(x, m, lo))) for x in range(top + 1)]
+        assert largest_part_row(lo, m, top) == want, (lo, m)
+
+
+def test_cross_numerator_negative_length():
+    with pytest.raises(ValueError, match="lengths must be nonnegative"):
+        cross_numerator(StringClass.MULTUS, [5, -1])
 
 
 def test_cross_numerator_unsupported_class():

@@ -158,7 +158,7 @@ def test_table2_digest_is_pinned(capsys, fmt):
 
 #: format -> digest of `bitruns --format F table1 --precision 10
 #: --lengths 100,150,200`, recorded from the two-run series route that
-#: the capped cap sum replaced; a few seconds, so deselected by default.
+#: the capped cap sum replaced.
 TABLE1 = {
     "plain": "538d4b88d62865e7388dc34ecb24b9dba7a8573b839f1de10785708b072b2e22",
     "csv": "586247b95522baab21bd784d76619d9d9f3732b0ba84ae764bc94a475870ca6c",
@@ -166,7 +166,6 @@ TABLE1 = {
 }
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("fmt", list(TABLE1))
 def test_table1_digest_is_pinned(capsys, fmt):
     argv = ["--format", fmt, "table1", "--precision", "10", "--lengths", "100,150,200"]
@@ -174,3 +173,17 @@ def test_table1_digest_is_pinned(capsys, fmt):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE1[fmt]
+
+
+#: Digest of `bitruns table1 --precision 10 --lengths 400`, recorded from
+#: the capped cap sum that the largest-part rows replaced (about 16 s
+#: there); deselected by default with the other paper-size pins.
+TABLE1_400 = "56109f1a1394cd4b3b7177706742101aa5184ea9aa3e52df223c2fa4768751cc"
+
+
+@pytest.mark.slow
+def test_table1_n400_digest_is_pinned(capsys):
+    code = main(["table1", "--precision", "10", "--lengths", "400"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE1_400

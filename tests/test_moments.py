@@ -60,6 +60,11 @@ def test_run_moment_negative_length():
         run_moment(-1, StringClass.SOLUS, 0, 1)
 
 
+def test_run_numerators_negative_length():
+    with pytest.raises(ValueError, match="lengths must be nonnegative"):
+        run_numerators(StringClass.MULTUS, 0, [5, -1])
+
+
 def test_run_variance_report():
     r = run_variance_report(10, StringClass.SOLUS, 0)
     assert r.variance == r.second_moment - r.mean * r.mean
