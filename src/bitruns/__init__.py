@@ -54,7 +54,7 @@ _EXPORTS = {
         "rs_numerator_approx",
     ),
     "moments": ("run_moment", "run_variance_report", "run_variance_table"),
-    "series": ("RationalGF", "TruncatedSeries"),
+    "series": ("RationalGF",),
     "verify": ("run_checks",),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -67,7 +67,6 @@ __all__ = [
     "RationalGF",
     "RunStats",
     "StringClass",
-    "TruncatedSeries",
     "bitsum_gfs",
     "class_member",
     "count_gf",

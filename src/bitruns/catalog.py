@@ -62,16 +62,13 @@ def _p(*coeffs: int):
     return dense_terms(coeffs)
 
 
-_gf = RationalGF.from_terms
-
-
 #: d_n generating functions for the five classes.
 _COUNT_GFS = {
-    StringClass.UNCONSTRAINED: _gf(_p(1), _p(1, -2)),
-    StringClass.SOLUS: _gf(_p(1, 1), _p(1, -1, -1)),
-    StringClass.MULTUS: _gf(_p(1, -1, 1), _p(1, -2, 1, -1)),
-    StringClass.BIMULTUS: _gf(_p(0, 0, 2), _p(1, -1, -1)),
-    StringClass.PERSOLUS: _gf(_p(0, 1, 0, 2), _p(1, -1, 0, -1)),
+    StringClass.UNCONSTRAINED: RationalGF(_p(1), _p(1, -2)),
+    StringClass.SOLUS: RationalGF(_p(1, 1), _p(1, -1, -1)),
+    StringClass.MULTUS: RationalGF(_p(1, -1, 1), _p(1, -2, 1, -1)),
+    StringClass.BIMULTUS: RationalGF(_p(0, 0, 2), _p(1, -1, -1)),
+    StringClass.PERSOLUS: RationalGF(_p(0, 1, 0, 2), _p(1, -1, 0, -1)),
 }
 
 
@@ -144,7 +141,7 @@ def alternating_gf(string_class: StringClass, zero_cap=None, one_cap=None) -> Ra
     if string_class in _NO_EMPTY:
         for e, c in den.items():
             num[e] = get(e, 0) - c
-    return RationalGF.from_sums(num, den)
+    return RationalGF(num.items(), den.items())
 
 
 def _theta(t) -> tuple:
@@ -216,8 +213,8 @@ def bitsum_gfs(string_class: StringClass) -> tuple:
         + tuple((x, -2 * c) for x, c in terms_mul(t1, _theta(q1), e))
         + tuple((x + f.lo, 2 * c) for x, c in terms_mul(t1, t1))
     )
-    a = RationalGF.from_terms(terms_mul(p2, t1), e2)
-    b = RationalGF.from_terms(terms_mul(p2, inner), terms_mul(q1, e2, e))
+    a = RationalGF(terms_mul(p2, t1), e2)
+    b = RationalGF(terms_mul(p2, inner), terms_mul(q1, e2, e))
     return a, b
 
 

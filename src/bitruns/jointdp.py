@@ -45,7 +45,6 @@ from .ensembles import StringClass
 from .errors import DegenerateVariance, OutOfFormulaRange, UnsupportedClass
 from .moments import checked_counts, zero_run_bitsum_numerators
 from .render import signed_sqrt_ratio
-from .series import TruncatedSeries
 
 
 def _signed_binomials(r: int) -> list:
@@ -353,7 +352,7 @@ def fewones_closed_form(n: int, ell: int, k: int) -> int:
     return _cf5(n, k)
 
 
-def rs_numerator_approx(order: int, ell_max: int = 5) -> TruncatedSeries:
+def rs_numerator_approx(order: int, ell_max: int = 5) -> tuple:
     """Few-ones approximation to the run-bitsum product numerator.
 
     Accumulates, for bitsum levels below ell_max, the rectangle-count
@@ -386,4 +385,4 @@ def rs_numerator_approx(order: int, ell_max: int = 5) -> TruncatedSeries:
             w = ell - 1
             for n in range(order + 1):
                 acc[n] += w * k * (a[n] - b[n] - c[n] + d[n])
-    return TruncatedSeries(acc)
+    return tuple(acc)

@@ -28,9 +28,10 @@ and only c(k + l) <= n contributes: O(n/k) terms per k.  At a fixed n
 and c, the coefficients for k = lo + 1, lo + 2, ... are strided slices
 of the rows P Q U_c and Q U_c, so the weighted sums over k are a few
 dot products per (n, c).  Each row U_c is the one before it divided by
-E, one short recurrence, needed only through z^(N - c(lo + 1 + l)) for
-N = max(ns); the rows are streamed, and each is multiplied once by its
-sparse numerators.  Memory is O(N) integers for the rows plus a few
+E by ``series.divide``, the one short recurrence that every expansion
+in the package runs, and is needed only through z^(N - c(lo + 1 + l))
+for N = max(ns); the rows are streamed, and each is multiplied once by
+its sparse numerators.  Memory is O(N) integers for the rows plus a few
 sums per length; the time is O(N^2) for the rows plus O(n log n) dot
 product terms per requested length n, so a dense sweep of every length
 to N costs O(N^2 log N).
@@ -48,7 +49,7 @@ from typing import NamedTuple, Sequence
 from .catalog import cap_form, count_gf
 from .ensembles import StringClass
 from .errors import EmptyEnsemble, UndefinedFamily, UnsupportedMoment
-from .series import RationalGF, terms_mul
+from .series import RationalGF, divide, terms_mul
 
 MAX_MOMENT = 4
 
@@ -64,22 +65,6 @@ def moment_weight(m: int, k: int) -> int:
     if m == 4:
         return 4 * k**3 - 6 * k * k + 4 * k - 1
     raise UnsupportedMoment(f"moment order {m} not in 1..{MAX_MOMENT}")
-
-
-def _divide(src: list, e: tuple, length: int) -> list:
-    """Coefficients z^0..z^(length-1) of src / E, for E (sparse terms)
-    with constant term 1."""
-    tail = [(f, -d) for f, d in e[1:]]
-    pad = e[-1][0]
-    out = [0] * (pad + length)
-    head = src[:length]
-    out[pad : pad + len(head)] = head
-    for i in range(pad, pad + length):
-        s = out[i]
-        for f, d in tail:
-            s += d * out[i - f]
-        out[i] = s
-    return out[pad:]
 
 
 def _times(t: tuple, row: list, length: int) -> list:
@@ -129,10 +114,10 @@ def run_numerators(
     ]
     # k <= lo: no run fits, H_k = Q / q_other and R_k = t1 / q_other^2,
     # and sum_{k=1..j} w_m(k) = j^m
-    small_h = RationalGF.from_terms(form.q, form.q_other).expand(order)
+    small_h = RationalGF(form.q, form.q_other).expand(order)
     if bitsum:
         q2 = terms_mul(form.q_other, form.q_other)
-        small_r = RationalGF.from_terms(form.t1, q2).expand(order)
+        small_r = RationalGF(form.t1, q2).expand(order)
         # t1 starts at z^l: the R rows are kept divided by z^l, read l lower
         t = tuple((x - l, a) for x, a in form.t1)
         r_terms = (terms_mul(form.p, form.p, t), terms_mul(form.p, t), t)
@@ -143,7 +128,7 @@ def run_numerators(
         j = min(lo, n)
         sums[n] = [small_h[n] * j**m for m in range(1, MAX_MOMENT + 1)]
         sums[n].append(small_r[n] * j if bitsum else 0)
-    u = _divide([1], e, order + 1)
+    u = divide([1], e, order + 1)
     for c in range(order // step + 1):
         # At top = n - c step, [z^n] H_k for k = k0, k0 + 1, ... is
         # (-1)^c times [z^top] of P Q U_c stepping down by c, less
@@ -155,7 +140,7 @@ def run_numerators(
         b_row = _times(form.q, u, last)
         a_row = _times(form.p, b_row, last)
         size = max(last - (l if bitsum else step), 0)
-        u_next = _divide(u, e, size)
+        u_next = divide(u, e, size)
         if bitsum:
             r_a, r_b, r_c = (
                 _times(r, u_next, last - l - i * k0) for i, r in enumerate(r_terms)
@@ -201,7 +186,7 @@ def zero_run_bitsum_numerators(string_class: StringClass, ns: Sequence[int]) -> 
 def _counts_cached(string_class: StringClass, order: int) -> tuple:
     # the empty string is a member of every class, whatever the count
     # GF's z^0 convention
-    return (1,) + count_gf(string_class).expand(order).coeffs[1:]
+    return (1,) + count_gf(string_class).expand(order)[1:]
 
 
 def checked_counts(string_class: StringClass, ns: Sequence[int]) -> tuple:

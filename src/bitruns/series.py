@@ -1,21 +1,24 @@
-"""Exact truncated power series and rational generating functions.
+"""Exact power series of rational generating functions.
 
 All coefficients are arbitrary-precision Python integers; no floating
 point enters this module.  A rational GF keeps its numerator and
 denominator as sparse terms: tuples of (exponent, coefficient) pairs
-with increasing exponents and no zero coefficient.  The dense
-coefficient tuples, constant term first, are built on demand.
+with increasing exponents and no zero coefficient.  An expansion is a
+plain tuple of coefficients, constant term first.  Every expansion in
+the package runs one recurrence, ``divide``: ``RationalGF.expand`` and
+the cap sum of ``bitruns.moments`` both call it.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 from .errors import NonUnitConstantTerm
 
 Poly = tuple  # dense integer coefficient vector, constant term first
 Terms = tuple  # sparse ((exponent, coefficient), ...), exponents increasing
+# an expansion, z^0..z^order; the name stays, bench/traced.py reads it unguarded
+TruncatedSeries = tuple
 
 
 def terms(pairs: Iterable[tuple]) -> Terms:
@@ -46,105 +49,33 @@ def terms_mul(*factors: Terms) -> Terms:
     return out
 
 
-def _dense(t: Terms) -> Poly:
-    if not t:
-        return (0,)
-    out = [0] * (t[-1][0] + 1)
-    for e, c in t:
-        out[e] = c
-    return tuple(out)
-
-
-class TruncatedSeries:
-    """A power series known exactly through z^order."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int]):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("a series needs at least the constant coefficient")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0] * (order + 1))
-
-    @classmethod
-    def from_poly(cls, p: Sequence[int], order: int) -> "TruncatedSeries":
-        return cls(list(p[: order + 1]) + [0] * (order + 1 - len(p)))
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self.coeffs)!r})"
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])
-        )
-
-    def scale(self, c: int) -> "TruncatedSeries":
-        return TruncatedSeries(c * x for x in self.coeffs)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        out = [0] * (n + 1)
-        for i, x in enumerate(self.coeffs[: n + 1]):
-            if x:
-                for j, y in enumerate(other.coeffs[: n + 1 - i]):
-                    out[i + j] += x * y
-        return TruncatedSeries(out)
+def divide(src: Sequence[int], den: Terms, length: int) -> list:
+    """Coefficients z^0..z^(length-1) of src / den, for the dense src and
+    the sparse den with constant term 1: the linear recurrence
+    c_n = src_n - sum_{m>=1} d_m c_(n-m), over a zero pad that stands
+    for the coefficients below z^0."""
+    tail = [(f, -d) for f, d in den[1:]]
+    pad = den[-1][0]
+    out = [0] * (pad + length)
+    head = src[:length]
+    out[pad : pad + len(head)] = head
+    for i in range(pad, pad + length):
+        s = out[i]
+        for f, d in tail:
+            s += d * out[i - f]
+        out[i] = s
+    return out[pad:]
 
 
 class RationalGF:
-    """Ratio of two integer polynomials, expandable at z=0.
-
-    Built from dense coefficient sequences, or from sparse terms with
-    ``from_terms``; either way only the nonzero terms are stored.
-    """
+    """Ratio of two integer polynomials, expandable at z=0, built from
+    sparse (exponent, coefficient) pairs in any order; only the nonzero
+    terms are stored."""
 
     __slots__ = ("num_terms", "den_terms")
 
-    def __init__(self, numerator: Iterable[int], denominator: Iterable[int]):
-        self._set(dense_terms(numerator), dense_terms(denominator))
-
-    @classmethod
-    def from_terms(cls, numerator: Iterable[tuple], denominator: Iterable[tuple]) -> "RationalGF":
-        gf = cls.__new__(cls)
-        gf._set(terms(numerator), terms(denominator))
-        return gf
-
-    @classmethod
-    def from_sums(cls, numerator: dict, denominator: dict) -> "RationalGF":
-        """From dicts of exponent to coefficient; zero entries are dropped."""
-        gf = cls.__new__(cls)
-        gf._set(merged(numerator), merged(denominator))
-        return gf
-
-    def _set(self, num: Terms, den: Terms) -> None:
+    def __init__(self, numerator: Iterable[tuple], denominator: Iterable[tuple]):
+        num, den = terms(numerator), terms(denominator)
         if not den or den[0][0] != 0:
             raise ValueError("denominator constant term must be nonzero")
         if num and num[0][0] < 0:
@@ -153,12 +84,11 @@ class RationalGF:
         self.den_terms = den
 
     @property
-    def numerator(self) -> Poly:
-        return _dense(self.num_terms)
-
-    @property
     def denominator(self) -> Poly:
-        return _dense(self.den_terms)
+        out = [0] * (self.den_terms[-1][0] + 1)
+        for e, c in self.den_terms:
+            out[e] = c
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -171,60 +101,26 @@ class RationalGF:
         return hash((self.num_terms, self.den_terms))
 
     def __repr__(self) -> str:
-        return f"RationalGF({list(self.numerator)!r}, {list(self.denominator)!r})"
+        return f"RationalGF({self.num_terms!r}, {self.den_terms!r})"
 
     def expand(self, order: int) -> TruncatedSeries:
-        return gf_expand(self, order)
-
-
-def valuation(f: RationalGF, g: RationalGF):
-    """Exponent of the lowest nonzero term of f - g; math.inf if f == g.
-
-    The expansions of f and g agree exactly below it, and differ there.
-    f - g = (N_f D_g - N_g D_f) / (D_f D_g), and D_f D_g has a nonzero
-    constant term, so the valuation is that of the sparse cross product.
-    """
-    diff: dict = {}
-    get = diff.get
-    for e1, c1 in f.num_terms:
-        for e2, c2 in g.den_terms:
-            e = e1 + e2
-            diff[e] = get(e, 0) + c1 * c2
-    for e1, c1 in g.num_terms:
-        for e2, c2 in f.den_terms:
-            e = e1 + e2
-            diff[e] = get(e, 0) - c1 * c2
-    return min((e for e, c in diff.items() if c), default=math.inf)
-
-
-def gf_expand(gf: RationalGF, order: int, prefix: Sequence[int] = ()) -> TruncatedSeries:
-    """Exact coefficients c_0..c_order of gf's power-series expansion.
-
-    Uses the linear recurrence induced by the denominator:
-    d_0 c_n = num_n - sum_{m>=1} d_m c_{n-m}.  Requires d_0 in {-1, +1}
-    so that every coefficient stays an exact integer.
-
-    The recurrence continues after `prefix`, which must hold gf's own
-    leading coefficients.  For another GF g, up to valuation(gf, g)
-    leading coefficients of g's expansion qualify, and no more.
-    """
-    if order < 0:
-        raise ValueError(f"expansion order must be nonnegative, got {order}")
-    if len(prefix) > order + 1:
-        raise ValueError(f"a prefix of {len(prefix)} coefficients exceeds order {order}")
-    (_, d0), *tail = gf.den_terms
-    if d0 not in (1, -1):
-        raise NonUnitConstantTerm(
-            f"denominator constant term {d0} is not a unit; cannot expand exactly"
-        )
-    c = list(prefix)
-    start = len(c)
-    num = {e: a for e, a in gf.num_terms if e >= start}
-    for n in range(start, order + 1):
-        s = num.get(n, 0)
-        for m, d in tail:
-            if m > n:
+        """Exact coefficients c_0..c_order of the power-series expansion.
+        The denominator's constant term must be 1 or -1, so that every
+        coefficient stays an exact integer."""
+        if order < 0:
+            raise ValueError(f"expansion order must be nonnegative, got {order}")
+        num, den = self.num_terms, self.den_terms
+        d0 = den[0][1]
+        if d0 == -1:
+            num = tuple((e, -c) for e, c in num)
+            den = tuple((e, -c) for e, c in den)
+        elif d0 != 1:
+            raise NonUnitConstantTerm(
+                f"denominator constant term {d0} is not a unit; cannot expand exactly"
+            )
+        src = [0] * (order + 1)
+        for e, c in num:
+            if e > order:
                 break
-            s -= d * c[n - m]
-        c.append(s if d0 == 1 else -s)
-    return TruncatedSeries(c)
+            src[e] = c
+        return tuple(divide(src, den, order + 1))

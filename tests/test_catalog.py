@@ -17,15 +17,7 @@ from bitruns.ensembles import StringClass, enumerate_classes, enumerate_joint
 from bitruns.errors import UndefinedFamily, UnsupportedClass
 from bitruns.jointdp import _at_most
 from bitruns.moments import moment_weight, run_numerators, zero_run_bitsum_numerators
-from bitruns.series import (
-    RationalGF,
-    TruncatedSeries,
-    dense_terms,
-    gf_expand,
-    merged,
-    terms_mul,
-    valuation,
-)
+from bitruns.series import RationalGF, dense_terms, merged, terms_mul
 
 U, SOL, MUL, BIM, PER = (
     StringClass.UNCONSTRAINED,
@@ -37,11 +29,11 @@ U, SOL, MUL, BIM, PER = (
 
 
 def test_count_gf_prefixes():
-    assert count_gf(StringClass.UNCONSTRAINED).expand(5).coeffs == (1, 2, 4, 8, 16, 32)
-    assert count_gf(StringClass.SOLUS).expand(7).coeffs == (1, 2, 3, 5, 8, 13, 21, 34)
-    assert count_gf(StringClass.MULTUS).expand(7).coeffs == (1, 1, 2, 4, 7, 12, 21, 37)
-    assert count_gf(StringClass.BIMULTUS).expand(7).coeffs == (0, 0, 2, 2, 4, 6, 10, 16)
-    assert count_gf(StringClass.PERSOLUS).expand(7).coeffs == (0, 1, 1, 3, 4, 5, 8, 12)
+    assert count_gf(StringClass.UNCONSTRAINED).expand(5) == (1, 2, 4, 8, 16, 32)
+    assert count_gf(StringClass.SOLUS).expand(7) == (1, 2, 3, 5, 8, 13, 21, 34)
+    assert count_gf(StringClass.MULTUS).expand(7) == (1, 1, 2, 4, 7, 12, 21, 37)
+    assert count_gf(StringClass.BIMULTUS).expand(7) == (0, 0, 2, 2, 4, 6, 10, 16)
+    assert count_gf(StringClass.PERSOLUS).expand(7) == (0, 1, 1, 3, 4, 5, 8, 12)
 
 
 def test_bitsum_gfs_match_oracle():
@@ -82,9 +74,7 @@ def _constructor_bitsum_gf(string_class, zero_cap=None):
     """(q_0 + a_0)^2 t_1 / (q_0 q_1 - a_0 a_1)^2 with the 0-runs capped."""
     (_, p0, _), _, den = _parts(string_class, zero_cap, None)
     d = merged(den)
-    return RationalGF.from_terms(
-        terms_mul(p0, p0, _theta_ones(string_class)), terms_mul(d, d)
-    )
+    return RationalGF(terms_mul(p0, p0, _theta_ones(string_class)), terms_mul(d, d))
 
 
 def _constructor_bitsum_hk(string_class, k):
@@ -131,10 +121,10 @@ def _cap_coefficients(string_class, bit, order):
     f = cap_form(string_class, bit)
     rows, den = [], f.e
     for _ in range(order + 2):
-        rows.append(RationalGF.from_terms(((0, 1),), den).expand(order).coeffs)
+        rows.append(RationalGF(((0, 1),), den).expand(order))
         den = terms_mul(den, f.e)
-    small_h = RationalGF.from_terms(f.q, f.q_other).expand(order)
-    small_r = RationalGF.from_terms(f.t1 or (), terms_mul(f.q_other, f.q_other)).expand(order)
+    small_h = RationalGF(f.q, f.q_other).expand(order)
+    small_r = RationalGF(f.t1 or (), terms_mul(f.q_other, f.q_other)).expand(order)
     cols = []
     for k in range(1, order + 2):
         if k <= f.lo:
@@ -206,7 +196,7 @@ def test_h_is_count_gf_limit():
     # for large k the no-k-run constraint is vacuous at small n
     for cls, bit in defined_families():
         fam = run_family(cls, bit)
-        assert fam.hk(12).expand(9).coeffs == fam.H.expand(9).coeffs
+        assert fam.hk(12).expand(9) == fam.H.expand(9)
 
 
 def test_cross_gf_counts():
@@ -241,13 +231,42 @@ def test_cross_gf_rejects_bad_input():
             assert s[n] == want, (a, b, n)
 
 
+def valuation(f, g):
+    """Exponent of the lowest nonzero term of f - g; math.inf if f == g.
+
+    The expansions of f and g agree exactly below it, and differ there.
+    f - g = (N_f D_g - N_g D_f) / (D_f D_g), and D_f D_g has a nonzero
+    constant term, so the valuation is that of the sparse cross product.
+    """
+    diff: dict = {}
+    get = diff.get
+    for e1, c1 in f.num_terms:
+        for e2, c2 in g.den_terms:
+            e = e1 + e2
+            diff[e] = get(e, 0) + c1 * c2
+    for e1, c1 in g.num_terms:
+        for e2, c2 in f.den_terms:
+            e = e1 + e2
+            diff[e] = get(e, 0) - c1 * c2
+    return min((e for e, c in diff.items() if c), default=math.inf)
+
+
+def test_valuation_examples():
+    geom = RationalGF([(0, 1)], [(0, 1), (1, -1)])
+    head = RationalGF([(0, 1), (5, -1)], [(0, 1), (1, -1)])  # 1 + ... + z^4
+    assert valuation(geom, head) == valuation(head, geom) == 5
+    # one function, two representations
+    assert valuation(geom, RationalGF([(0, 2)], [(0, 2), (1, -2)])) == math.inf
+    assert valuation(geom, RationalGF([(1, 1)], [(0, 1), (1, -1)])) == 0
+
+
 def _first_difference(f, g, order):
-    a, b = f.expand(order).coeffs, g.expand(order).coeffs
+    a, b = f.expand(order), g.expand(order)
     return next((n for n in range(order + 1) if a[n] != b[n]), math.inf)
 
 
 def _valuation_cases():
-    """(f, base) for every GF family the telescoping sums seed from a base."""
+    """(f, base) pairs that share a prefix, from every catalog family."""
     for cls, bit in defined_families():
         fam = run_family(cls, bit)
         for k in range(1, 41):
@@ -268,7 +287,8 @@ def _valuation_cases():
 
 
 def test_valuation_is_the_first_differing_coefficient():
-    """The seeded prefix length of every sum is where the expansions part."""
+    """The valuation that the reference-form identities below rest on is
+    where the expansions part."""
     for f, base in _valuation_cases():
         assert valuation(f, base) == _first_difference(f, base, 100), (f, base)
 
@@ -280,7 +300,7 @@ def test_count_gfs_are_the_uncapped_constructor():
             # the multus count keeps the empty string; the constructor
             # sets z^0 to 0, as every other multus GF does
             assert valuation(gf, count) == 0
-            plus_one = RationalGF.from_terms(gf.num_terms + gf.den_terms, gf.den_terms)
+            plus_one = RationalGF(gf.num_terms + gf.den_terms, gf.den_terms)
             assert valuation(plus_one, count) == math.inf
         else:
             assert valuation(gf, count) == math.inf, cls
@@ -303,8 +323,7 @@ def test_bitsum_gfs_equal_reference_forms():
 # the moment sums then added a correction G, or replaced the k = 1 term.
 
 
-def _gf(num, den):
-    return RationalGF.from_terms(num, den)
+_gf = RationalGF
 
 
 def _p(*coeffs):
@@ -479,13 +498,17 @@ def test_moment_numerator_equals_reference_route(series_moments, cls, bit):
     hk, _, g, first = REFERENCE_FAMILIES[cls, bit]
     order = 60
     h = run_family(cls, bit).H.expand(order)
-    acc = [g.expand(order) if first is None else TruncatedSeries.zero(order)] * 4
+    start = g.expand(order) if first is None else (0,) * (order + 1)
+    acc = [list(start) for _ in range(4)]
     for k in range(1, order + 3):
-        d = h - (first if k == 1 and first is not None else hk(k)).expand(order)
-        acc = [a + d.scale(moment_weight(m, k)) for m, a in enumerate(acc, 1)]
-    assert list(series_moments(run_family(cls, bit), order)) == acc
+        c = (first if k == 1 and first is not None else hk(k)).expand(order)
+        for m, a in enumerate(acc, 1):
+            w = moment_weight(m, k)
+            for n in range(order + 1):
+                a[n] += w * (h[n] - c[n])
+    assert series_moments(run_family(cls, bit), order) == acc
     got = run_numerators(cls, bit, range(order + 1))
-    assert [TruncatedSeries(col) for col in zip(*got)] == acc
+    assert [list(col) for col in zip(*got)] == acc
 
 
 # ---------------------------------------------------------------------------
@@ -496,19 +519,14 @@ CAP_ORDER = 60
 
 def _series_rs_numerator(string_class, order):
     """Copy of the former moments.rs_numerator: sum over k of the expanded
-    R_(order + 2) - R_k, each R_k from its first differing coefficient."""
-    top = _constructor_bitsum_hk(string_class, order + 2)
-    full = top.expand(order).coeffs
+    R_(order + 2) - R_k, each R_k expanded in full."""
+    full = _constructor_bitsum_hk(string_class, order + 2).expand(order)
     acc = [0] * (order + 1)
     for k in range(1, order + 2):
-        gf = _constructor_bitsum_hk(string_class, k)
-        v = valuation(gf, top)
-        if v > order:
-            continue
-        c = gf_expand(gf, order, full[:v]).coeffs
-        for n in range(v, order + 1):
+        c = _constructor_bitsum_hk(string_class, k).expand(order)
+        for n in range(order + 1):
             acc[n] += full[n] - c[n]
-    return TruncatedSeries(acc)
+    return acc
 
 
 @pytest.mark.parametrize("cls", [U, SOL])

@@ -16,7 +16,6 @@ from bitruns.crossrun import (
 )
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.errors import DegenerateVariance, UnsupportedClass
-from bitruns.series import TruncatedSeries
 
 
 CROSS_CLASSES = [StringClass.UNCONSTRAINED, StringClass.MULTUS, StringClass.BIMULTUS]
@@ -127,7 +126,7 @@ def test_table1_checks_both_classes_before_either_product(monkeypatch, capsys):
 def _cross_numerator_full(cls, order):
     """The sum over all (order + 1)^2 two-run GFs f_{i,j}, as a reference
     for cross_numerator."""
-    acc = TruncatedSeries.zero(order)
+    acc = [0] * (order + 1)
 
     @lru_cache(maxsize=None)
     def f(i, j):
@@ -135,15 +134,16 @@ def _cross_numerator_full(cls, order):
 
     for i in range(1, order + 2):
         for j in range(1, order + 2):
-            term = f(i + 1, j + 1) - f(i, j + 1) - f(i + 1, j) + f(i, j)
-            acc = acc + term.scale(i * j)
+            a, b, c, d = f(i + 1, j + 1), f(i, j + 1), f(i + 1, j), f(i, j)
+            for n in range(order + 1):
+                acc[n] += i * j * (a[n] - b[n] - c[n] + d[n])
     return acc
 
 
 @pytest.mark.parametrize("cls", CROSS_CLASSES)
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 40])
 def test_cross_numerator_matches_full_pair_sum(cls, order):
-    want = list(_cross_numerator_full(cls, order).coeffs)
+    want = _cross_numerator_full(cls, order)
     assert cross_numerator(cls, range(order + 1)) == want
 
 
@@ -202,11 +202,11 @@ def _cross_numerator_dense(cls, order):
                 w = (a - 1) * (b - 1)
             for n, c in enumerate(_dense_expand(*_dense_cross_gf(cls, a, b), order)):
                 acc[n] += w * c
-    return TruncatedSeries(acc)
+    return acc
 
 
 @pytest.mark.parametrize("cls", [StringClass.UNCONSTRAINED, StringClass.MULTUS])
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 40, 90])
 def test_cross_numerator_matches_dense_route(cls, order):
-    want = list(_cross_numerator_dense(cls, order).coeffs)
+    want = _cross_numerator_dense(cls, order)
     assert cross_numerator(cls, range(order + 1)) == want

@@ -15,7 +15,6 @@ from bitruns.moments import (
     run_variance_table,
     zero_run_bitsum_numerators,
 )
-from bitruns.series import TruncatedSeries
 
 
 def test_moment_weight_telescopes():
@@ -74,12 +73,15 @@ def test_run_variance_report():
 
 
 def _numerator_per_moment(family, m, order):
-    """One telescoping sum per moment order, a series op per term: the
-    route the one-pass series route replaced, kept as its reference."""
-    acc = TruncatedSeries.zero(order)
+    """One telescoping sum per moment order: the route the one-pass
+    series route replaced, kept as its reference."""
+    acc = [0] * (order + 1)
     h = family.H.expand(order)
     for k in range(1, order + 3):
-        acc = acc + (h - family.hk(k).expand(order)).scale(moment_weight(m, k))
+        c = family.hk(k).expand(order)
+        w = moment_weight(m, k)
+        for n in range(order + 1):
+            acc[n] += w * (h[n] - c[n])
     return acc
 
 
