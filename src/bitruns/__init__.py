@@ -32,7 +32,14 @@ _EXPORTS = {
         "variance_limit",
     ),
     "catalog": ("bitsum_gfs", "count_gf", "cross_gf", "run_family"),
-    "crossrun": ("cross_moment", "cross_report", "cross_report_oracle", "cross_report_table"),
+    "crossrun": (
+        "cross_moment",
+        "cross_report",
+        "cross_report_oracle",
+        "cross_report_table",
+        "joint_rs_report",
+        "joint_rs_report_table",
+    ),
     "ensembles": (
         "JointDistribution",
         "RunStats",
@@ -48,8 +55,6 @@ _EXPORTS = {
         "fewones_closed_form",
         "fewones_count",
         "fewones_peak",
-        "joint_rs_report",
-        "joint_rs_report_table",
         "joint_table",
         "rs_numerator_approx",
     ),
@@ -58,46 +63,12 @@ _EXPORTS = {
     "verify": ("run_checks",),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+# a name listed under two modules would silently resolve to the last
+assert len(_HOMES) == sum(map(len, _EXPORTS.values())), "a name has two homes"
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BitrunsError",
-    "JointDistribution",
-    "RationalGF",
-    "RunStats",
-    "StringClass",
-    "bitsum_gfs",
-    "class_member",
-    "count_gf",
-    "cross_gf",
-    "cross_moment",
-    "cross_report",
-    "cross_report_oracle",
-    "cross_report_table",
-    "density_limits",
-    "enumerate_joint",
-    "fewones_closed_form",
-    "fewones_count",
-    "fewones_peak",
-    "finite_vs_asymptote",
-    "growth_constant",
-    "joint_rs_report",
-    "joint_rs_report_table",
-    "joint_table",
-    "mean_asymptote",
-    "oracle_moment",
-    "rs_numerator_approx",
-    "run_family",
-    "run_moment",
-    "run_stats",
-    "run_variance_report",
-    "run_variance_table",
-    "run_checks",
-    "to_composition",
-    "variance_limit",
-    "__version__",
-]
+__all__ = [*sorted(_HOMES), "__version__"]
 
 
 def __getattr__(name: str):

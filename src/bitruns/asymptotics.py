@@ -200,9 +200,13 @@ class AsymptoteReport(NamedTuple):
 def finite_vs_asymptote(
     ns: Sequence[int], string_class: StringClass, bit: int
 ) -> list:
-    """Compare exact mean and variance with the asymptotes at several n."""
+    """Compare exact mean and variance with the asymptotes at several n;
+    every length is checked against the asymptote's n >= 1 before the
+    moments are summed."""
     import mpmath
 
+    if ns and min(ns) < 1:
+        raise ValueError("the asymptote needs n >= 1")
     vlim = variance_limit(string_class)
     out = []
     for r in run_variance_table(ns, string_class, bit):

@@ -1,13 +1,16 @@
 """Command line interface: exact tables as csv, json or plain text.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure,
-3 computational limit reached.
+3 computational limit reached.  A reader that closes the output pipe
+early (say `| head`) ends the command with exit 1 and no message.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from functools import partial
 
 from . import __version__
 from .errors import (
@@ -179,57 +182,27 @@ def _cmd_moments(args) -> int:
     return EXIT_OK
 
 
-def _cmd_table1(args) -> int:
-    _check_lengths(args.lengths, MAX_TABLE1_LENGTH)
-    from .crossrun import cross_report_table, cross_run_moments
+def _cmd_table(bound: int, names: tuple, table: str, args) -> int:
+    """table1 and table2: rho(R0, Y) of the classes in `names` at each
+    length, from the `crossrun` table function named `table`."""
+    _check_lengths(args.lengths, bound)
+    from . import crossrun
     from .ensembles import StringClass
-    from .render import signed_sqrt_ratio
 
-    p = args.precision
-    classes = (StringClass.UNCONSTRAINED, StringClass.MULTUS)
-    # every variance of both classes, before either product sum
-    moments = {cls: cross_run_moments(args.lengths, cls) for cls in classes}
-    cols = {
-        cls: cross_report_table(args.lengths, cls, moments[cls]) for cls in classes
-    }
-    rows = []
-    for i, n in enumerate(args.lengths):
-        row = [n]
-        for cls in classes:
-            r = cols[cls][i]
-            row.append(signed_sqrt_ratio(r.covariance, r.var_r0 * r.var_r1, p))
-        rows.append(row)
+    classes = [StringClass.from_name(name) for name in names]
+    # every degenerate length of both classes, before either table starts
+    for cls in classes:
+        crossrun.correlation_counts(cls, args.lengths)
+    cols = [getattr(crossrun, table)(args.lengths, cls) for cls in classes]
+    rows = [
+        [n, *(col[i].rho(args.precision) for col in cols)]
+        for i, n in enumerate(args.lengths)
+    ]
     _emit(
         args,
-        "table1",
+        args.command,
         {"lengths": args.lengths},
-        ["n", "rho_unconstrained", "rho_multus"],
-        rows,
-    )
-    return EXIT_OK
-
-
-def _cmd_table2(args) -> int:
-    _check_lengths(args.lengths, MAX_CAP_SUM_LENGTH)
-    from .ensembles import StringClass
-    from .jointdp import joint_rs_report_table
-    from .render import signed_sqrt_ratio
-
-    p = args.precision
-    classes = (StringClass.UNCONSTRAINED, StringClass.SOLUS)
-    cols = {cls: joint_rs_report_table(args.lengths, cls) for cls in classes}
-    rows = []
-    for i, n in enumerate(args.lengths):
-        row = [n]
-        for cls in classes:
-            r = cols[cls][i]
-            row.append(signed_sqrt_ratio(r.covariance, r.var_run * r.var_bitsum, p))
-        rows.append(row)
-    _emit(
-        args,
-        "table2",
-        {"lengths": args.lengths},
-        ["n", "rho_unconstrained", "rho_solus"],
+        ["n", *(f"rho_{cls.value}" for cls in classes)],
         rows,
     )
     return EXIT_OK
@@ -443,11 +416,19 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--lengths", type=_lengths, default=[10, 20, 30, 40, 50, 60, 70]
     )
-    p.set_defaults(fn=_cmd_table1)
+    p.set_defaults(
+        fn=partial(
+            _cmd_table, MAX_TABLE1_LENGTH, ("unconstrained", "multus"), "cross_report_table"
+        )
+    )
 
     p = add_parser("table2", help="correlation of longest zero run and bitsum")
     p.add_argument("--lengths", type=_lengths, default=[100, 200, 300, 400])
-    p.set_defaults(fn=_cmd_table2)
+    p.set_defaults(
+        fn=partial(
+            _cmd_table, MAX_CAP_SUM_LENGTH, ("unconstrained", "solus"), "joint_rs_report_table"
+        )
+    )
 
     p = add_parser("joint", help="(zeros, longest zero run) table")
     _class_arg(p, choices=["unconstrained", "solus"])
@@ -503,6 +484,11 @@ def main(argv=None) -> int:
         return EXIT_LIMIT
     except (BitrunsError, ValueError) as exc:
         sys.stderr.write(f"bitruns: {exc}\n")
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout (say `| head`); Python flushes stdout
+        # at exit, so point it at devnull to keep that from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
 
 

@@ -1,4 +1,13 @@
-"""Correlation between the longest 0-run and the longest 1-run.
+"""Correlations of the longest 0-run R0 with the longest 1-run R1
+(Table 1) and with the bitsum S (Table 2).
+
+Both tables give one ``Correlation`` per length, built from five sums
+over the class strings: of R0, R0^2, Y, Y^2 and R0 Y, with Y = R1 or S.
+A length with a single class string has no correlation, and
+``correlation_counts`` refuses it from the class counts before any sum
+starts.  The run sums come from the cap sum of ``moments``; S and S^2
+from the catalog's bitsum GFs, and R0 S from the same cap sum over the
+0-runs, for every class.  R0 R1 is read as follows.
 
 Every class with a run family for both bits (unconstrained, multus,
 bimultus) is the language of alternating 0-runs and 1-runs whose
@@ -38,7 +47,7 @@ from math import comb
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
-from .catalog import cap_form
+from .catalog import bitsum_gfs, cap_form
 from .ensembles import (
     DEFAULT_ORACLE_BOUND,
     StringClass,
@@ -46,7 +55,7 @@ from .ensembles import (
     oracle_moment,
 )
 from .errors import DegenerateVariance, UndefinedFamily, UnsupportedClass
-from .moments import checked_counts, run_numerators
+from .moments import checked_counts, run_numerators, zero_run_bitsum_numerators
 from .render import signed_sqrt_ratio
 
 
@@ -130,82 +139,71 @@ def cross_moment(n: int, string_class: StringClass) -> Fraction:
     return Fraction(cross_numerator(string_class, [n])[0], counts[n])
 
 
-class CrossReport(NamedTuple):
-    """Exact joint moments of the two longest runs plus their correlation
-    rendered to 6 places."""
+class Correlation(NamedTuple):
+    """Exact moments of the longest 0-run R0 and another statistic Y at
+    one length, with their covariance: Y is the longest 1-run R1 for
+    Table 1 and the bitsum S for Table 2."""
 
     n: int
     string_class: StringClass
     mean_r0: Fraction
-    mean_r1: Fraction
+    mean_other: Fraction
     var_r0: Fraction
-    var_r1: Fraction
+    var_other: Fraction
     mean_product: Fraction
     covariance: Fraction
-    rho: str
+
+    def rho(self, places: int = 6) -> str:
+        """The correlation coefficient rendered to `places` decimals."""
+        return signed_sqrt_ratio(self.covariance, self.var_r0 * self.var_other, places)
 
 
-def _variances(n, string_class, er0, er1, er0sq, er1sq) -> tuple:
-    v0 = er0sq - er0 * er0
-    v1 = er1sq - er1 * er1
-    if v0 == 0 or v1 == 0:
-        raise DegenerateVariance(
-            f"zero run-length variance at n={n} for {string_class}"
-        )
-    return v0, v1
-
-
-def _assemble(n, string_class, er0, er1, v0, v1, er0r1) -> CrossReport:
-    cov = er0r1 - er0 * er1
-    return CrossReport(
-        n=n,
-        string_class=string_class,
-        mean_r0=er0,
-        mean_r1=er1,
-        var_r0=v0,
-        var_r1=v1,
-        mean_product=er0r1,
-        covariance=cov,
-        rho=signed_sqrt_ratio(cov, v0 * v1),
-    )
-
-
-def cross_run_moments(ns: Sequence[int], string_class: StringClass) -> list:
-    """(E R0, E R1, var R0, var R1) for each length in ns, a nonempty
-    list, in order, from the cap sum.  Raises DegenerateVariance where
-    either variance is 0, so a length that cannot give a correlation
-    fails before any product sum."""
+def correlation_counts(string_class: StringClass, ns: Sequence[int]) -> tuple:
+    """moments.checked_counts, raising DegenerateVariance at any length in
+    ns with a single class string.  That is exactly where var R0, var R1
+    and var S vanish: a class with two or more strings of length n holds
+    the all-0 string, with R0 = n and R1 = S = 0, and every other member
+    has R0 < n and R1, S >= 1."""
     counts = checked_counts(string_class, ns)
-    _shortest_runs(string_class)
-    zeros, ones = (run_numerators(string_class, bit, ns) for bit in (0, 1))
+    for n in ns:
+        if counts[n] == 1:
+            raise DegenerateVariance(
+                f"zero run-length variance at n={n} for {string_class}"
+            )
+    return counts
+
+
+def _correlations(ns, string_class, counts, sums) -> list:
+    """A Correlation per length in ns from its five sums over the class
+    strings, of R0, R0^2, Y, Y^2 and R0 Y, and its count counts[n]."""
     out = []
-    for n, (r0, r0sq, *_), (r1, r1sq, *_) in zip(ns, zeros, ones):
-        d = counts[n]
-        er0, er1 = Fraction(r0, d), Fraction(r1, d)
-        v0, v1 = _variances(n, string_class, er0, er1, Fraction(r0sq, d), Fraction(r1sq, d))
-        out.append((er0, er1, v0, v1))
+    for n, row in zip(ns, sums):
+        e0, e00, ey, eyy, e0y = (Fraction(s, counts[n]) for s in row)
+        out.append(
+            Correlation(
+                n, string_class, e0, ey, e00 - e0 * e0, eyy - ey * ey, e0y, e0y - e0 * ey
+            )
+        )
     return out
 
 
-def cross_report_table(
-    ns: Sequence[int], string_class: StringClass, moments=None
-) -> list:
-    """CrossReports for several lengths, in the order given: the run
-    moments from the cap sum (or `moments`, cross_run_moments at ns
-    already computed), every variance checked before the product."""
+def cross_report_table(ns: Sequence[int], string_class: StringClass) -> list:
+    """Correlations of R0 with R1 for several lengths, in the order given:
+    the run moments from the cap sum, the product from the largest-part
+    rows."""
     if not ns:
         return []
-    if moments is None:
-        moments = cross_run_moments(ns, string_class)
-    counts = checked_counts(string_class, ns)
-    xnum = cross_numerator(string_class, ns)
-    return [
-        _assemble(n, string_class, *m, Fraction(x, counts[n]))
-        for n, m, x in zip(ns, moments, xnum)
+    _shortest_runs(string_class)
+    counts = correlation_counts(string_class, ns)
+    zeros, ones = (run_numerators(string_class, bit, ns) for bit in (0, 1))
+    sums = [
+        (r0[0], r0[1], r1[0], r1[1], x)
+        for r0, r1, x in zip(zeros, ones, cross_numerator(string_class, ns))
     ]
+    return _correlations(ns, string_class, counts, sums)
 
 
-def cross_report(n: int, string_class: StringClass) -> CrossReport:
+def cross_report(n: int, string_class: StringClass) -> Correlation:
     return cross_report_table([n], string_class)[0]
 
 
@@ -213,11 +211,36 @@ def cross_report_oracle(
     n: int,
     string_class: StringClass,
     bound: int = DEFAULT_ORACLE_BOUND,
-) -> CrossReport:
-    """Same report by exhaustive enumeration; works for every class."""
+) -> Correlation:
+    """Same correlation by exhaustive enumeration; works for every class,
+    and tests its own variances."""
     dist = enumerate_joint(n, string_class, bound)
-    er0, er1 = oracle_moment(dist, "R0"), oracle_moment(dist, "R1")
-    v0, v1 = _variances(
-        n, string_class, er0, er1, oracle_moment(dist, "R0^2"), oracle_moment(dist, "R1^2")
-    )
-    return _assemble(n, string_class, er0, er1, v0, v1, oracle_moment(dist, "R0*R1"))
+    means = [oracle_moment(dist, e) for e in ("R0", "R0^2", "R1", "R1^2", "R0*R1")]
+    # the means are the sums over a count of 1
+    (r,) = _correlations([n], string_class, {n: 1}, [means])
+    if r.var_r0 == 0 or r.var_other == 0:
+        raise DegenerateVariance(
+            f"zero run-length variance at n={n} for {string_class}"
+        )
+    return r
+
+
+def joint_rs_report_table(ns: Sequence[int], string_class: StringClass) -> list:
+    """Correlations of R0 with the bitsum S for several lengths, in the
+    order given: the bitsum moments from the series of a and b at
+    max(ns), the run moments and the product from the zero-run cap sum
+    at each length."""
+    if not ns:
+        return []
+    counts = correlation_counts(string_class, ns)
+    s1, s2 = (gf.expand(max(ns)) for gf in bitsum_gfs(string_class))
+    sums = [
+        (r1, r2, s1[n], s2[n], rs)
+        for n, (r1, r2, rs) in zip(ns, zero_run_bitsum_numerators(string_class, ns))
+    ]
+    return _correlations(ns, string_class, counts, sums)
+
+
+def joint_rs_report(n: int, string_class: StringClass) -> Correlation:
+    """Correlation of the longest zero run with the bitsum at length n."""
+    return joint_rs_report_table([n], string_class)[0]

@@ -1,14 +1,11 @@
 """Joint distribution of (zero count, longest zero run) from bounded-
-composition counts, and the run-bitsum correlation.
+composition binomial sums, and the few-ones counts.
 
-The correlation of the longest zero run with the bitsum takes its three
-run numerators from one sum over the zero-run cap
-(``moments.zero_run_bitsum_numerators``), which reads [z^n] at each
-requested length and expands no capped GF, and the bitsum moments from
-the catalog's bitsum GFs a and b, built from the same constructor for
-every class.  The joint table below is the independent
-route that checks it; the ``joint`` command, ``verify --scope joint-dp``
-and the few-ones counts read it.
+The joint table is the independent route that checks the correlation
+of the longest zero run with the bitsum, which ``crossrun`` reads off
+the zero-run cap sum; the ``joint`` command and ``verify --scope
+joint-dp`` print and check it.  The few-ones counts sum the same
+bounded-composition counts.
 
 Fix s ones, so a length-n string has x = n - s zeros, and let N(x, s, y)
 count the class strings whose zero runs are all <= y.  The zero runs are
@@ -36,15 +33,11 @@ available as well.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .catalog import bitsum_gfs
 from .ensembles import StringClass
-from .errors import DegenerateVariance, OutOfFormulaRange, UnsupportedClass
-from .moments import checked_counts, zero_run_bitsum_numerators
-from .render import signed_sqrt_ratio
+from .errors import OutOfFormulaRange, UnsupportedClass
 
 
 def _signed_binomials(r: int) -> list:
@@ -120,63 +113,6 @@ def joint_table(n: int, string_class: StringClass) -> JointTable:
         cum = [0] + [count(y) for y in range(x + 1)]
         rows.append(tuple(b - a for a, b in zip(cum, cum[1:])))
     return JointTable(n, string_class, tuple(rows))
-
-
-class JointReport(NamedTuple):
-    """Exact joint moments of (longest zero run, bitsum) plus their
-    correlation rendered to 6 places."""
-
-    n: int
-    string_class: StringClass
-    mean_run: Fraction
-    mean_bitsum: Fraction
-    var_run: Fraction
-    var_bitsum: Fraction
-    mean_product: Fraction
-    covariance: Fraction
-    rho: str
-
-
-def joint_rs_report_table(ns: Sequence[int], string_class: StringClass) -> list:
-    """JointReports for several lengths, in the order given: the bitsum
-    moments from the series of a and b at max(ns), the run moments from
-    the zero-run cap sum at each length."""
-    if not ns:
-        return []
-    counts = checked_counts(string_class, ns)
-    order = max(ns)
-    s1, s2 = (gf.expand(order) for gf in bitsum_gfs(string_class))
-    out = []
-    for n, (r1, r2, rs) in zip(ns, zero_run_bitsum_numerators(string_class, ns)):
-        d = counts[n]
-        er, es = Fraction(r1, d), Fraction(s1[n], d)
-        ers = Fraction(rs, d)
-        cov = ers - er * es
-        vr = Fraction(r2, d) - er * er
-        vs = Fraction(s2[n], d) - es * es
-        if vr == 0 or vs == 0:
-            raise DegenerateVariance(
-                f"zero variance at n={n} for {string_class}; correlation undefined"
-            )
-        out.append(
-            JointReport(
-                n=n,
-                string_class=string_class,
-                mean_run=er,
-                mean_bitsum=es,
-                var_run=vr,
-                var_bitsum=vs,
-                mean_product=ers,
-                covariance=cov,
-                rho=signed_sqrt_ratio(cov, vr * vs),
-            )
-        )
-    return out
-
-
-def joint_rs_report(n: int, string_class: StringClass) -> JointReport:
-    """Correlation of the longest zero run with the bitsum at length n."""
-    return joint_rs_report_table([n], string_class)[0]
 
 
 # ---------------------------------------------------------------------------

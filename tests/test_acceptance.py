@@ -21,14 +21,18 @@ from bitruns.asymptotics import (
     variance_limit,
 )
 from bitruns.catalog import bitsum_gfs, count_gf, run_family
-from bitruns.crossrun import cross_moment, cross_numerator, cross_report_table
+from bitruns.crossrun import (
+    cross_moment,
+    cross_numerator,
+    cross_report_table,
+    joint_rs_report,
+    joint_rs_report_table,
+)
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.jointdp import (
     fewones_closed_form,
     fewones_count,
     fewones_peak,
-    joint_rs_report,
-    joint_rs_report_table,
     joint_table,
     rs_numerator_approx,
 )
@@ -180,7 +184,7 @@ def test_criterion_3_table1():
     for i, n in enumerate(ns):
         for col, cls in enumerate((U, M)):
             r = cols[cls][i]
-            exact = _exact_rho(r.covariance, r.var_r0 * r.var_r1)
+            exact = _exact_rho(r.covariance, r.var_r0 * r.var_other)
             assert _matches_published(exact, TABLE1[n][col]), (n, cls, str(exact))
 
 
@@ -206,7 +210,7 @@ def test_criterion_4_table2_desk_scale():
         for n, (rho_u, rho_s) in spec.items():
             for cls, want in ((U, rho_u), (SOL, rho_s)):
                 r = joint_rs_report(n, cls)
-                exact = _exact_rho(r.covariance, r.var_run * r.var_bitsum)
+                exact = _exact_rho(r.covariance, r.var_r0 * r.var_other)
                 assert _matches_published(exact, want), (n, cls, str(exact))
 
 
@@ -222,7 +226,7 @@ def test_criterion_4_table2_full_scale():
     ns = sorted(TABLE2_FULL)
     for col, cls in enumerate((U, SOL)):
         for n, r in zip(ns, joint_rs_report_table(ns, cls)):
-            exact = _exact_rho(r.covariance, r.var_run * r.var_bitsum)
+            exact = _exact_rho(r.covariance, r.var_r0 * r.var_other)
             assert _matches_published(exact, TABLE2_FULL[n][col]), (n, cls, str(exact))
 
 
@@ -234,7 +238,7 @@ TABLE2_2000 = ("-0.1693732428", "-0.2116256761")
 def test_table2_row_at_2000_is_pinned():
     for cls, want in zip((U, SOL), TABLE2_2000):
         r = joint_rs_report(2000, cls)
-        assert signed_sqrt_ratio(r.covariance, r.var_run * r.var_bitsum, 10) == want
+        assert signed_sqrt_ratio(r.covariance, r.var_r0 * r.var_other, 10) == want
 
 
 # ---------------------------------------------------------------------------
@@ -371,5 +375,5 @@ def test_full_table2_to_1400():
     for n, (rho_u, rho_s) in want.items():
         for cls, ref in ((U, rho_u), (SOL, rho_s)):
             r = joint_rs_report(n, cls)
-            exact = _exact_rho(r.covariance, r.var_run * r.var_bitsum)
+            exact = _exact_rho(r.covariance, r.var_r0 * r.var_other)
             assert _matches_published(exact, ref), (n, cls, str(exact))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from bitruns import asymptotics
 from bitruns.asymptotics import (
     DIGITS,
     MEAN_OFFSETS,
@@ -97,6 +98,15 @@ def test_finite_vs_asymptote():
             assert abs(r.mean_gap - (mexact - r.mean_asymptote)) < mpmath.mpf("1e-40")
         # finite-size variance sits below the conjectured limit
         assert r.variance_gap < 0
+
+
+def test_finite_vs_asymptote_checks_lengths_before_the_moments(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("moments started")
+
+    monkeypatch.setattr(asymptotics, "run_variance_table", forbidden)
+    with pytest.raises(ValueError, match="the asymptote needs n >= 1"):
+        finite_vs_asymptote([4000, 0], StringClass.SOLUS, 0)
 
 
 def test_working_precision_follows_places():

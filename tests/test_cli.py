@@ -323,7 +323,7 @@ _UNLOADED = {
     "counts": None,  # the probe runs counts with a bad --class: a usage error
     "moments": {"jointdp", "crossrun", "verify", "asymptotics"},
     "table1": {"jointdp", "verify", "asymptotics"},
-    "table2": {"crossrun", "verify", "asymptotics"},
+    "table2": {"jointdp", "verify", "asymptotics"},
 }
 
 
@@ -353,6 +353,25 @@ def test_commands_without_limits_leave_mpmath_unloaded(argv):
     else:
         assert set(_CLI_ONLY) <= set(loaded)
         assert not {f"bitruns.{m}" for m in unloaded} & set(loaded)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_closed_pipe_exits_1_without_a_traceback(tmp_path, fmt):
+    """About 1.4 MB of counts, far past a pipe buffer, into a reader that
+    takes one line and closes the pipe, as `| head -n 1` does."""
+    src = str(Path(bitruns.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["--format", fmt, "counts", "--class", "unconstrained", "--nmax", "3000"]
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bitruns.cli", *argv],
+            stdout=subprocess.PIPE, stderr=err, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == EXIT_USAGE
+        err.seek(0)
+        assert err.read() == ""
 
 
 def test_parser_choices_match_the_library():
@@ -432,7 +451,7 @@ def _size_bounds():
 _WORK = {
     "moments": ("moments", "run_variance_table"),
     "asymptotics": ("asymptotics", "finite_vs_asymptote"),
-    "table2": ("jointdp", "joint_rs_report_table"),
+    "table2": ("crossrun", "joint_rs_report_table"),
     "table1": ("crossrun", "cross_report_table"),
     "joint": ("jointdp", "joint_table"),
     "fewones": ("jointdp", "fewones_count"),

@@ -16,10 +16,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitruns.catalog import defined_families
-from bitruns.crossrun import cross_moment, cross_report, cross_report_table
+from bitruns.crossrun import (
+    correlation_counts,
+    cross_moment,
+    cross_report,
+    cross_report_table,
+    joint_rs_report,
+    joint_rs_report_table,
+)
 from bitruns.ensembles import StringClass, enumerate_classes
 from bitruns.errors import DegenerateVariance, EmptyEnsemble, UnsupportedClass
-from bitruns.jointdp import joint_rs_report, joint_rs_report_table, joint_table
+from bitruns.jointdp import joint_table
 from bitruns.moments import run_variance_table
 
 U, SOLUS, MULTUS, BIMULTUS, PERSOLUS = StringClass
@@ -111,7 +118,7 @@ def test_routes_agree_with_the_oracle(cls, n):
             cross_report_table([n], cls)
     else:
         (x,) = cross_report_table([n], cls)
-        assert (x.mean_r0, x.mean_r1, x.var_r0, x.var_r1) == (e_r0, e_r1, var_r0, var_r1)
+        assert (x.mean_r0, x.mean_other, x.var_r0, x.var_other) == (e_r0, e_r1, var_r0, var_r1)
         assert x.mean_product == e_r0r1
         assert x.covariance == e_r0r1 - e_r0 * e_r1
 
@@ -120,7 +127,7 @@ def test_routes_agree_with_the_oracle(cls, n):
             joint_rs_report_table([n], cls)
     else:
         (j,) = joint_rs_report_table([n], cls)
-        assert (j.mean_run, j.mean_bitsum, j.var_run, j.var_bitsum) == (
+        assert (j.mean_r0, j.mean_other, j.var_r0, j.var_other) == (
             e_r0, e_s, var_r0, var_s
         )
         assert j.mean_product == e_r0s
@@ -139,3 +146,26 @@ def test_routes_agree_with_the_oracle(cls, n):
 def test_no_lengths_give_no_rows(cls):
     assert cross_report_table([], cls) == []
     assert joint_rs_report_table([], cls) == []
+
+
+def _variance(dist, i):
+    return _expect(dist, lambda *k: k[i] ** 2) - _expect(dist, lambda *k: k[i]) ** 2
+
+
+@pytest.mark.parametrize("cls", list(StringClass))
+def test_zero_variances_are_the_single_string_lengths(cls):
+    """var R0, var R1 and var S vanish together, exactly at the lengths
+    with one class string, which correlation_counts refuses."""
+    for n in range(15):
+        dist = _oracle(n)[cls]
+        if dist.total == 0:
+            with pytest.raises(EmptyEnsemble):
+                correlation_counts(cls, [n])
+            continue
+        single = dist.total == 1
+        assert [_variance(dist, i) == 0 for i in range(3)] == [single] * 3, (cls, n)
+        if single:
+            with pytest.raises(DegenerateVariance, match=f"at n={n} for {cls}$"):
+                correlation_counts(cls, [n, n + 2])
+        else:
+            assert correlation_counts(cls, [n])[n] == dist.total

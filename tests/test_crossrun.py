@@ -70,22 +70,22 @@ def test_cross_numerator_unsupported_class():
 def test_cross_report_consistency():
     r = cross_report(12, StringClass.UNCONSTRAINED)
     o = cross_report_oracle(12, StringClass.UNCONSTRAINED)
-    assert (r.mean_r0, r.mean_r1) == (o.mean_r0, o.mean_r1)
-    assert (r.var_r0, r.var_r1) == (o.var_r0, o.var_r1)
+    assert (r.mean_r0, r.mean_other) == (o.mean_r0, o.mean_other)
+    assert (r.var_r0, r.var_other) == (o.var_r0, o.var_other)
     assert r.covariance == o.covariance
-    assert r.rho == o.rho
+    assert r.rho() == o.rho()
 
 
 def test_cross_report_symmetry_unconstrained():
     r = cross_report(9, StringClass.UNCONSTRAINED)
-    assert r.mean_r0 == r.mean_r1
-    assert r.var_r0 == r.var_r1
+    assert r.mean_r0 == r.mean_other
+    assert r.var_r0 == r.var_other
 
 
 def test_cross_report_table_alignment():
     table = cross_report_table([5, 10], StringClass.MULTUS)
     assert [r.n for r in table] == [5, 10]
-    assert table[1].rho == cross_report(10, StringClass.MULTUS).rho
+    assert table[1].rho() == cross_report(10, StringClass.MULTUS).rho()
     # a negative length must not read a coefficient from the far end
     with pytest.raises(ValueError):
         cross_report_table([10, -1], StringClass.MULTUS)
@@ -93,8 +93,8 @@ def test_cross_report_table_alignment():
 
 def test_cross_report_oracle_any_class():
     r = cross_report_oracle(8, StringClass.BIMULTUS)
-    assert r.covariance == r.mean_product - r.mean_r0 * r.mean_r1
-    assert r.rho.startswith("-")  # negatively correlated
+    assert r.covariance == r.mean_product - r.mean_r0 * r.mean_other
+    assert r.rho().startswith("-")  # negatively correlated
 
 
 def test_degenerate_variance():
@@ -103,15 +103,16 @@ def test_degenerate_variance():
 
 
 def _forbid_product(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("product sum started")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sum started")
 
-    monkeypatch.setattr(crossrun, "cross_numerator", forbidden)
+    for name in ("cross_numerator", "run_numerators", "zero_run_bitsum_numerators"):
+        monkeypatch.setattr(crossrun, name, forbidden)
 
 
 def test_degenerate_length_fails_before_the_product(monkeypatch):
     """At n = 1 every multus string is 0, so var R1 = 0: that ends the
-    table before the product sum to n = 200 starts."""
+    table before any sum to n = 200 starts."""
     _forbid_product(monkeypatch)
     with pytest.raises(DegenerateVariance):
         cross_report_table([200, 1], StringClass.MULTUS)
@@ -121,6 +122,14 @@ def test_table1_checks_both_classes_before_either_product(monkeypatch, capsys):
     _forbid_product(monkeypatch)
     assert main(["table1", "--lengths", "1,200"]) == EXIT_USAGE
     assert capsys.readouterr().err == "bitruns: zero run-length variance at n=1 for multus\n"
+
+
+def test_table2_refuses_a_degenerate_length_before_the_cap_sum(monkeypatch, capsys):
+    _forbid_product(monkeypatch)
+    assert main(["table2", "--lengths", "200,0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "bitruns: zero run-length variance at n=0 for unconstrained\n"
+    )
 
 
 def _cross_numerator_full(cls, order):

@@ -6,13 +6,12 @@ import pytest
 from bitruns.catalog import count_gf
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.errors import DegenerateVariance, OutOfFormulaRange, UnsupportedClass
+from bitruns.crossrun import joint_rs_report, joint_rs_report_table
 from bitruns.jointdp import (
     fewones_closed_form,
     fewones_count,
     fewones_peak,
     fewones_peak_value_mid,
-    joint_rs_report,
-    joint_rs_report_table,
     joint_table,
     rs_numerator_approx,
 )
@@ -182,8 +181,8 @@ def test_joint_rs_report_exact_fields():
     er0 = Fraction(sum(c * r0 for (r0, _, s), c in dist.counts), dist.total)
     es = Fraction(sum(c * s for (_, _, s), c in dist.counts), dist.total)
     ers = Fraction(sum(c * r0 * s for (r0, _, s), c in dist.counts), dist.total)
-    assert r.mean_run == er0
-    assert r.mean_bitsum == es
+    assert r.mean_r0 == er0
+    assert r.mean_other == es
     assert r.mean_product == ers
     assert r.covariance == ers - er0 * es
 
@@ -215,7 +214,7 @@ def test_joint_rs_report_matches_dp(cls):
     for n, r in zip(ns, joint_rs_report_table(ns, cls)):
         assert r.n == n and r.string_class is cls
         got = (
-            r.mean_run, r.mean_bitsum, r.var_run, r.var_bitsum,
+            r.mean_r0, r.mean_other, r.var_r0, r.var_other,
             r.mean_product, r.covariance,
         )
         assert got == _table_moments(n, cls), (cls, n)
@@ -247,7 +246,7 @@ def test_joint_rs_report_multus_matches_oracle():
             )
         )
         got = (
-            r.mean_run, r.mean_bitsum, r.var_run, r.var_bitsum,
+            r.mean_r0, r.mean_other, r.var_r0, r.var_other,
             r.mean_product, r.covariance,
         )
         assert got == (er, es, err - er * er, ess - es * es, ers, ers - er * es), n
