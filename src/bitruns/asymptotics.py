@@ -1,8 +1,14 @@
 """High-precision limit constants and asymptotic comparisons.
 
-Each ensemble's count sequence grows like beta^n where 1/beta is the
-smallest root of the count-GF denominator.  The growth constant feeds
-the conjectured longest-run asymptotics
+Every limit comes from one place, the dominant root of the class GF's
+denominator D(z, u) as the alternating-run constructor of
+``bitruns.catalog`` builds it, with u marking each 1.  Its smallest
+positive root rho at u = 1 gives the growth constant beta = 1/rho: the
+class counts grow like beta^n.  By the quasi-powers theorem (Flajolet &
+Sedgewick, *Analytic Combinatorics*, ch. IX) the bitsum S_n has
+E(S_n)/n -> -x'(0) and V(S_n)/n -> -x''(0) for x(t) = log rho(e^t), which
+implicit differentiation of D reads off the same root.  The growth
+constant feeds the conjectured longest-run asymptotics
 
     E(R_n) ~ ln(n)/ln(beta) - (offset - gamma/ln(beta)),
     V(R_n) ~ 1/12 + pi^2 / (6 ln(beta)^2),
@@ -10,8 +16,8 @@ the conjectured longest-run asymptotics
 with a small half-integer offset depending on the ensemble and bit.
 Everything is computed with mpmath at the caller's working precision but
 never below DIGITS significant digits; ``working_precision`` raises it
-to what a number of printed places needs.  The closed radical forms are
-cross-checked against the denominator polynomial.
+to what a number of printed places needs.  The hand-written count GF's
+denominator cross-checks the root (``growth_constant_residual``).
 
 mpmath is imported on the first call that computes a value, so commands
 that print no limit constant never load it.
@@ -23,9 +29,9 @@ import functools
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .catalog import count_gf
+from .catalog import bivariate_denominator, count_gf
 from .ensembles import StringClass
-from .errors import UndefinedFamily, UnsupportedClass
+from .errors import UndefinedFamily
 from .moments import run_variance_table
 
 if TYPE_CHECKING:
@@ -60,26 +66,41 @@ def _at_working_precision(fn):
     return wrapper
 
 
-def _golden() -> mpf:
+# one entry per (class, working precision): every asymptote row asks for beta
+@functools.lru_cache(maxsize=64)
+def _dominant_root(string_class: StringClass, dps: int) -> tuple:
+    """(beta, mean, variance) from rho, the smallest positive root of
+    D(z, 1), at `dps` digits.  With G_ij = sum of c ez^i eu^j rho^ez over
+    the terms c z^ez u^eu of D, x(t) = log rho(e^t) has
+    x' = -G01/G10 and x'' = -(G02 + 2 G11 x' + G20 x'^2)/G10 at t = 0."""
     import mpmath
 
-    return (1 + mpmath.sqrt(5)) / 2
+    den = bivariate_denominator(string_class)
+
+    def g(i: int, j: int, z):
+        return sum(c * e**i * f**j * z**e for e, f, c in den)
+
+    # Newton from the middle of the first cell of a grid on (0, 1] at
+    # whose right end D(z, 1), which is 1 at z = 0, is no longer positive
+    k = next(k for k in range(1, 65) if g(0, 0, Fraction(k, 64)) <= 0)
+    rho = mpmath.findroot(
+        lambda z: g(0, 0, z),
+        mpmath.mpf(2 * k - 1) / 128,
+        solver="newton",
+        df=lambda z: g(1, 0, z) / z,
+    )
+    g10 = g(1, 0, rho)
+    x1 = -g(0, 1, rho) / g10
+    x2 = -(g(0, 2, rho) + 2 * g(1, 1, rho) * x1 + g(2, 0, rho) * x1 * x1) / g10
+    return 1 / rho, -x1, -x2
 
 
 @_at_working_precision
 def growth_constant(string_class: StringClass) -> mpf:
-    """beta in closed radical form."""
+    """beta: 1 over the smallest positive root of the class GF's denominator."""
     import mpmath
 
-    if string_class is StringClass.UNCONSTRAINED:
-        return mpmath.mpf(2)
-    if string_class in (StringClass.SOLUS, StringClass.BIMULTUS):
-        return _golden()
-    if string_class is StringClass.MULTUS:
-        s = 3 * mpmath.sqrt(69)
-        return (2 + mpmath.cbrt((25 + s) / 2) + mpmath.cbrt((25 - s) / 2)) / 3
-    s = 3 * mpmath.sqrt(93)
-    return (1 + mpmath.cbrt((29 + s) / 2) + mpmath.cbrt((29 - s) / 2)) / 3
+    return _dominant_root(string_class, mpmath.mp.dps)[0]
 
 
 @_at_working_precision
@@ -89,17 +110,6 @@ def growth_constant_residual(string_class: StringClass) -> mpf:
 
     beta = growth_constant(string_class)
     return abs(mpmath.polyval(list(reversed(count_gf(string_class).denominator)), 1 / beta))
-
-
-@_at_working_precision
-def growth_constant_from_roots(string_class: StringClass) -> mpf:
-    """beta recomputed as the reciprocal of the denominator's smallest root."""
-    import mpmath
-
-    den = count_gf(string_class).denominator
-    roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(den)], maxsteps=100)
-    smallest = min(roots, key=abs)
-    return mpmath.re(1 / smallest)
 
 
 @_at_working_precision
@@ -152,34 +162,11 @@ class DensityLimits(NamedTuple):
 
 @_at_working_precision
 def density_limits(string_class: StringClass) -> DensityLimits:
-    """Closed-form bitsum density limits (bimultus and persolus only)."""
+    """The bitsum density's limits, E(S_n)/n and V(S_n)/n."""
     import mpmath
 
-    if string_class is StringClass.BIMULTUS:
-        return DensityLimits(
-            string_class,
-            mean=mpmath.mpf(1) / 2,
-            variance=(5 + 3 * mpmath.sqrt(5)) / 40,
-        )
-    if string_class is StringClass.PERSOLUS:
-        s = 3 * mpmath.sqrt(93)
-        mean = (1 - mpmath.cbrt((31 + s) / 1922) - mpmath.cbrt((31 - s) / 1922)) / 3
-        r = 457 * mpmath.sqrt(93)
-        var = (
-            mpmath.cbrt(mpmath.mpf(93) / 2)
-            * (mpmath.cbrt(8649 + r) + mpmath.cbrt(8649 - r))
-            / 2883
-        )
-        return DensityLimits(string_class, mean=mean, variance=var)
-    raise UnsupportedClass(f"no closed density limits for {string_class}")
-
-
-#: published density estimates for the two one-sided ensembles, kept for
-#: comparison alongside the exact limits above: (mean, variance) of S_n / n
-REFERENCE_DENSITY_ESTIMATES = {
-    StringClass.SOLUS: (0.276, 0.089),
-    StringClass.MULTUS: (0.588, 0.281),
-}
+    _, mean, variance = _dominant_root(string_class, mpmath.mp.dps)
+    return DensityLimits(string_class, mean=mean, variance=variance)
 
 
 class AsymptoteReport(NamedTuple):

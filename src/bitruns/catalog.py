@@ -40,11 +40,16 @@ they are built from ``cap_form``'s pieces for the 0-runs
 b = P^2 ((q_1 θt1 - 2 t1 θq_1) E + 2 z^lo t1^2) / (q_1 E^3).  Both vanish
 at z^0, so the z^0 convention does not touch them.
 
+With u marking each 1 the denominator is q_0(z) q_1(uz) - a_0(z) a_1(uz)
+(``bivariate_denominator``); ``asymptotics`` reads every limit constant
+off its smallest positive root.
+
 The count GFs stay hand-written, as their few nonzero (exponent,
-coefficient) terms: the constructor's bimultus count is not in lowest
-terms, and ``asymptotics`` reads the growth constant off the reduced
-denominator.  The test suite ties them to the constructor, and the
-exhaustive oracle certifies them.
+coefficient) terms, in lowest terms (the constructor's bimultus count
+is not) and with the multus count keeping the empty string.  Their
+denominators give ``asymptotics`` an independent check of the root.
+The test suite ties them to the constructor, and the exhaustive oracle
+certifies them.
 """
 
 from __future__ import annotations
@@ -126,6 +131,18 @@ def _parts(string_class: StringClass, zero_cap, one_cap) -> tuple:
         for f, d in a1:
             den[e + f] = get(e + f, 0) - c * d
     return zeros, ones, den
+
+
+def bivariate_denominator(string_class: StringClass) -> tuple:
+    """The terms (z exponent, u exponent, coefficient) of the class GF's
+    denominator q_0(z) q_1(uz) - a_0(z) a_1(uz), with u marking each 1."""
+    (q0, _, a0), (q1, _, a1), _ = _parts(string_class, None, None)
+    den: dict = {}
+    for (x, y), sign in (((q0, q1), 1), ((a0, a1), -1)):
+        for e, c in x:
+            for f, d in y:
+                den[e + f, f] = den.get((e + f, f), 0) + sign * c * d
+    return tuple((e, f, c) for (e, f), c in sorted(den.items()) if c)
 
 
 def alternating_gf(string_class: StringClass, zero_cap=None, one_cap=None) -> RationalGF:

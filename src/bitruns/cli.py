@@ -63,6 +63,12 @@ MAX_JOINT_LENGTH = 1000
 #: 6x per doubling, so over a minute at this bound.
 MAX_FEWONES_NMAX = 1000
 
+#: Largest `--precision`.  Rendering exact values is cheap (`moments`
+#: takes 0.24 s at this bound), but `asymptotics` computes its constants
+#: at the printed places, about 4x slower per doubling: 10.5 s at this
+#: bound for the default four lengths, plus 0.6 s per further length.
+MAX_PRECISION = 20000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -346,6 +352,8 @@ def _cmd_asymptotics(args) -> int:
             "growth_residual": format_float(growth_constant_residual(cls), 40),
             "variance_limit": format_float(variance_limit(cls), 10),
         }
+        # density_limits serves every class, but the printed parameters
+        # keep the two of the pinned output
         if cls in (StringClass.BIMULTUS, StringClass.PERSOLUS):
             d = density_limits(cls)
             params["density_mean"] = format_float(d.mean, 10)
@@ -478,6 +486,7 @@ def main(argv=None) -> int:
     try:
         if args.precision < 0:
             raise ValueError(f"precision must be nonnegative, got {args.precision}")
+        _check_bound("--precision", args.precision, MAX_PRECISION, "precision")
         return args.fn(args)
     except (OracleBoundExceeded, SeriesOrderExceeded, NonUnitConstantTerm) as exc:
         sys.stderr.write(f"bitruns: {exc}\n")

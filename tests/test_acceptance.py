@@ -16,7 +16,6 @@ import pytest
 from bitruns.asymptotics import (
     density_limits,
     growth_constant,
-    growth_constant_from_roots,
     growth_constant_residual,
     variance_limit,
 )
@@ -357,9 +356,10 @@ def test_criterion_7_constants():
     assert density_limits(B).mean == mpmath.mpf(1) / 2
     for cls in StringClass:
         assert growth_constant_residual(cls) < mpmath.mpf(10) ** -28, cls
-        assert abs(
-            growth_constant(cls) - growth_constant_from_roots(cls)
-        ) < mpmath.mpf(10) ** -28, cls
+        # 1/beta is the smallest-modulus root of the count denominator
+        den = count_gf(cls).denominator
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(den)], maxsteps=100)
+        assert abs(1 / growth_constant(cls) - min(roots, key=abs)) < mpmath.mpf(10) ** -28, cls
 
 
 # ---------------------------------------------------------------------------

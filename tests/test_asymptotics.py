@@ -7,18 +7,57 @@ from bitruns import asymptotics
 from bitruns.asymptotics import (
     DIGITS,
     MEAN_OFFSETS,
-    REFERENCE_DENSITY_ESTIMATES,
     density_limits,
     finite_vs_asymptote,
     growth_constant,
-    growth_constant_from_roots,
     growth_constant_residual,
     mean_asymptote,
     variance_limit,
     working_precision,
 )
+from bitruns.catalog import bitsum_gfs, count_gf
 from bitruns.ensembles import StringClass
-from bitruns.errors import UndefinedFamily, UnsupportedClass
+from bitruns.errors import UndefinedFamily
+
+U, SOL, MUL, BIM, PER = (
+    StringClass.UNCONSTRAINED,
+    StringClass.SOLUS,
+    StringClass.MULTUS,
+    StringClass.BIMULTUS,
+    StringClass.PERSOLUS,
+)
+
+
+def _closed_forms():
+    """The radicals that the dominant-root route replaced, at the working
+    precision: beta per class, and the density (mean, variance) where a
+    closed form is known."""
+    sqrt, cbrt, one = mpmath.sqrt, mpmath.cbrt, mpmath.mpf(1)
+    golden = (1 + sqrt(5)) / 2
+    s69, s93, r = 3 * sqrt(69), 3 * sqrt(93), 457 * sqrt(93)
+    beta = {
+        U: mpmath.mpf(2),
+        SOL: golden,
+        BIM: golden,
+        MUL: (2 + cbrt((25 + s69) / 2) + cbrt((25 - s69) / 2)) / 3,
+        PER: (1 + cbrt((29 + s93) / 2) + cbrt((29 - s93) / 2)) / 3,
+    }
+    density = {
+        U: (one / 2, one / 4),
+        SOL: ((5 - sqrt(5)) / 10, 1 / (5 * sqrt(5))),
+        BIM: (one / 2, (5 + 3 * sqrt(5)) / 40),
+        PER: (
+            (1 - cbrt((31 + s93) / 1922) - cbrt((31 - s93) / 1922)) / 3,
+            cbrt(one * 93 / 2) * (cbrt(8649 + r) + cbrt(8649 - r)) / 2883,
+        ),
+    }
+    return beta, density
+
+
+def _smallest_root(cls):
+    """The smallest-modulus root of the hand-written count denominator."""
+    den = count_gf(cls).denominator
+    return min(mpmath.polyroots([mpmath.mpf(c) for c in reversed(den)], maxsteps=100), key=abs)
 
 
 def test_growth_constants_10_digits():
@@ -32,9 +71,43 @@ def test_growth_constants_10_digits():
 def test_growth_constant_residuals():
     for cls in StringClass:
         assert growth_constant_residual(cls) < mpmath.mpf(10) ** -28
-        assert abs(
-            growth_constant(cls) - growth_constant_from_roots(cls)
-        ) < mpmath.mpf(10) ** -28
+        assert abs(1 / growth_constant(cls) - _smallest_root(cls)) < mpmath.mpf(10) ** -28
+
+
+@pytest.mark.parametrize("dps", [DIGITS, 1010])
+def test_limits_equal_their_closed_forms(dps):
+    """The dominant root reproduces every radical to a few units in the
+    last place, at the least and at a high working precision."""
+    with mpmath.workdps(dps):
+        beta, density = _closed_forms()
+        for cls in StringClass:
+            assert abs(growth_constant(cls) - beta[cls]) <= 4 * mpmath.eps * beta[cls], cls
+            if cls in density:
+                got = density_limits(cls)
+                for value, ref in zip((got.mean, got.variance), density[cls]):
+                    assert abs(value - ref) <= 4 * mpmath.eps, cls
+        # the two golden-ratio classes agree to the last bit, and the
+        # symmetric bimultus density is exactly one half
+        assert growth_constant(BIM) == growth_constant(SOL)
+        assert density_limits(BIM).mean == mpmath.mpf(1) / 2
+
+
+def test_density_limits_are_the_slopes_of_the_exact_bitsum_moments():
+    """E(S_n) and V(S_n) are linear in n up to terms that decay like a
+    power of the ratio of the two smallest root moduli, so their slopes
+    between n = 300 and 600 match the limits to far more than 40 places."""
+    n, m = 300, 600
+    for cls in StringClass:
+        d = count_gf(cls).expand(m)
+        a, b = (gf.expand(m) for gf in bitsum_gfs(cls))
+        mean = {k: Fraction(a[k], d[k]) for k in (n, m)}
+        var = {k: Fraction(b[k], d[k]) - mean[k] ** 2 for k in (n, m)}
+        lim = density_limits(cls)
+        for moments, limit in ((mean, lim.mean), (var, lim.variance)):
+            slope = (moments[m] - moments[n]) / (m - n)
+            with mpmath.workdps(DIGITS):
+                exact = mpmath.mpf(slope.numerator) / slope.denominator
+                assert abs(exact - limit) < mpmath.mpf(10) ** -40, cls
 
 
 def test_variance_limits():
@@ -77,13 +150,23 @@ def test_density_limits():
     p = density_limits(StringClass.PERSOLUS)
     assert abs(p.mean - mpmath.mpf("0.1942540040")) < mpmath.mpf("1e-10")
     assert abs(p.variance - mpmath.mpf("0.0495615175")) < mpmath.mpf("1e-10")
-    with pytest.raises(UnsupportedClass):
-        density_limits(StringClass.UNCONSTRAINED)
+    u = density_limits(StringClass.UNCONSTRAINED)
+    assert (u.mean, u.variance) == (mpmath.mpf(1) / 2, mpmath.mpf(1) / 4)
+    s = density_limits(StringClass.SOLUS)
+    assert abs(s.mean - mpmath.mpf("0.2763932023")) < mpmath.mpf("1e-10")
+    assert abs(s.variance - mpmath.mpf("0.0894427191")) < mpmath.mpf("1e-10")
+    m = density_limits(StringClass.MULTUS)
+    assert abs(m.mean - mpmath.mpf("0.5885044113")) < mpmath.mpf("1e-10")
+    assert abs(m.variance - mpmath.mpf("0.2810976123")) < mpmath.mpf("1e-10")
 
 
 def test_reference_density_estimates():
-    assert REFERENCE_DENSITY_ESTIMATES[StringClass.SOLUS] == (0.276, 0.089)
-    assert REFERENCE_DENSITY_ESTIMATES[StringClass.MULTUS] == (0.588, 0.281)
+    """The published solus and multus (mean, variance) estimates are the
+    exact limits truncated to 3 places."""
+    for cls, published in ((SOL, ("0.276", "0.089")), (MUL, ("0.588", "0.281"))):
+        d = density_limits(cls)
+        truncated = tuple(Fraction(int(mpmath.floor(1000 * v)), 1000) for v in d[1:])
+        assert truncated == tuple(map(Fraction, published)), cls
 
 
 def test_finite_vs_asymptote():

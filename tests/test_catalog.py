@@ -7,6 +7,7 @@ from bitruns.catalog import (
     _theta_ones,
     alternating_gf,
     bitsum_gfs,
+    bivariate_denominator,
     cap_form,
     count_gf,
     cross_gf,
@@ -304,6 +305,28 @@ def test_count_gfs_are_the_uncapped_constructor():
             assert valuation(plus_one, count) == math.inf
         else:
             assert valuation(gf, count) == math.inf, cls
+
+
+def test_bivariate_denominator_marks_the_ones():
+    """At u = 1 the bivariate denominator D(z, u) is the constructor's;
+    with u marking each 1 it annihilates the oracle's counts by (length,
+    bitsum) beyond the numerator's degree (4 for every class):
+    sum of c f(n - ez, s - eu) over the terms c z^ez u^eu is 0."""
+    order = 12
+    dists = [enumerate_classes(n) for n in range(order + 1)]
+    for cls in StringClass:
+        den = bivariate_denominator(cls)
+        at_one: dict = {}
+        for e, _, c in den:
+            at_one[e] = at_one.get(e, 0) + c
+        assert merged(at_one) == alternating_gf(cls).den_terms, cls
+        f = [{} for _ in dists]
+        for n, by_class in enumerate(dists):
+            for (_, _, s), cnt in by_class[cls].counts:
+                f[n][s] = f[n].get(s, 0) + cnt
+        for n in range(5, order + 1):
+            for s in range(n + 1):
+                assert sum(c * f[n - e].get(s - u, 0) for e, u, c in den) == 0, (cls, n, s)
 
 
 def test_bitsum_gfs_equal_reference_forms():

@@ -478,6 +478,35 @@ def test_size_bound_exits_before_any_work(capsys, monkeypatch, argv, flag, bound
     assert err == f"bitruns: {flag} {bound + 1} exceeds the length bound {bound}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("asymptotics", "--class", "persolus", "--lengths", "10"),
+        ("moments", "--class", "solus", "--lengths", "10"),
+    ],
+)
+def test_precision_bound_exits_before_any_work(capsys, monkeypatch, argv):
+    """A --precision above MAX_PRECISION exits 3 with one line before
+    any work, and the bound admits the places the limit constants are
+    pinned at."""
+    import importlib
+
+    from bitruns.cli import MAX_PRECISION
+
+    def forbidden(*args):
+        raise AssertionError("work started")
+
+    module, name = _WORK[argv[0]]
+    monkeypatch.setattr(importlib.import_module(f"bitruns.{module}"), name, forbidden)
+    code, out, err = run_cli(capsys, "--precision", str(MAX_PRECISION + 1), *argv)
+    assert code == EXIT_LIMIT
+    assert out == ""
+    assert err == (
+        f"bitruns: --precision {MAX_PRECISION + 1} exceeds the precision bound {MAX_PRECISION}\n"
+    )
+    assert MAX_PRECISION >= 3000
+
+
 def test_size_bounds_admit_the_paper_sizes():
     from bitruns import cli
 
@@ -548,7 +577,7 @@ def _command_lines(draw):
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["plain", "csv", "json", "xml"]))]
     if draw(st.booleans()):
-        argv += ["--precision", draw(_oversized("40"))]
+        argv += ["--precision", draw(_oversized("40") | st.just("20001"))]
     prefix = draw(st.sampled_from([[]] * 9 + [["--version"], ["--help"], ["-h"]]))
     return prefix + argv
 

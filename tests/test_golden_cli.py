@@ -137,6 +137,45 @@ def test_paper_size_digest_is_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == PAPER_SIZE[argv]
 
 
+#: (class, bit) -> digest of `bitruns --format json asymptotics --precision
+#: 60 --class C --bit B`, recorded from the closed radical forms that the
+#: dominant root of the constructor's denominator replaced.
+ASYMPTOTICS_60 = {
+    ("unconstrained", 0): "82973169ef8992bcaf17ebceec3bf25f0403c44754168d3ac9a4569586eba638",
+    ("unconstrained", 1): "31fc4f0989865a6aafbb6a3df448a3aa045c85957c8ec9c20ebef9d0718bdaaf",
+    ("solus", 0): "130b462717190f4a469bdf606ccad99b05793e885c729c820938bdd0384971b7",
+    ("multus", 0): "cc0fc6743949914369e05d758c7ae392c68fefcbb1df3f6b50b05de3040fb2ac",
+    ("multus", 1): "1bfe5484e3318d857dfbe569d843a4a9982b146eb1d0bb19e89282d3e7de4ca8",
+    ("bimultus", 0): "cffa97c76523404b9f8d83a994a8cadd91f0aff287ce415ccbb04b6dc83f9822",
+    ("bimultus", 1): "9a4e03835a9f45094f1d384d75967544c06c579e607d35e57d2e1bec4dae1284",
+    ("persolus", 0): "eebdf4075c5ef43eef432168c0952b1d89de83459cebe6ea3f1e0bef3abe9cf8",
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(ASYMPTOTICS_60), ids=["-".join(map(str, c)) for c in ASYMPTOTICS_60]
+)
+def test_asymptotics_json_at_60_places_is_pinned(capsys, case):
+    cls, bit = case
+    argv = ["--format", "json", "asymptotics", "--precision", "60", "--class", cls, "--bit", str(bit)]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == ASYMPTOTICS_60[case]
+
+
+#: Digest of `bitruns asymptotics --precision 1000 --class persolus`,
+#: recorded from the closed radical forms.
+ASYMPTOTICS_PERSOLUS_1000 = "137764d1f30c19a0e164e26466e5e6d71a9c9a905e85d4b3bf261c9aed536cc0"
+
+
+def test_asymptotics_at_1000_places_is_pinned(capsys):
+    code = main(["asymptotics", "--precision", "1000", "--class", "persolus"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == ASYMPTOTICS_PERSOLUS_1000
+
+
 #: format -> digest of `bitruns --format F table2 --precision 10
 #: --lengths 500,1000,1400`, recorded from the hand-written bitsum GFs
 #: that the alternating-run constructor replaced.
