@@ -66,13 +66,24 @@ def _at_working_precision(fn):
     return wrapper
 
 
-# one entry per (class, working precision): every asymptote row asks for beta
+class _Root(NamedTuple):
+    """What the dominant root gives: beta, ln(beta) and the bitsum
+    density's mean and variance."""
+
+    beta: mpf
+    log_beta: mpf
+    mean: mpf
+    variance: mpf
+
+
+# one entry per (class, working precision): every asymptote row asks for
+# beta and ln(beta)
 @functools.lru_cache(maxsize=64)
-def _dominant_root(string_class: StringClass, dps: int) -> tuple:
-    """(beta, mean, variance) from rho, the smallest positive root of
-    D(z, 1), at `dps` digits.  With G_ij = sum of c ez^i eu^j rho^ez over
-    the terms c z^ez u^eu of D, x(t) = log rho(e^t) has
-    x' = -G01/G10 and x'' = -(G02 + 2 G11 x' + G20 x'^2)/G10 at t = 0."""
+def _dominant_root(string_class: StringClass, dps: int) -> _Root:
+    """The limits read off rho, the smallest positive root of D(z, 1), at
+    `dps` digits.  With G_ij = sum of c ez^i eu^j rho^ez over the terms
+    c z^ez u^eu of D, x(t) = log rho(e^t) has x' = -G01/G10 and
+    x'' = -(G02 + 2 G11 x' + G20 x'^2)/G10 at t = 0."""
     import mpmath
 
     den = bivariate_denominator(string_class)
@@ -92,24 +103,28 @@ def _dominant_root(string_class: StringClass, dps: int) -> tuple:
     g10 = g(1, 0, rho)
     x1 = -g(0, 1, rho) / g10
     x2 = -(g(0, 2, rho) + 2 * g(1, 1, rho) * x1 + g(2, 0, rho) * x1 * x1) / g10
-    return 1 / rho, -x1, -x2
+    beta = 1 / rho
+    return _Root(beta, mpmath.log(beta), -x1, -x2)
+
+
+def _root(string_class: StringClass) -> _Root:
+    """_dominant_root at the working precision."""
+    import mpmath
+
+    return _dominant_root(string_class, mpmath.mp.dps)
 
 
 @_at_working_precision
 def growth_constant(string_class: StringClass) -> mpf:
     """beta: 1 over the smallest positive root of the class GF's denominator."""
-    import mpmath
-
-    return _dominant_root(string_class, mpmath.mp.dps)[0]
+    return _root(string_class).beta
 
 
 @_at_working_precision
 def growth_constant_residual(string_class: StringClass) -> mpf:
     """|den(1/beta)| where den is the count-GF denominator; should vanish."""
-    import mpmath
-
-    beta = growth_constant(string_class)
-    return abs(mpmath.polyval(list(reversed(count_gf(string_class).denominator)), 1 / beta))
+    rho = 1 / growth_constant(string_class)
+    return abs(sum(c * rho**e for e, c in count_gf(string_class).den_terms))
 
 
 @_at_working_precision
@@ -117,7 +132,7 @@ def variance_limit(string_class: StringClass) -> mpf:
     """Limit of the longest-run variance: 1/12 + pi^2 / (6 ln(beta)^2)."""
     import mpmath
 
-    lb = mpmath.log(growth_constant(string_class))
+    lb = _root(string_class).log_beta
     return mpmath.mpf(1) / 12 + mpmath.pi**2 / (6 * lb * lb)
 
 
@@ -147,7 +162,7 @@ def mean_asymptote(n: int, string_class: StringClass, bit: int) -> mpf:
         raise UndefinedFamily(
             f"no mean asymptote for {string_class} bit={bit}"
         ) from None
-    lb = mpmath.log(growth_constant(string_class))
+    lb = _root(string_class).log_beta
     off = mpmath.mpf(offset.numerator) / offset.denominator
     return mpmath.log(n) / lb - (off - mpmath.euler / lb)
 
@@ -163,10 +178,8 @@ class DensityLimits(NamedTuple):
 @_at_working_precision
 def density_limits(string_class: StringClass) -> DensityLimits:
     """The bitsum density's limits, E(S_n)/n and V(S_n)/n."""
-    import mpmath
-
-    _, mean, variance = _dominant_root(string_class, mpmath.mp.dps)
-    return DensityLimits(string_class, mean=mean, variance=variance)
+    root = _root(string_class)
+    return DensityLimits(string_class, mean=root.mean, variance=root.variance)
 
 
 class AsymptoteReport(NamedTuple):

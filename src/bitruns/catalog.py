@@ -25,7 +25,10 @@ upper length and the other bit's a is one term z^l, so capping the runs
 below k turns the denominator into E + z^(k + l) for a fixed E: H_k,
 and for the 0-runs R_k, are geometric series in z^(k + l) over fixed
 rational functions (``cap_form``).  The run moments read them at single
-lengths without building any H_k.
+lengths without building any H_k.  A run family is thus only its
+(class, bit) pair (``defined_families``, checked by ``run_family``);
+``alternating_gf`` with the runs of that bit capped gives H and H_k as
+GFs where one is wanted.
 
 The z^0 convention: for multus, bimultus and persolus every GF sets
 the coefficient of z^0 to 0, though the empty string is a member (the
@@ -62,18 +65,17 @@ from .errors import UndefinedFamily, UnsupportedClass
 from .series import RationalGF, dense_terms, merged, terms, terms_mul
 
 
-def _p(*coeffs: int):
-    """Sparse terms of the dense coefficients given, constant term first."""
-    return dense_terms(coeffs)
-
-
-#: d_n generating functions for the five classes.
+#: d_n generating functions for the five classes, from their dense
+#: numerator and denominator coefficients, constant term first.
 _COUNT_GFS = {
-    StringClass.UNCONSTRAINED: RationalGF(_p(1), _p(1, -2)),
-    StringClass.SOLUS: RationalGF(_p(1, 1), _p(1, -1, -1)),
-    StringClass.MULTUS: RationalGF(_p(1, -1, 1), _p(1, -2, 1, -1)),
-    StringClass.BIMULTUS: RationalGF(_p(0, 0, 2), _p(1, -1, -1)),
-    StringClass.PERSOLUS: RationalGF(_p(0, 1, 0, 2), _p(1, -1, 0, -1)),
+    cls: RationalGF(dense_terms(num), dense_terms(den))
+    for cls, (num, den) in {
+        StringClass.UNCONSTRAINED: ((1,), (1, -2)),
+        StringClass.SOLUS: ((1, 1), (1, -1, -1)),
+        StringClass.MULTUS: ((1, -1, 1), (1, -2, 1, -1)),
+        StringClass.BIMULTUS: ((0, 0, 2), (1, -1, -1)),
+        StringClass.PERSOLUS: ((0, 1, 0, 2), (1, -1, 0, -1)),
+    }.items()
 }
 
 
@@ -235,46 +237,28 @@ def bitsum_gfs(string_class: StringClass) -> tuple:
     return a, b
 
 
-class RunFamily(NamedTuple):
-    """H, the GF of the class, and H_k, that of the class strings with no
-    run of k designated bits: the data behind the longest-run moments."""
-
-    string_class: StringClass
-    bit: int
-    H: RationalGF
-
-    def hk(self, k: int) -> RationalGF:
-        if k < 1:
-            raise ValueError("run thresholds must be >= 1")
-        if self.bit:
-            return alternating_gf(self.string_class, None, k - 1)
-        return alternating_gf(self.string_class, k - 1)
-
-
-#: A bit whose runs have one allowed length has no run family.
-_FAMILIES = {
-    (cls, bit): RunFamily(cls, bit, alternating_gf(cls))
-    for cls, runs in _RUNS.items()
+#: The (class, bit) pairs with a run family, in a stable order: a bit
+#: whose runs have one allowed length has none.
+_FAMILIES = tuple(
+    (cls, bit)
+    for cls in sorted(_RUNS, key=lambda c: c.value)
     for bit in (0, 1)
-    if runs[bit][0] != runs[bit][1]
-}
+    if _RUNS[cls][bit][0] != _RUNS[cls][bit][1]
+)
 
 
-def run_family(string_class: StringClass, bit: int) -> RunFamily:
-    """The (H, H_k) family for runs of `bit` in the class; raises
-    UndefinedFamily where runs of that bit make no sense (solus and
-    persolus 1-runs)."""
-    try:
-        return _FAMILIES[(string_class, bit)]
-    except KeyError:
-        raise UndefinedFamily(
-            f"no run family for {string_class} bit={bit}"
-        ) from None
+def run_family(string_class: StringClass, bit: int) -> None:
+    """Check that runs of `bit` in the class form a run family; raises
+    UndefinedFamily where they make no sense (solus and persolus 1-runs).
+    The family's H and H_k are ``alternating_gf`` with the runs of `bit`
+    capped, read at single lengths through ``cap_form``."""
+    if (string_class, bit) not in _FAMILIES:
+        raise UndefinedFamily(f"no run family for {string_class} bit={bit}")
 
 
-def defined_families():
+def defined_families() -> list:
     """All (class, bit) pairs with a run family, in a stable order."""
-    return sorted(_FAMILIES, key=lambda cb: (cb[0].value, cb[1]))
+    return list(_FAMILIES)
 
 
 def cross_gf(string_class: StringClass, i: int, j: int) -> RationalGF:

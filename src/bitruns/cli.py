@@ -49,10 +49,24 @@ MAX_SERIES_ORDER = 20000
 #: takes 42 s and 50 MB, and the time grows about 5x per doubling.
 MAX_CAP_SUM_LENGTH = 10000
 
+#: Largest sum of those `--lengths`.  Each listed length n adds about
+#: n^2 log n digit operations to the rows that the largest one needs: on
+#: the same VM `table2` takes 62 s at 10000 alone and 85 s for the 40
+#: lengths 9961..10000, so at this bound no list costs much more than
+#: 1.4 times the one length MAX_CAP_SUM_LENGTH, and a dense sweep
+#: reaches 1..893 (5.1 s).
+MAX_CAP_SUM_TOTAL = 400000
+
 #: Largest `table1 --lengths` entry.  The run-run product costs O(N^3)
 #: big-integer additions: 0.6 s at 400 and 6.0 s and 16 MB at this bound
 #: on the same VM.
 MAX_TABLE1_LENGTH = 1000
+
+#: Largest sum of the `table1 --lengths`: 6.7 s at 1000 alone and 9.1 s
+#: for the 20 lengths 981..1000, so at this bound no list costs much
+#: more than 1.4 times the one length MAX_TABLE1_LENGTH, and a dense
+#: sweep reaches 2..199.
+MAX_TABLE1_TOTAL = 20000
 
 #: Largest `joint --n`.  The table holds n^2/2 counts of up to n bits:
 #: 5 s and 72 MB at this bound.
@@ -134,13 +148,25 @@ def _lengths(text: str) -> list:
     return out
 
 
+def _check_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
+
+
 def _check_bound(flag: str, value: int, bound: int, what: str = "series order") -> None:
+    """A usage error below 0 and a limit above `bound`, naming `flag`."""
+    _check_least(flag, value, 0)
     if value > bound:
         raise SeriesOrderExceeded(f"{flag} {value} exceeds the {what} bound {bound}")
 
 
-def _check_lengths(lengths: list, bound: int) -> None:
+def _check_lengths(lengths: list, bound: int, total: int) -> None:
+    """Each of the lengths at most `bound`, and their sum at most `total`."""
     _check_bound("--lengths", max(lengths), bound, "length")
+    if sum(lengths) > total:
+        raise SeriesOrderExceeded(
+            f"--lengths sum to {sum(lengths)}, which exceeds the length-sum bound {total}"
+        )
 
 
 # -- subcommands ------------------------------------------------------------
@@ -159,7 +185,7 @@ def _cmd_counts(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    _check_lengths(args.lengths, MAX_CAP_SUM_LENGTH)
+    _check_lengths(args.lengths, MAX_CAP_SUM_LENGTH, MAX_CAP_SUM_TOTAL)
     from .ensembles import StringClass
     from .moments import run_variance_table
     from .render import format_fraction
@@ -188,10 +214,10 @@ def _cmd_moments(args) -> int:
     return EXIT_OK
 
 
-def _cmd_table(bound: int, names: tuple, table: str, args) -> int:
+def _cmd_table(bound: int, total: int, names: tuple, table: str, args) -> int:
     """table1 and table2: rho(R0, Y) of the classes in `names` at each
     length, from the `crossrun` table function named `table`."""
-    _check_lengths(args.lengths, bound)
+    _check_lengths(args.lengths, bound, total)
     from . import crossrun
     from .ensembles import StringClass
 
@@ -238,8 +264,8 @@ def _cmd_joint(args) -> int:
 
 
 def _cmd_fewones(args) -> int:
-    if args.nmax < 0:
-        raise ValueError(f"nmax must be nonnegative, got {args.nmax}")
+    _check_least("--ones", args.ones, 1)
+    _check_least("--run", args.run, 1)
     _check_bound("--nmax", args.nmax, MAX_FEWONES_NMAX, "length")
     from .jointdp import fewones_closed_form, fewones_count
 
@@ -265,6 +291,8 @@ def _cmd_crossgf(args) -> int:
     from .catalog import cross_gf
     from .ensembles import StringClass
 
+    _check_least("--i", args.i, 1)
+    _check_least("--j", args.j, 1)
     _check_bound("--order", args.order, MAX_SERIES_ORDER)
     cls = StringClass.from_name(args.string_class)
     series = cross_gf(cls, args.i, args.j).expand(args.order)
@@ -282,8 +310,7 @@ def _cmd_crossgf(args) -> int:
 def _cmd_compositions(args) -> int:
     from .ensembles import DEFAULT_ORACLE_BOUND, bit_string, run_stats, to_composition
 
-    if args.n < 0:
-        raise ValueError(f"length must be nonnegative, got {args.n}")
+    _check_least("--n", args.n, 0)
     if args.n > DEFAULT_ORACLE_BOUND:
         raise OracleBoundExceeded(
             f"n={args.n} exceeds the enumeration bound {DEFAULT_ORACLE_BOUND}"
@@ -314,7 +341,7 @@ def _cmd_compositions(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
-    _check_lengths(args.lengths, MAX_CAP_SUM_LENGTH)
+    _check_lengths(args.lengths, MAX_CAP_SUM_LENGTH, MAX_CAP_SUM_TOTAL)
     from .asymptotics import (
         density_limits,
         finite_vs_asymptote,
@@ -371,6 +398,7 @@ def _cmd_asymptotics(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_checks
 
+    _check_least("--nmax", args.nmax, 0)
     results = run_checks(args.scope, args.nmax)
     rows = [[r.name, "pass" if r.passed else "fail", r.detail] for r in results]
     _emit(
@@ -426,7 +454,11 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(
         fn=partial(
-            _cmd_table, MAX_TABLE1_LENGTH, ("unconstrained", "multus"), "cross_report_table"
+            _cmd_table,
+            MAX_TABLE1_LENGTH,
+            MAX_TABLE1_TOTAL,
+            ("unconstrained", "multus"),
+            "cross_report_table",
         )
     )
 
@@ -434,7 +466,11 @@ def build_parser() -> _Parser:
     p.add_argument("--lengths", type=_lengths, default=[100, 200, 300, 400])
     p.set_defaults(
         fn=partial(
-            _cmd_table, MAX_CAP_SUM_LENGTH, ("unconstrained", "solus"), "joint_rs_report_table"
+            _cmd_table,
+            MAX_CAP_SUM_LENGTH,
+            MAX_CAP_SUM_TOTAL,
+            ("unconstrained", "solus"),
+            "joint_rs_report_table",
         )
     )
 
@@ -484,8 +520,6 @@ def main(argv=None) -> int:
     defaults = argparse.Namespace(format="plain", precision=6)
     args = build_parser().parse_args(argv, namespace=defaults)
     try:
-        if args.precision < 0:
-            raise ValueError(f"precision must be nonnegative, got {args.precision}")
         _check_bound("--precision", args.precision, MAX_PRECISION, "precision")
         return args.fn(args)
     except (OracleBoundExceeded, SeriesOrderExceeded, NonUnitConstantTerm) as exc:

@@ -1,8 +1,12 @@
 """Decimal rendering of exact rationals and high-precision floats.
 
-Values are rounded half to even on Python integers, so a value printed
-to any number of places is correct in every digit shown.  The printed
-form is Decimal's own for the rounded value, sign included.
+Every printed decimal takes one of two routes: a value read as an exact
+rational (``format_fraction``, and ``format_float`` for a float's
+decimal literal) or a correlation, the square root of one
+(``signed_sqrt_ratio``).  Both round half to even on Python integers, so
+a value printed to any number of places is correct in every digit
+shown.  The printed form is Decimal's own for the rounded value, sign
+included.
 """
 
 from __future__ import annotations
@@ -10,16 +14,6 @@ from __future__ import annotations
 import decimal
 from fractions import Fraction
 from math import isqrt
-
-PRECISION = 50
-
-_CTX = decimal.Context(prec=PRECISION, rounding=decimal.ROUND_HALF_EVEN)
-
-
-def fraction_to_decimal(q: Fraction) -> decimal.Decimal:
-    """q as a Decimal rounded to PRECISION significant digits."""
-    return _CTX.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
-
 
 def _scaled(q: Fraction, places: int) -> tuple:
     """(|q| * 10^places) as an integer numerator and denominator."""

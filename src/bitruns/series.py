@@ -3,7 +3,8 @@
 All coefficients are arbitrary-precision Python integers; no floating
 point enters this module.  A rational GF keeps its numerator and
 denominator as sparse terms: tuples of (exponent, coefficient) pairs
-with increasing exponents and no zero coefficient.  An expansion is a
+with increasing exponents and no zero coefficient, and no dense copy of
+either is kept; readers evaluate or multiply the terms.  An expansion is a
 plain tuple of coefficients, constant term first.  Every expansion in
 the package runs one recurrence, ``divide``: ``RationalGF.expand`` and
 the cap sum of ``bitruns.moments`` both call it.
@@ -15,7 +16,6 @@ from typing import Iterable, Sequence
 
 from .errors import NonUnitConstantTerm
 
-Poly = tuple  # dense integer coefficient vector, constant term first
 Terms = tuple  # sparse ((exponent, coefficient), ...), exponents increasing
 # an expansion, z^0..z^order; the name stays, bench/traced.py reads it unguarded
 TruncatedSeries = tuple
@@ -82,13 +82,6 @@ class RationalGF:
             raise ValueError("a power series has no negative exponents")
         self.num_terms = num
         self.den_terms = den
-
-    @property
-    def denominator(self) -> Poly:
-        out = [0] * (self.den_terms[-1][0] + 1)
-        for e, c in self.den_terms:
-            out[e] = c
-        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return (

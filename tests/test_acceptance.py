@@ -19,7 +19,7 @@ from bitruns.asymptotics import (
     growth_constant_residual,
     variance_limit,
 )
-from bitruns.catalog import bitsum_gfs, count_gf, run_family
+from bitruns.catalog import bitsum_gfs, count_gf
 from bitruns.crossrun import (
     cross_moment,
     cross_numerator,
@@ -37,6 +37,8 @@ from bitruns.jointdp import (
 )
 from bitruns.moments import run_moment, run_numerators
 from bitruns.render import signed_sqrt_ratio
+
+from families import FAMILIES
 
 U = StringClass.UNCONSTRAINED
 SOL = StringClass.SOLUS
@@ -90,7 +92,7 @@ def test_criterion_1_golden_coefficients(series_moments):
         got = {"a": a, "b": b, "c": [dn * bn - an * an for dn, bn, an in zip(d, b, a)]}[which]
         assert list(got) == want, (cls, which)
     for (cls, bit, m), want in MOMENT_NUMERATORS.items():
-        got = series_moments(run_family(cls, bit), 10)[m - 1]
+        got = series_moments(FAMILIES[cls, bit], 10)[m - 1]
         assert got == want, (cls, bit, m)
         got = run_numerators(cls, bit, range(len(want)))
         assert [row[m - 1] for row in got] == want, (cls, bit, m)
@@ -357,8 +359,9 @@ def test_criterion_7_constants():
     for cls in StringClass:
         assert growth_constant_residual(cls) < mpmath.mpf(10) ** -28, cls
         # 1/beta is the smallest-modulus root of the count denominator
-        den = count_gf(cls).denominator
-        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(den)], maxsteps=100)
+        den = dict(count_gf(cls).den_terms)
+        dense = [mpmath.mpf(den.get(e, 0)) for e in range(max(den), -1, -1)]
+        roots = mpmath.polyroots(dense, maxsteps=100)
         assert abs(1 / growth_constant(cls) - min(roots, key=abs)) < mpmath.mpf(10) ** -28, cls
 
 

@@ -56,8 +56,9 @@ def _closed_forms():
 
 def _smallest_root(cls):
     """The smallest-modulus root of the hand-written count denominator."""
-    den = count_gf(cls).denominator
-    return min(mpmath.polyroots([mpmath.mpf(c) for c in reversed(den)], maxsteps=100), key=abs)
+    den = dict(count_gf(cls).den_terms)
+    dense = [mpmath.mpf(den.get(e, 0)) for e in range(max(den), -1, -1)]
+    return min(mpmath.polyroots(dense, maxsteps=100), key=abs)
 
 
 def test_growth_constants_10_digits():

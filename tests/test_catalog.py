@@ -20,6 +20,8 @@ from bitruns.jointdp import _at_most
 from bitruns.moments import moment_weight, run_numerators, zero_run_bitsum_numerators
 from bitruns.series import RationalGF, dense_terms, merged, terms_mul
 
+from families import FAMILIES
+
 U, SOL, MUL, BIM, PER = (
     StringClass.UNCONSTRAINED,
     StringClass.SOLUS,
@@ -172,6 +174,8 @@ def test_defined_families():
 
 
 def test_run_family_undefined():
+    # a run family is its (class, bit) pair: run_family only validates
+    assert all(run_family(cls, bit) is None for cls, bit in defined_families())
     with pytest.raises(UndefinedFamily):
         run_family(StringClass.SOLUS, 1)
     with pytest.raises(UndefinedFamily):
@@ -181,7 +185,7 @@ def test_run_family_undefined():
 def test_hk_counts_no_long_runs():
     """H_k expansions count class strings whose longest bit-run is < k."""
     for cls, bit in defined_families():
-        fam = run_family(cls, bit)
+        fam = FAMILIES[cls, bit]
         for k in range(1, 7):
             series = fam.hk(k).expand(9)
             for n in range(1, 10):
@@ -196,7 +200,7 @@ def test_hk_counts_no_long_runs():
 def test_h_is_count_gf_limit():
     # for large k the no-k-run constraint is vacuous at small n
     for cls, bit in defined_families():
-        fam = run_family(cls, bit)
+        fam = FAMILIES[cls, bit]
         assert fam.hk(12).expand(9) == fam.H.expand(9)
 
 
@@ -269,7 +273,7 @@ def _first_difference(f, g, order):
 def _valuation_cases():
     """(f, base) pairs that share a prefix, from every catalog family."""
     for cls, bit in defined_families():
-        fam = run_family(cls, bit)
+        fam = FAMILIES[cls, bit]
         for k in range(1, 41):
             yield fam.hk(k), fam.H
     for cls in (StringClass.UNCONSTRAINED, StringClass.SOLUS):
@@ -277,7 +281,7 @@ def _valuation_cases():
         for k in range(1, 41):
             yield _constructor_bitsum_hk(cls, k), top
     for cls in (StringClass.UNCONSTRAINED, StringClass.MULTUS, StringClass.BIMULTUS):
-        ones, zeros = run_family(cls, 1), run_family(cls, 0)
+        ones, zeros = FAMILIES[cls, 1], FAMILIES[cls, 0]
         for m in range(1, 21):
             yield ones.hk(m), ones.H
             yield zeros.hk(m), zeros.H
@@ -495,7 +499,7 @@ def _ref_bitsum_hk(cls, k):
 @pytest.mark.parametrize("cls,bit", list(REFERENCE_FAMILIES))
 def test_hk_equals_reference_form(cls, bit):
     hk, min_valid_k, _, _ = REFERENCE_FAMILIES[cls, bit]
-    fam = run_family(cls, bit)
+    fam = FAMILIES[cls, bit]
     for k in range(min_valid_k, 61):
         assert valuation(fam.hk(k), hk(k)) == math.inf, k
 
@@ -520,7 +524,7 @@ def test_moment_numerator_equals_reference_route(series_moments, cls, bit):
     series route and on the cap sum."""
     hk, _, g, first = REFERENCE_FAMILIES[cls, bit]
     order = 60
-    h = run_family(cls, bit).H.expand(order)
+    h = FAMILIES[cls, bit].H.expand(order)
     start = g.expand(order) if first is None else (0,) * (order + 1)
     acc = [list(start) for _ in range(4)]
     for k in range(1, order + 3):
@@ -529,7 +533,7 @@ def test_moment_numerator_equals_reference_route(series_moments, cls, bit):
             w = moment_weight(m, k)
             for n in range(order + 1):
                 a[n] += w * (h[n] - c[n])
-    assert series_moments(run_family(cls, bit), order) == acc
+    assert series_moments(FAMILIES[cls, bit], order) == acc
     got = run_numerators(cls, bit, range(order + 1))
     assert [list(col) for col in zip(*got)] == acc
 
@@ -617,7 +621,7 @@ def test_zero_run_bitsum_numerators_equal_series_route(series_moments, cls):
     """The three table2 numerators equal the series route's first two for
     bit 0 and the former rs_numerator, at every n <= 60, for a sweep, for
     single lengths and for repeated, unsorted lengths."""
-    r1, r2 = series_moments(run_family(cls, 0), CAP_ORDER)[:2]
+    r1, r2 = series_moments(FAMILIES[cls, 0], CAP_ORDER)[:2]
     rs = _series_rs_numerator(cls, CAP_ORDER)
     want = {n: (r1[n], r2[n], rs[n]) for n in range(CAP_ORDER + 1)}
     ns = list(range(CAP_ORDER + 1))

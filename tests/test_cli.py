@@ -507,6 +507,87 @@ def test_precision_bound_exits_before_any_work(capsys, monkeypatch, argv):
     assert MAX_PRECISION >= 3000
 
 
+#: command -> (arguments before --lengths, the cli names of its length
+#: bound and of its length-sum bound)
+_SUM_BOUNDS = {
+    "table2": ((), "MAX_CAP_SUM_LENGTH", "MAX_CAP_SUM_TOTAL"),
+    "moments": (("--class", "solus"), "MAX_CAP_SUM_LENGTH", "MAX_CAP_SUM_TOTAL"),
+    "asymptotics": (("--class", "solus"), "MAX_CAP_SUM_LENGTH", "MAX_CAP_SUM_TOTAL"),
+    "table1": ((), "MAX_TABLE1_LENGTH", "MAX_TABLE1_TOTAL"),
+}
+
+
+@pytest.mark.parametrize("command", list(_SUM_BOUNDS))
+def test_length_sum_bound_exits_before_any_work(capsys, monkeypatch, command):
+    """The list of every length up to the length bound, each entry in
+    bound but not their sum, exits 3 with one line before the command's
+    work starts (for table2 that list is about an hour of work, by the
+    N^3 growth of dense sweeps); a list that sums to the bound itself
+    gets to the work."""
+    import importlib
+
+    from bitruns import cli
+
+    def forbidden(*args):
+        raise AssertionError("work started")
+
+    module, name = _WORK[command]
+    monkeypatch.setattr(importlib.import_module(f"bitruns.{module}"), name, forbidden)
+    args, top_name, bound_name = _SUM_BOUNDS[command]
+
+    def run(lengths):
+        return run_cli(capsys, command, *args, "--lengths", ",".join(map(str, lengths)))
+
+    top = getattr(cli, top_name)
+    every = range(1, top + 1)
+    code, out, err = run(every)
+    assert (code, out) == (EXIT_LIMIT, "")
+    bound = getattr(cli, bound_name)
+    assert err == (
+        f"bitruns: --lengths sum to {sum(every)}, which exceeds the length-sum bound {bound}\n"
+    )
+    at_bound = [top] * (bound // top) + ([bound % top] if bound % top else [])
+    with pytest.raises(AssertionError, match="work started"):
+        run(at_bound)
+    code, out, err = run(at_bound + [1])
+    assert (code, out) == (EXIT_LIMIT, "")
+    assert err.startswith(f"bitruns: --lengths sum to {bound + 1}, ")
+
+
+@pytest.mark.parametrize(
+    "argv,flag,least,value",
+    [
+        (("fewones", "--ones", "0", "--run", "3", "--nmax", "5"), "--ones", 1, 0),
+        (("fewones", "--ones", "3", "--run", "0", "--nmax", "0"), "--run", 1, 0),
+        (("crossgf", "--class", "multus", "--i", "0", "--j", "2"), "--i", 1, 0),
+        (("crossgf", "--class", "unconstrained", "--i", "2", "--j", "-3"), "--j", 1, -3),
+        (("crossgf", "--class", "multus", "--i", "2", "--j", "2", "--order", "-1"), "--order", 0, -1),
+        (("counts", "--class", "solus", "--nmax", "-3"), "--nmax", 0, -3),
+        (("fewones", "--ones", "3", "--run", "3", "--nmax", "-1"), "--nmax", 0, -1),
+        (("joint", "--class", "solus", "--n", "-1"), "--n", 0, -1),
+        (("compositions", "--n", "-1"), "--n", 0, -1),
+        (("verify", "--nmax", "-1"), "--nmax", 0, -1),
+        (("--precision", "-2", "moments", "--class", "solus"), "--precision", 0, -2),
+    ],
+)
+def test_value_below_range_names_the_flag(capsys, monkeypatch, argv, flag, least, value):
+    """A value below a flag's range is a usage error whose one line
+    names the flag the user typed, raised before any work."""
+    import bitruns.catalog
+    import bitruns.jointdp
+    import bitruns.verify
+
+    def forbidden(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(bitruns.jointdp, "fewones_count", forbidden)
+    monkeypatch.setattr(bitruns.catalog, "cross_gf", forbidden)
+    monkeypatch.setattr(bitruns.verify, "run_checks", forbidden)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"bitruns: {flag} must be >= {least}, got {value}\n"
+
+
 def test_size_bounds_admit_the_paper_sizes():
     from bitruns import cli
 
@@ -514,6 +595,9 @@ def test_size_bounds_admit_the_paper_sizes():
     assert cli.MAX_CAP_SUM_LENGTH >= 10000
     assert cli.MAX_TABLE1_LENGTH >= 400
     assert cli.MAX_TABLE1_LENGTH < cli.MAX_CAP_SUM_LENGTH
+    # the README's dense sweeps: moments and table2 to 600, table1 to 150
+    assert sum(range(1, 601)) <= cli.MAX_CAP_SUM_TOTAL
+    assert sum(range(2, 151)) <= cli.MAX_TABLE1_TOTAL
 
 
 # -- random command lines ------------------------------------------------------

@@ -226,3 +226,20 @@ def test_table1_n400_digest_is_pinned(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE1_400
+
+
+#: format -> digest of `bitruns --format F verify --scope all --nmax 10`,
+#: recorded while the run families were (H, H_k) GF objects.  The row
+#: order of the run-moments checks is the order of the family pairs.
+VERIFY = {
+    "plain": "52f877eeaa8e0e9ebf30ed184dbbdfa6fb695b833821ae20463718623b4a8e92",
+    "json": "d80211390d9614a4fb36d9e4a40a430c828effe059b4041c2b0888d6b2613644",
+}
+
+
+@pytest.mark.parametrize("fmt", list(VERIFY))
+def test_verify_digest_is_pinned(capsys, fmt):
+    code = main(["--format", fmt, "verify", "--scope", "all", "--nmax", "10"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY[fmt]

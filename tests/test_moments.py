@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bitruns.catalog import defined_families, run_family
+from bitruns.catalog import defined_families
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.errors import BitrunsError, EmptyEnsemble, UndefinedFamily, UnsupportedMoment
 from bitruns.moments import (
@@ -15,6 +15,8 @@ from bitruns.moments import (
     run_variance_table,
     zero_run_bitsum_numerators,
 )
+
+from families import FAMILIES
 
 
 def test_moment_weight_telescopes():
@@ -87,7 +89,7 @@ def _numerator_per_moment(family, m, order):
 
 @pytest.mark.parametrize("cls,bit", defined_families())
 def test_moment_numerator_matches_per_moment_sums(series_moments, cls, bit):
-    fam = run_family(cls, bit)
+    fam = FAMILIES[cls, bit]
     got = series_moments(fam, 40)
     assert len(got) == MAX_MOMENT
     for m in range(1, MAX_MOMENT + 1):
@@ -168,7 +170,7 @@ def test_run_numerators_below_the_shortest_run(cls, bit, ns):
 def test_run_numerators_equal_series_route(series_moments, cls, bit):
     """The cap sum equals the series route at every n <= 90, for a
     dense sweep, single lengths, and shuffled and repeated lengths."""
-    ref = series_moments(run_family(cls, bit), SERIES_N)
+    ref = series_moments(FAMILIES[cls, bit], SERIES_N)
     want = {n: tuple(s[n] for s in ref) for n in range(SERIES_N + 1)}
     ns = list(range(SERIES_N + 1))
     assert run_numerators(cls, bit, ns) == [want[n] for n in ns]

@@ -1,12 +1,7 @@
 import random
 from fractions import Fraction
 
-from bitruns.render import (
-    format_float,
-    format_fraction,
-    fraction_to_decimal,
-    signed_sqrt_ratio,
-)
+from bitruns.render import format_float, format_fraction, signed_sqrt_ratio
 
 
 def test_format_fraction_rounds_half_even():
@@ -14,11 +9,6 @@ def test_format_fraction_rounds_half_even():
     assert format_fraction(Fraction(-1, 7), 4) == "-0.1429"
     assert format_fraction(Fraction(5, 2), 0) == "2"  # ties to even
     assert format_fraction(Fraction(7, 2), 0) == "4"
-
-
-def test_fraction_to_decimal_is_high_precision():
-    d = fraction_to_decimal(Fraction(1, 3))
-    assert str(d).startswith("0.3333333333333333333333333333333333333333")
 
 
 def test_signed_sqrt_ratio():
