@@ -32,14 +32,7 @@ _EXPORTS = {
         "variance_limit",
     ),
     "catalog": ("bitsum_gfs", "count_gf", "cross_gf", "run_family"),
-    "crossrun": (
-        "cross_moment",
-        "cross_report",
-        "cross_report_oracle",
-        "cross_report_table",
-        "joint_rs_report",
-        "joint_rs_report_table",
-    ),
+    "crossrun": ("cross_report_oracle", "cross_report_table", "joint_rs_report_table"),
     "ensembles": (
         "JointDistribution",
         "RunStats",
@@ -58,7 +51,7 @@ _EXPORTS = {
         "joint_table",
         "rs_numerator_approx",
     ),
-    "moments": ("run_moment", "run_variance_report", "run_variance_table"),
+    "moments": ("run_variance_table",),
     "series": ("RationalGF",),
     "verify": ("run_checks",),
 }

@@ -261,11 +261,19 @@ def defined_families() -> list:
     return list(_FAMILIES)
 
 
+def shortest_runs(string_class: StringClass) -> tuple:
+    """(lo0, lo1), the shortest 0-run and 1-run of a class with a run
+    family for both bits; raises UnsupportedClass for the others."""
+    if (string_class, 0) not in _FAMILIES or (string_class, 1) not in _FAMILIES:
+        raise UnsupportedClass(f"no two-run generating function for {string_class}")
+    (lo0, _), (lo1, _) = _RUNS[string_class]
+    return lo0, lo1
+
+
 def cross_gf(string_class: StringClass, i: int, j: int) -> RationalGF:
     """GF counting class strings with no run of i 1s and no run of j 0s;
     for the classes with a run family for both bits."""
     if i < 1 or j < 1:
         raise ValueError("run thresholds must be >= 1")
-    if (string_class, 0) not in _FAMILIES or (string_class, 1) not in _FAMILIES:
-        raise UnsupportedClass(f"no two-run generating function for {string_class}")
+    shortest_runs(string_class)
     return alternating_gf(string_class, j - 1, i - 1)

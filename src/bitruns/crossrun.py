@@ -1,21 +1,25 @@
 """Correlations of the longest 0-run R0 with the longest 1-run R1
 (Table 1) and with the bitsum S (Table 2).
 
-Both tables give one ``Correlation`` per length, built from five sums
-over the class strings: of R0, R0^2, Y, Y^2 and R0 Y, with Y = R1 or S.
-A length with a single class string has no correlation, and
-``correlation_counts`` refuses it from the class counts before any sum
-starts.  The run sums come from the cap sum of ``moments``; S and S^2
-from the catalog's bitsum GFs, and R0 S from the same cap sum over the
-0-runs, for every class.  R0 R1 is read as follows.
+Each table, ``cross_report_table`` and ``joint_rs_report_table``, is
+its quantity's one entry point: it gives one ``Correlation`` per length
+of a list, and one length n is ``table([n], cls)[0]``.  Each record is
+built from five sums over the class strings: of R0, R0^2, Y, Y^2 and
+R0 Y, with Y = R1 or S.  A length with a single class string has no
+correlation, and ``correlation_counts`` refuses it from the class
+counts before any sum starts.  The run sums come from the cap sum of
+``moments``; S and S^2 from the catalog's bitsum GFs, and R0 S from the
+same cap sum over the 0-runs, for every class.  R0 R1 is read as
+follows.
 
 Every class with a run family for both bits (unconstrained, multus,
-bimultus) is the language of alternating 0-runs and 1-runs whose
-lengths are at least lo0 and lo1, with no upper length.  A string with
-m0 0-runs and m1 1-runs has |m0 - m1| <= 1, in two orders when
-m0 = m1 and in one otherwise, and is a composition of its n0 zeros
-into m0 parts >= lo0 next to one of its n - n0 ones into m1 parts
->= lo1.  R0 and R1 are the largest parts of the two compositions, so
+bimultus; ``catalog.shortest_runs`` refuses the others) is the language
+of alternating 0-runs and 1-runs whose lengths are at least lo0 and
+lo1, with no upper length.  A string with m0 0-runs and m1 1-runs has
+|m0 - m1| <= 1, in two orders when m0 = m1 and in one otherwise, and is
+a composition of its n0 zeros into m0 parts >= lo0 next to one of its
+n - n0 ones into m1 parts >= lo1.  R0 and R1 are the largest parts of
+the two compositions, so
 
     sum R0 R1 = sum_{n0} sum_{m>=1} M0(n0, m) (2 M1(n - n0, m)
                 + M1(n - n0, m - 1) + M1(n - n0, m + 1)),
@@ -36,7 +40,8 @@ other bit's m - 1 shortest runs leave, so there are about N / (lo0 +
 lo1) rows for N = max(ns), each at most N long: O(N^2) Python-level
 steps, and about N^3 / 24 big-integer additions inside the prefix
 sums for unconstrained.  Memory is a few rows of N integers.  The
-exhaustive oracle covers every class at small n.
+exhaustive oracle covers every class at small n: ``cross_report_oracle``
+reads the same five sums off ``enumerate_joint`` with ``oracle_moment``.
 """
 
 from __future__ import annotations
@@ -47,28 +52,16 @@ from math import comb
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
-from .catalog import bitsum_gfs, cap_form
+from .catalog import bitsum_gfs, shortest_runs
 from .ensembles import (
     DEFAULT_ORACLE_BOUND,
     StringClass,
     enumerate_joint,
     oracle_moment,
 )
-from .errors import DegenerateVariance, UndefinedFamily, UnsupportedClass
-from .moments import checked_counts, run_numerators, zero_run_bitsum_numerators
+from .errors import DegenerateVariance
+from .moments import checked_counts, run_numerators
 from .render import signed_sqrt_ratio
-
-
-def _shortest_runs(string_class: StringClass) -> tuple:
-    """(lo0, lo1), the shortest 0-run and 1-run of the class; raises
-    UnsupportedClass unless both bits have a run family."""
-    try:
-        form = cap_form(string_class, 1)
-    except UndefinedFamily:
-        raise UnsupportedClass(
-            f"no two-run generating function for {string_class}"
-        ) from None
-    return form.lo_other, form.lo
 
 
 def largest_part_row(lo: int, m: int, top: int) -> list:
@@ -100,7 +93,7 @@ def _rows(lo: int, lo_other: int, top: int):
 def cross_numerator(string_class: StringClass, ns: Sequence[int]) -> list:
     """The sum of R0 * R1 over the class strings of each length in ns, in
     order, from the largest-part rows; see the module docstring."""
-    lo0, lo1 = _shortest_runs(string_class)
+    lo0, lo1 = shortest_runs(string_class)
     if not ns:
         return []
     if any(n < 0 for n in ns):
@@ -131,12 +124,6 @@ def cross_numerator(string_class: StringClass, ns: Sequence[int]) -> list:
         prev, cur, nxt = cur, nxt, next(ones)
         m += 1
     return [acc[n] for n in ns]
-
-
-def cross_moment(n: int, string_class: StringClass) -> Fraction:
-    """Exact E[R0 * R1] over class strings of length n."""
-    counts = checked_counts(string_class, [n])
-    return Fraction(cross_numerator(string_class, [n])[0], counts[n])
 
 
 class Correlation(NamedTuple):
@@ -193,7 +180,7 @@ def cross_report_table(ns: Sequence[int], string_class: StringClass) -> list:
     rows."""
     if not ns:
         return []
-    _shortest_runs(string_class)
+    shortest_runs(string_class)
     counts = correlation_counts(string_class, ns)
     zeros, ones = (run_numerators(string_class, bit, ns) for bit in (0, 1))
     sums = [
@@ -201,10 +188,6 @@ def cross_report_table(ns: Sequence[int], string_class: StringClass) -> list:
         for r0, r1, x in zip(zeros, ones, cross_numerator(string_class, ns))
     ]
     return _correlations(ns, string_class, counts, sums)
-
-
-def cross_report(n: int, string_class: StringClass) -> Correlation:
-    return cross_report_table([n], string_class)[0]
 
 
 def cross_report_oracle(
@@ -215,7 +198,14 @@ def cross_report_oracle(
     """Same correlation by exhaustive enumeration; works for every class,
     and tests its own variances."""
     dist = enumerate_joint(n, string_class, bound)
-    means = [oracle_moment(dist, e) for e in ("R0", "R0^2", "R1", "R1^2", "R0*R1")]
+    stats = (
+        lambda r0, r1, s: r0,
+        lambda r0, r1, s: r0 * r0,
+        lambda r0, r1, s: r1,
+        lambda r0, r1, s: r1 * r1,
+        lambda r0, r1, s: r0 * r1,
+    )
+    means = [oracle_moment(dist, f) for f in stats]
     # the means are the sums over a count of 1
     (r,) = _correlations([n], string_class, {n: 1}, [means])
     if r.var_r0 == 0 or r.var_other == 0:
@@ -235,12 +225,8 @@ def joint_rs_report_table(ns: Sequence[int], string_class: StringClass) -> list:
     counts = correlation_counts(string_class, ns)
     s1, s2 = (gf.expand(max(ns)) for gf in bitsum_gfs(string_class))
     sums = [
-        (r1, r2, s1[n], s2[n], rs)
-        for n, (r1, r2, rs) in zip(ns, zero_run_bitsum_numerators(string_class, ns))
+        (r[0], r[1], s1[n], s2[n], r[-1])
+        for n, r in zip(ns, run_numerators(string_class, 0, ns, bitsum=True))
     ]
     return _correlations(ns, string_class, counts, sums)
 
-
-def joint_rs_report(n: int, string_class: StringClass) -> Correlation:
-    """Correlation of the longest zero run with the bitsum at length n."""
-    return joint_rs_report_table([n], string_class)[0]

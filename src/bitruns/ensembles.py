@@ -12,13 +12,16 @@ Everything here is brute force on purpose: this module is the ground
 truth that the generating-function and binomial-sum pipelines are
 checked against.  A string of length n is an integer v < 2^n whose
 bit i is position i, so the per-string statistics are word operations.
+``enumerate_joint`` tallies the (r0, r1, s) triples of a class, and
+``oracle_moment(dist, f)`` is the one reader of such a tally: the mean
+of any function f(r0, r1, s).
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import EmptyEnsemble, OracleBoundExceeded
 
@@ -175,28 +178,14 @@ def enumerate_joint(
     return enumerate_classes(n, bound)[string_class]
 
 
-#: Statistics oracle_moment understands, as functions of (r0, r1, s).
-MOMENT_EXPRS = {
-    "R0": lambda r0, r1, s: r0,
-    "R1": lambda r0, r1, s: r1,
-    "S": lambda r0, r1, s: s,
-    "R0^2": lambda r0, r1, s: r0 * r0,
-    "R1^2": lambda r0, r1, s: r1 * r1,
-    "S^2": lambda r0, r1, s: s * s,
-    "R0*R1": lambda r0, r1, s: r0 * r1,
-    "R0*S": lambda r0, r1, s: r0 * s,
-}
-
-
-def oracle_moment(dist: JointDistribution, expr: str) -> Fraction:
-    """Exact expectation of expr under the uniform distribution on the class."""
+def oracle_moment(dist: JointDistribution, f: Callable[..., int]) -> Fraction:
+    """Exact expectation of f(r0, r1, s) under the uniform distribution
+    on the class."""
     if dist.total == 0:
         raise EmptyEnsemble(
             f"no {dist.string_class} strings of length {dist.n}"
         )
-    f = MOMENT_EXPRS[expr]
-    num = sum(f(*key) * c for key, c in dist.counts)
-    return Fraction(num, dist.total)
+    return Fraction(sum(f(*key) * c for key, c in dist.counts), dist.total)
 
 
 def to_composition(v: int, n: int) -> list:

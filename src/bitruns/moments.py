@@ -176,12 +176,6 @@ def run_numerators(
     return [out[n] for n in ns]
 
 
-def zero_run_bitsum_numerators(string_class: StringClass, ns: Sequence[int]) -> list:
-    """(sum of R0, of R0^2, of R0 * bitsum) over the class strings of each
-    length in ns, R0 the longest 0-run, from one cap sum."""
-    return [(r[0], r[1], r[-1]) for r in run_numerators(string_class, 0, ns, bitsum=True)]
-
-
 @lru_cache(maxsize=8)
 def _counts_cached(string_class: StringClass, order: int) -> tuple:
     # the empty string is a member of every class, whatever the count
@@ -200,13 +194,6 @@ def checked_counts(string_class: StringClass, ns: Sequence[int]) -> tuple:
         if counts[n] == 0:
             raise EmptyEnsemble(f"no {string_class} strings of length {n}")
     return counts
-
-
-def run_moment(n: int, string_class: StringClass, bit: int, m: int) -> Fraction:
-    """Exact E[(longest run of `bit`)^m] over class strings of length n."""
-    moment_weight(m, 1)
-    r = run_variance_report(n, string_class, bit)
-    return (r.mean, r.second_moment, r.third_moment, r.fourth_moment)[m - 1]
 
 
 class MomentReport(NamedTuple):
@@ -231,21 +218,8 @@ def run_variance_table(ns: Sequence[int], string_class: StringClass, bit: int) -
     out = []
     for n, sums in zip(ns, run_numerators(string_class, bit, ns)):
         mean, second, third, fourth = (Fraction(s, counts[n]) for s in sums)
+        variance = second - mean * mean
         out.append(
-            MomentReport(
-                n=n,
-                string_class=string_class,
-                bit=bit,
-                mean=mean,
-                second_moment=second,
-                variance=second - mean * mean,
-                third_moment=third,
-                fourth_moment=fourth,
-            )
+            MomentReport(n, string_class, bit, mean, second, variance, third, fourth)
         )
     return out
-
-
-def run_variance_report(n: int, string_class: StringClass, bit: int) -> MomentReport:
-    """Moments 1..4 and the variance in one pass."""
-    return run_variance_table([n], string_class, bit)[0]

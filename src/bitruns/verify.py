@@ -2,8 +2,10 @@
 
 Each check compares a generating-function or binomial-sum result with
 exhaustive enumeration over all 2^n strings, for every length up to
-a bound.  Checks return named results with the first counterexample, so
-a failure pinpoints the formula and index at fault.
+a bound.  Each check is a generator that compares case by case and
+yields (label, got, want) only where they differ; ``_check`` turns the
+first of these into the check's named result and runs no later case,
+so a failure pinpoints the formula and index at fault.
 """
 
 from __future__ import annotations
@@ -49,149 +51,128 @@ def _first_n(string_class: StringClass) -> int:
     return 1 if string_class in _NO_EMPTY else 0
 
 
+def _check(name: str, mismatches) -> CheckResult:
+    """The result of one check from its (label, got, want) mismatches:
+    the first one is the counterexample, and no case after it is run."""
+    for label, got, want in mismatches:
+        return CheckResult(name, False, f"{label}: {got} != {want}")
+    return CheckResult(name, True)
+
+
 def check_counts(nmax: int, oracle: Oracle) -> list:
-    out = []
-    for cls in StringClass:
+    def bad(cls):
         series = count_gf(cls).expand(nmax)
-        bad = ""
         for n in range(_first_n(cls), nmax + 1):
             want = oracle(n, cls).total
             if series[n] != want:
-                bad = f"n={n}: series {series[n]} != count {want}"
-                break
-        out.append(CheckResult(f"counts/{cls}", not bad, bad))
-    return out
+                yield f"n={n}", f"series {series[n]}", f"count {want}"
+
+    return [_check(f"counts/{cls}", bad(cls)) for cls in StringClass]
 
 
 def check_bitsums(nmax: int, oracle: Oracle) -> list:
-    out = []
-    for cls in (StringClass.BIMULTUS, StringClass.PERSOLUS):
+    def bad(cls):
         a, b = (gf.expand(nmax) for gf in bitsum_gfs(cls))
-        bad = ""
         for n in range(nmax + 1):
             counts = oracle(n, cls).counts
             wa = sum(cnt * s for (_, _, s), cnt in counts)
             wb = sum(cnt * s * s for (_, _, s), cnt in counts)
             if (a[n], b[n]) != (wa, wb):
-                bad = f"n={n}: ({a[n]},{b[n]}) != ({wa},{wb})"
-                break
-        out.append(CheckResult(f"bitsums/{cls}", not bad, bad))
-    return out
+                yield f"n={n}", f"({a[n]},{b[n]})", f"({wa},{wb})"
+
+    classes = (StringClass.BIMULTUS, StringClass.PERSOLUS)
+    return [_check(f"bitsums/{cls}", bad(cls)) for cls in classes]
 
 
 def check_run_moments(nmax: int, oracle: Oracle) -> list:
-    out = []
-    for cls, bit in defined_families():
+    def bad(cls, bit):
         dists = [oracle(n, cls) for n in range(1, nmax + 1)]
         dists = [d for d in dists if d.total]
         reports = run_variance_table([d.n for d in dists], cls, bit)
-        bad = ""
         for dist, r in zip(dists, reports):
             moments = (r.mean, r.second_moment, r.third_moment, r.fourth_moment)
             for m, got in enumerate(moments, 1):
                 want = Fraction(
-                    sum(cnt * key[bit] ** m for key, cnt in dist.counts),
-                    dist.total,
+                    sum(cnt * key[bit] ** m for key, cnt in dist.counts), dist.total
                 )
                 if got != want:
-                    bad = f"n={dist.n} m={m}: {got} != {want}"
-                    break
-            if bad:
-                break
-        out.append(CheckResult(f"run-moments/{cls}/bit{bit}", not bad, bad))
-    return out
+                    yield f"n={dist.n} m={m}", got, want
+
+    return [
+        _check(f"run-moments/{cls}/bit{bit}", bad(cls, bit))
+        for cls, bit in defined_families()
+    ]
 
 
 def check_cross_run(nmax: int, oracle: Oracle) -> list:
-    out = []
-    for cls in (StringClass.UNCONSTRAINED, StringClass.MULTUS):
-        bad = ""
+    def bad(cls):
         # two-run family coefficients
         for i in range(1, 7):
             for j in range(1, 7):
                 series = cross_gf(cls, i, j).expand(nmax)
                 for n in range(_first_n(cls), nmax + 1):
-                    want = sum(
-                        cnt
-                        for (r0, r1, _), cnt in oracle(n, cls).counts
-                        if r1 < i and r0 < j
-                    )
+                    counts = oracle(n, cls).counts
+                    want = sum(cnt for (r0, r1, _), cnt in counts if r1 < i and r0 < j)
                     if series[n] != want:
-                        bad = f"f_{{{i},{j}}} n={n}: {series[n]} != {want}"
-                        break
-                if bad:
-                    break
-            if bad:
-                break
+                        yield f"f_{{{i},{j}}} n={n}", series[n], want
         # product moments
-        if not bad:
-            counts = count_gf(cls).expand(nmax)
-            xnum = cross_numerator(cls, range(nmax + 1))
-            for n in range(1, nmax + 1):
-                dist = oracle(n, cls)
-                if dist.total == 0:
-                    continue
-                want = oracle_moment(dist, "R0*R1")
+        counts = count_gf(cls).expand(nmax)
+        xnum = cross_numerator(cls, range(nmax + 1))
+        for n in range(1, nmax + 1):
+            dist = oracle(n, cls)
+            if dist.total:
                 got = Fraction(xnum[n], counts[n])
+                want = oracle_moment(dist, lambda r0, r1, s: r0 * r1)
                 if got != want:
-                    bad = f"E(R0 R1) n={n}: {got} != {want}"
-                    break
-        out.append(CheckResult(f"cross-run/{cls}", not bad, bad))
-    return out
+                    yield f"E(R0 R1) n={n}", got, want
+
+    classes = (StringClass.UNCONSTRAINED, StringClass.MULTUS)
+    return [_check(f"cross-run/{cls}", bad(cls)) for cls in classes]
 
 
 def check_joint_dp(nmax: int, oracle: Oracle) -> list:
-    out = []
-    for cls in (StringClass.UNCONSTRAINED, StringClass.SOLUS):
-        bad = ""
+    def bad(cls):
         for n in range(nmax + 1):
             table = joint_table(n, cls)
-            want: dict = {}
+            tally: dict = {}
             for (r0, _, s), cnt in oracle(n, cls).counts:
                 key = (n - s, r0)
-                want[key] = want.get(key, 0) + cnt
+                tally[key] = tally.get(key, 0) + cnt
             for x in range(n + 1):
                 for y in range(x + 1):
-                    if table.count(x, y) != want.get((x, y), 0):
-                        bad = (
-                            f"n={n} x={x} y={y}: "
-                            f"{table.count(x, y)} != {want.get((x, y), 0)}"
-                        )
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        out.append(CheckResult(f"joint-dp/{cls}", not bad, bad))
-    return out
+                    got, want = table.count(x, y), tally.get((x, y), 0)
+                    if got != want:
+                        yield f"n={n} x={x} y={y}", got, want
+
+    classes = (StringClass.UNCONSTRAINED, StringClass.SOLUS)
+    return [_check(f"joint-dp/{cls}", bad(cls)) for cls in classes]
 
 
 def check_compositions(nmax: int, oracle: Oracle) -> list:
-    bad = ""
-    for n in range(nmax + 1):
-        mask = (1 << n) - 1
-        seen = set()
-        for v in range(1 << n):
-            parts = tuple(to_composition(v, n))
-            # r0 and the bitsum from word operations, not from the split
-            r0 = _longest_one_run(~v & mask)
-            s = v.bit_count()
-            if sum(parts) != n + 1:
-                bad = f"n={n} {bit_string(v, n)}: parts sum {sum(parts)} != {n + 1}"
-            elif len(parts) != s + 1:
-                bad = f"n={n} {bit_string(v, n)}: {len(parts)} parts != bitsum+1 {s + 1}"
-            elif max(parts) != r0 + 1:
-                bad = f"n={n} {bit_string(v, n)}: max part {max(parts)} != r0+1 {r0 + 1}"
-            elif parts in seen:
-                bad = f"n={n}: duplicate composition {parts}"
-            if bad:
-                break
-            seen.add(parts)
-        if not bad and len(seen) != 2**n:
-            bad = f"n={n}: {len(seen)} compositions != {2**n}"
-        if bad:
-            break
-    return [CheckResult("compositions", not bad, bad)]
+    def bad():
+        for n in range(nmax + 1):
+            mask = (1 << n) - 1
+            seen = set()
+            for v in range(1 << n):
+                parts = tuple(to_composition(v, n))
+                # r0 and the bitsum from word operations, not from the split
+                r0 = _longest_one_run(~v & mask)
+                s = v.bit_count()
+                if sum(parts) != n + 1:
+                    got, want = f"parts sum {sum(parts)}", n + 1
+                elif len(parts) != s + 1:
+                    got, want = f"{len(parts)} parts", f"bitsum+1 {s + 1}"
+                elif max(parts) != r0 + 1:
+                    got, want = f"max part {max(parts)}", f"r0+1 {r0 + 1}"
+                else:
+                    seen.add(parts)
+                    continue
+                yield f"n={n} {bit_string(v, n)}", got, want
+            # 2^n distinct compositions: the map from strings is one to one
+            if len(seen) != 2**n:
+                yield f"n={n}", f"{len(seen)} compositions", 2**n
+
+    return [_check("compositions", bad())]
 
 
 _SCOPES = {

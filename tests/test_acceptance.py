@@ -20,13 +20,7 @@ from bitruns.asymptotics import (
     variance_limit,
 )
 from bitruns.catalog import bitsum_gfs, count_gf
-from bitruns.crossrun import (
-    cross_moment,
-    cross_numerator,
-    cross_report_table,
-    joint_rs_report,
-    joint_rs_report_table,
-)
+from bitruns.crossrun import cross_numerator, cross_report_table, joint_rs_report_table
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.jointdp import (
     fewones_closed_form,
@@ -35,7 +29,7 @@ from bitruns.jointdp import (
     joint_table,
     rs_numerator_approx,
 )
-from bitruns.moments import run_moment, run_numerators
+from bitruns.moments import run_numerators, run_variance_table
 from bitruns.render import signed_sqrt_ratio
 
 from families import FAMILIES
@@ -210,7 +204,7 @@ def test_criterion_4_table2_desk_scale():
     for spec in (TABLE2, TABLE2_SPOT):
         for n, (rho_u, rho_s) in spec.items():
             for cls, want in ((U, rho_u), (SOL, rho_s)):
-                r = joint_rs_report(n, cls)
+                r = joint_rs_report_table([n], cls)[0]
                 exact = _exact_rho(r.covariance, r.var_r0 * r.var_other)
                 assert _matches_published(exact, want), (n, cls, str(exact))
 
@@ -238,7 +232,7 @@ TABLE2_2000 = ("-0.1693732428", "-0.2116256761")
 
 def test_table2_row_at_2000_is_pinned():
     for cls, want in zip((U, SOL), TABLE2_2000):
-        r = joint_rs_report(2000, cls)
+        (r,) = joint_rs_report_table([2000], cls)
         assert signed_sqrt_ratio(r.covariance, r.var_r0 * r.var_other, 10) == want
 
 
@@ -298,17 +292,16 @@ def test_criterion_6_oracle_equivalence():
                 continue
             bits = (0, 1) if cls in (U, M, B) else (0,)
             for bit in bits:
-                for m in (1, 2):
+                (r,) = run_variance_table([n], cls, bit)
+                for m, got in ((1, r.mean), (2, r.second_moment)):
                     want = Fraction(
                         sum(c * key[bit] ** m for key, c in dist.counts),
                         dist.total,
                     )
-                    assert run_moment(n, cls, bit, m) == want, (cls, n, bit, m)
+                    assert got == want, (cls, n, bit, m)
             if cls in (U, M):
-                want = Fraction(
-                    sum(c * r0 * r1 for (r0, r1, _), c in dist.counts), dist.total
-                )
-                assert cross_moment(n, cls) == want, (cls, n)
+                want = sum(c * r0 * r1 for (r0, r1, _), c in dist.counts)
+                assert cross_numerator(cls, [n]) == [want], (cls, n)
             if cls in (U, SOL):
                 table = joint_table(n, cls)
                 marginal: dict = {}
@@ -377,6 +370,6 @@ def test_full_table2_to_1400():
     }
     for n, (rho_u, rho_s) in want.items():
         for cls, ref in ((U, rho_u), (SOL, rho_s)):
-            r = joint_rs_report(n, cls)
+            r = joint_rs_report_table([n], cls)[0]
             exact = _exact_rho(r.covariance, r.var_r0 * r.var_other)
             assert _matches_published(exact, ref), (n, cls, str(exact))

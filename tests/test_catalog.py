@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -13,11 +14,18 @@ from bitruns.catalog import (
     cross_gf,
     defined_families,
     run_family,
+    shortest_runs,
 )
-from bitruns.ensembles import StringClass, enumerate_classes, enumerate_joint
+from bitruns.ensembles import (
+    StringClass,
+    bit_string,
+    class_member,
+    enumerate_classes,
+    enumerate_joint,
+)
 from bitruns.errors import UndefinedFamily, UnsupportedClass
 from bitruns.jointdp import _at_most
-from bitruns.moments import moment_weight, run_numerators, zero_run_bitsum_numerators
+from bitruns.moments import moment_weight, run_numerators
 from bitruns.series import RationalGF, dense_terms, merged, terms_mul
 
 from families import FAMILIES
@@ -217,6 +225,23 @@ def test_cross_gf_counts():
                         if r1 < i and r0 < j
                     )
                     assert series[n] == want, (cls, i, j, n)
+
+
+def test_shortest_runs():
+    """(lo0, lo1) where both bits have a run family, read off the shortest
+    runs the oracle finds; one refusal, worded alike, for the others."""
+    for cls in StringClass:
+        both = {b for c, b in defined_families() if c is cls} == {0, 1}
+        if not both:
+            with pytest.raises(UnsupportedClass, match=f"^no two-run generating function for {cls}$"):
+                shortest_runs(cls)
+            continue
+        runs = [[], []]
+        for v in range(1 << 10):
+            if class_member(v, 10, cls):
+                for run in re.findall("0+|1+", bit_string(v, 10)):
+                    runs[int(run[0])].append(len(run))
+        assert shortest_runs(cls) == (min(runs[0]), min(runs[1])), cls
 
 
 def test_cross_gf_rejects_bad_input():
@@ -616,6 +641,11 @@ def test_cap_form_pieces():
             cap_form(cls, 1)
 
 
+def _zero_run_bitsum_numerators(cls, ns):
+    """The sums of R0, R0^2 and R0 * bitsum that table2 reads."""
+    return [(r[0], r[1], r[-1]) for r in run_numerators(cls, 0, ns, bitsum=True)]
+
+
 @pytest.mark.parametrize("cls", list(StringClass))
 def test_zero_run_bitsum_numerators_equal_series_route(series_moments, cls):
     """The three table2 numerators equal the series route's first two for
@@ -625,8 +655,8 @@ def test_zero_run_bitsum_numerators_equal_series_route(series_moments, cls):
     rs = _series_rs_numerator(cls, CAP_ORDER)
     want = {n: (r1[n], r2[n], rs[n]) for n in range(CAP_ORDER + 1)}
     ns = list(range(CAP_ORDER + 1))
-    assert zero_run_bitsum_numerators(cls, ns) == [want[n] for n in ns]
+    assert _zero_run_bitsum_numerators(cls, ns) == [want[n] for n in ns]
     for n in (0, 1, 2, 3, 17, CAP_ORDER):
-        assert zero_run_bitsum_numerators(cls, [n]) == [want[n]]
+        assert _zero_run_bitsum_numerators(cls, [n]) == [want[n]]
     mixed = [40, 3, 40, 0, 11]
-    assert zero_run_bitsum_numerators(cls, mixed) == [want[n] for n in mixed]
+    assert _zero_run_bitsum_numerators(cls, mixed) == [want[n] for n in mixed]

@@ -277,7 +277,7 @@ def test_verify_over_oracle_bound_exits_before_enumerating(capsys, monkeypatch):
 def test_asymptotics_at_precision_60_against_100_digits(capsys):
     import mpmath
 
-    from bitruns.moments import run_variance_report
+    from bitruns.moments import run_variance_table
     from bitruns.render import format_float
 
     code, out, err = run_cli(
@@ -287,7 +287,7 @@ def test_asymptotics_at_precision_60_against_100_digits(capsys):
     assert code == EXIT_OK and err == ""
     header, row = list(csv.reader(io.StringIO(out)))
     got = dict(zip(header, row))
-    r = run_variance_report(10, bitruns.StringClass.SOLUS, 0)
+    (r,) = run_variance_table([10], bitruns.StringClass.SOLUS, 0)
     with mpmath.workdps(100):
         lb = mpmath.log((1 + mpmath.sqrt(5)) / 2)
         asymptote = mpmath.log(10) / lb - (2 - mpmath.euler / lb)
@@ -396,6 +396,42 @@ def test_package_exports_resolve_lazily():
         bitruns.no_such_name
 
 
+def test_package_exports_are_pinned():
+    """Adding or removing a public name is a deliberate change here."""
+    assert bitruns.__all__ == [
+        "BitrunsError",
+        "JointDistribution",
+        "RationalGF",
+        "RunStats",
+        "StringClass",
+        "bitsum_gfs",
+        "class_member",
+        "count_gf",
+        "cross_gf",
+        "cross_report_oracle",
+        "cross_report_table",
+        "density_limits",
+        "enumerate_joint",
+        "fewones_closed_form",
+        "fewones_count",
+        "fewones_peak",
+        "finite_vs_asymptote",
+        "growth_constant",
+        "joint_rs_report_table",
+        "joint_table",
+        "mean_asymptote",
+        "oracle_moment",
+        "rs_numerator_approx",
+        "run_checks",
+        "run_family",
+        "run_stats",
+        "run_variance_table",
+        "to_composition",
+        "variance_limit",
+        "__version__",
+    ]
+
+
 def test_counts_print_integers_past_4300_digits(capsys):
     # 2^14285 is the first unconstrained count with 4301 digits, past
     # Python's default limit on int-to-str conversion
@@ -437,6 +473,7 @@ def _size_bounds():
 
     cap, t1 = cli.MAX_CAP_SUM_LENGTH, cli.MAX_TABLE1_LENGTH
     joint, fewones = cli.MAX_JOINT_LENGTH, cli.MAX_FEWONES_NMAX
+    compositions = cli.MAX_COMPOSITIONS_N
     return [
         (("moments", "--class", "solus", "--lengths", f"10,{cap + 1}"), "--lengths", cap),
         (("asymptotics", "--class", "solus", "--lengths", f"{cap + 1}"), "--lengths", cap),
@@ -444,6 +481,7 @@ def _size_bounds():
         (("table1", "--lengths", f"10,{t1 + 1}"), "--lengths", t1),
         (("joint", "--class", "solus", "--n", f"{joint + 1}"), "--n", joint),
         (("fewones", "--ones", "3", "--run", "2", "--nmax", f"{fewones + 1}"), "--nmax", fewones),
+        (("compositions", "--n", f"{compositions + 1}"), "--n", compositions),
     ]
 
 
@@ -455,6 +493,7 @@ _WORK = {
     "table1": ("crossrun", "cross_report_table"),
     "joint": ("jointdp", "joint_table"),
     "fewones": ("jointdp", "fewones_count"),
+    "compositions": ("ensembles", "to_composition"),
 }
 
 
@@ -568,11 +607,13 @@ def test_length_sum_bound_exits_before_any_work(capsys, monkeypatch, command):
         (("compositions", "--n", "-1"), "--n", 0, -1),
         (("verify", "--nmax", "-1"), "--nmax", 0, -1),
         (("--precision", "-2", "moments", "--class", "solus"), "--precision", 0, -2),
+        (("asymptotics", "--class", "solus", "--lengths", "0,10"), "--lengths", 1, 0),
     ],
 )
 def test_value_below_range_names_the_flag(capsys, monkeypatch, argv, flag, least, value):
     """A value below a flag's range is a usage error whose one line
     names the flag the user typed, raised before any work."""
+    import bitruns.asymptotics
     import bitruns.catalog
     import bitruns.jointdp
     import bitruns.verify
@@ -580,6 +621,7 @@ def test_value_below_range_names_the_flag(capsys, monkeypatch, argv, flag, least
     def forbidden(*args):
         raise AssertionError("work started")
 
+    monkeypatch.setattr(bitruns.asymptotics, "finite_vs_asymptote", forbidden)
     monkeypatch.setattr(bitruns.jointdp, "fewones_count", forbidden)
     monkeypatch.setattr(bitruns.catalog, "cross_gf", forbidden)
     monkeypatch.setattr(bitruns.verify, "run_checks", forbidden)

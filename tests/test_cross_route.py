@@ -16,15 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitruns.catalog import defined_families
-from bitruns.crossrun import (
-    correlation_counts,
-    cross_moment,
-    cross_report,
-    cross_report_table,
-    joint_rs_report,
-    joint_rs_report_table,
-)
-from bitruns.ensembles import StringClass, enumerate_classes
+from bitruns.crossrun import correlation_counts, cross_report_table, joint_rs_report_table
+from bitruns.ensembles import StringClass, enumerate_classes, oracle_moment
 from bitruns.errors import DegenerateVariance, EmptyEnsemble, UnsupportedClass
 from bitruns.jointdp import joint_table
 from bitruns.moments import run_variance_table
@@ -37,10 +30,6 @@ CROSS_CLASSES = {U, MULTUS, BIMULTUS}
 JOINT_TABLE_CLASSES = {U, SOLUS}
 
 _oracle = lru_cache(maxsize=None)(enumerate_classes)
-
-
-def _expect(dist, f):
-    return Fraction(sum(c * f(*key) for key, c in dist.counts), dist.total)
 
 
 def _table_moments(table):
@@ -76,21 +65,17 @@ def test_routes_agree_with_the_oracle(cls, n):
         for bit in families:
             with pytest.raises(EmptyEnsemble):
                 run_variance_table([n], cls, bit)
-        routes = [(joint_rs_report_table, joint_rs_report)]
+        tables = [joint_rs_report_table]
         if cls in CROSS_CLASSES:
-            routes.append((cross_report_table, cross_report))
-            with pytest.raises(EmptyEnsemble):
-                cross_moment(n, cls)
-        for table, single in routes:
+            tables.append(cross_report_table)
+        for table in tables:
             for ns in ([n], [n + 2, n]):
                 with pytest.raises(EmptyEnsemble):
                     table(ns, cls)
-            with pytest.raises(EmptyEnsemble):
-                single(n, cls)
         return
 
     e_r0, e_r0sq, e_r1, e_r1sq, e_s, e_ssq, e_r0r1, e_r0s = (
-        _expect(dist, f)
+        oracle_moment(dist, f)
         for f in (
             lambda r0, r1, s: r0,
             lambda r0, r1, s: r0 * r0,
@@ -107,7 +92,7 @@ def test_routes_agree_with_the_oracle(cls, n):
     for bit in families:
         (r,) = run_variance_table([n], cls, bit)
         got = (r.mean, r.second_moment, r.third_moment, r.fourth_moment)
-        want = tuple(_expect(dist, lambda *k, m=m: k[bit] ** m) for m in (1, 2, 3, 4))
+        want = tuple(oracle_moment(dist, lambda *k, m=m: k[bit] ** m) for m in (1, 2, 3, 4))
         assert got == want, (cls, n, bit)
 
     if cls not in CROSS_CLASSES:
@@ -149,7 +134,7 @@ def test_no_lengths_give_no_rows(cls):
 
 
 def _variance(dist, i):
-    return _expect(dist, lambda *k: k[i] ** 2) - _expect(dist, lambda *k: k[i]) ** 2
+    return oracle_moment(dist, lambda *k: k[i] ** 2) - oracle_moment(dist, lambda *k: k[i]) ** 2
 
 
 @pytest.mark.parametrize("cls", list(StringClass))

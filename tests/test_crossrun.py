@@ -7,9 +7,7 @@ from bitruns import crossrun
 from bitruns.catalog import cross_gf
 from bitruns.cli import EXIT_USAGE, main
 from bitruns.crossrun import (
-    cross_moment,
     cross_numerator,
-    cross_report,
     cross_report_oracle,
     cross_report_table,
     largest_part_row,
@@ -27,8 +25,10 @@ def test_cross_moment_matches_oracle(cls):
     for n in range(15):
         dist = enumerate_joint(n, cls)
         assert xnum[n] == sum(c * r0 * r1 for (r0, r1, _), c in dist.counts), (cls, n)
-        if dist.total and n <= 10:
-            assert cross_moment(n, cls) == Fraction(xnum[n], dist.total), (cls, n)
+    ns = [n for n in range(11) if enumerate_joint(n, cls).total > 1]
+    for r in cross_report_table(ns, cls):
+        want = Fraction(xnum[r.n], enumerate_joint(r.n, cls).total)
+        assert r.mean_product == want, (cls, r.n)
     # any order, repeats and a single length read the same sums
     mixed = [14, 3, 14, 0, 9]
     assert cross_numerator(cls, mixed) == [xnum[n] for n in mixed]
@@ -68,7 +68,7 @@ def test_cross_numerator_unsupported_class():
 
 
 def test_cross_report_consistency():
-    r = cross_report(12, StringClass.UNCONSTRAINED)
+    (r,) = cross_report_table([12], StringClass.UNCONSTRAINED)
     o = cross_report_oracle(12, StringClass.UNCONSTRAINED)
     assert (r.mean_r0, r.mean_other) == (o.mean_r0, o.mean_other)
     assert (r.var_r0, r.var_other) == (o.var_r0, o.var_other)
@@ -77,7 +77,7 @@ def test_cross_report_consistency():
 
 
 def test_cross_report_symmetry_unconstrained():
-    r = cross_report(9, StringClass.UNCONSTRAINED)
+    (r,) = cross_report_table([9], StringClass.UNCONSTRAINED)
     assert r.mean_r0 == r.mean_other
     assert r.var_r0 == r.var_other
 
@@ -85,7 +85,7 @@ def test_cross_report_symmetry_unconstrained():
 def test_cross_report_table_alignment():
     table = cross_report_table([5, 10], StringClass.MULTUS)
     assert [r.n for r in table] == [5, 10]
-    assert table[1].rho() == cross_report(10, StringClass.MULTUS).rho()
+    assert table[1] == cross_report_table([10], StringClass.MULTUS)[0]
     # a negative length must not read a coefficient from the far end
     with pytest.raises(ValueError):
         cross_report_table([10, -1], StringClass.MULTUS)
@@ -99,14 +99,14 @@ def test_cross_report_oracle_any_class():
 
 def test_degenerate_variance():
     with pytest.raises(DegenerateVariance):
-        cross_report(0, StringClass.UNCONSTRAINED)
+        cross_report_table([0], StringClass.UNCONSTRAINED)
 
 
 def _forbid_product(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a sum started")
 
-    for name in ("cross_numerator", "run_numerators", "zero_run_bitsum_numerators"):
+    for name in ("cross_numerator", "run_numerators"):
         monkeypatch.setattr(crossrun, name, forbidden)
 
 

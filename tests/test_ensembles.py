@@ -170,14 +170,16 @@ def test_oracle_bound():
 
 def test_oracle_moment():
     dist = enumerate_joint(2, StringClass.UNCONSTRAINED)
-    assert oracle_moment(dist, "S") == 1
-    assert oracle_moment(dist, "R1") == 1
-    assert oracle_moment(dist, "R0*R1") == Fraction(2, 4)
+    assert oracle_moment(dist, lambda r0, r1, s: s) == 1
+    assert oracle_moment(dist, lambda r0, r1, s: r1) == 1
+    assert oracle_moment(dist, lambda r0, r1, s: r0 * r1) == Fraction(2, 4)
+    # "00", "01", "10", "11": r0 = 2, 1, 1, 0 and s = 0, 1, 1, 2
+    assert oracle_moment(dist, lambda r0, r1, s: r0 * s) == Fraction(2, 4)
 
 
 def test_oracle_moment_empty_ensemble():
     with pytest.raises(EmptyEnsemble):
-        oracle_moment(enumerate_joint(1, StringClass.BIMULTUS), "S")
+        oracle_moment(enumerate_joint(1, StringClass.BIMULTUS), lambda r0, r1, s: s)
 
 
 def test_to_composition():

@@ -6,7 +6,7 @@ import pytest
 from bitruns.catalog import count_gf
 from bitruns.ensembles import StringClass, enumerate_joint
 from bitruns.errors import DegenerateVariance, OutOfFormulaRange, UnsupportedClass
-from bitruns.crossrun import joint_rs_report, joint_rs_report_table
+from bitruns.crossrun import joint_rs_report_table
 from bitruns.jointdp import (
     fewones_closed_form,
     fewones_count,
@@ -176,7 +176,7 @@ def test_boundary_counts():
 
 
 def test_joint_rs_report_exact_fields():
-    r = joint_rs_report(10, StringClass.UNCONSTRAINED)
+    (r,) = joint_rs_report_table([10], StringClass.UNCONSTRAINED)
     dist = enumerate_joint(10, StringClass.UNCONSTRAINED)
     er0 = Fraction(sum(c * r0 for (r0, _, s), c in dist.counts), dist.total)
     es = Fraction(sum(c * s for (_, _, s), c in dist.counts), dist.total)
@@ -189,7 +189,7 @@ def test_joint_rs_report_exact_fields():
 
 def test_joint_rs_report_degenerate():
     with pytest.raises(DegenerateVariance):
-        joint_rs_report(0, StringClass.UNCONSTRAINED)
+        joint_rs_report_table([0], StringClass.UNCONSTRAINED)
 
 
 def _table_moments(n, cls):
@@ -218,9 +218,9 @@ def test_joint_rs_report_matches_dp(cls):
             r.mean_product, r.covariance,
         )
         assert got == _table_moments(n, cls), (cls, n)
-    assert joint_rs_report(7, cls) == joint_rs_report_table([3, 7], cls)[1]
+    assert joint_rs_report_table([7], cls) == joint_rs_report_table([3, 7], cls)[1:]
     with pytest.raises(DegenerateVariance):
-        joint_rs_report(0, cls)
+        joint_rs_report_table([0], cls)
 
 
 def test_joint_rs_report_rejects_bad_input():
@@ -252,7 +252,7 @@ def test_joint_rs_report_multus_matches_oracle():
         assert got == (er, es, err - er * er, ess - es * es, ers, ers - er * es), n
     for n in (0, 1):  # the empty string; the one string "0"
         with pytest.raises(DegenerateVariance):
-            joint_rs_report(n, StringClass.MULTUS)
+            joint_rs_report_table([n], StringClass.MULTUS)
 
 
 @pytest.mark.parametrize("cls", [U, SOL])

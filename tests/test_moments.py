@@ -9,11 +9,8 @@ from bitruns.errors import BitrunsError, EmptyEnsemble, UndefinedFamily, Unsuppo
 from bitruns.moments import (
     MAX_MOMENT,
     moment_weight,
-    run_moment,
     run_numerators,
-    run_variance_report,
     run_variance_table,
-    zero_run_bitsum_numerators,
 )
 
 from families import FAMILIES
@@ -32,33 +29,37 @@ def test_moment_weight_out_of_range():
         moment_weight(0, 1)
 
 
+def _moments(r):
+    return (r.mean, r.second_moment, r.third_moment, r.fourth_moment)
+
+
 def test_run_moment_matches_oracle():
     for cls, bit in defined_families():
-        for n in range(1, 9):
-            dist = enumerate_joint(n, cls)
-            if dist.total == 0:
-                continue
-            for m in (1, 2, 3, 4):
+        dists = [enumerate_joint(n, cls) for n in range(1, 9)]
+        dists = [d for d in dists if d.total]
+        reports = run_variance_table([d.n for d in dists], cls, bit)
+        for dist, r in zip(dists, reports):
+            for m, got in enumerate(_moments(r), 1):
                 want = Fraction(
                     sum(cnt * key[bit] ** m for key, cnt in dist.counts),
                     dist.total,
                 )
-                assert run_moment(n, cls, bit, m) == want, (cls, bit, n, m)
+                assert got == want, (cls, bit, dist.n, m)
 
 
 def test_run_moment_known_value():
     # mean longest 1-run over the 4 strings of length 2: (0+1+1+2)/4
-    assert run_moment(2, StringClass.UNCONSTRAINED, 1, 1) == 1
+    assert run_variance_table([2], StringClass.UNCONSTRAINED, 1)[0].mean == 1
 
 
 def test_run_moment_empty_ensemble():
     with pytest.raises(EmptyEnsemble):
-        run_moment(1, StringClass.BIMULTUS, 0, 1)
+        run_variance_table([1], StringClass.BIMULTUS, 0)
 
 
 def test_run_moment_negative_length():
     with pytest.raises(ValueError):
-        run_moment(-1, StringClass.SOLUS, 0, 1)
+        run_variance_table([-1], StringClass.SOLUS, 0)
 
 
 def test_run_numerators_negative_length():
@@ -67,10 +68,9 @@ def test_run_numerators_negative_length():
 
 
 def test_run_variance_report():
-    r = run_variance_report(10, StringClass.SOLUS, 0)
+    (r,) = run_variance_table([10], StringClass.SOLUS, 0)
     assert r.variance == r.second_moment - r.mean * r.mean
-    assert r.mean == run_moment(10, StringClass.SOLUS, 0, 1)
-    assert r.fourth_moment == run_moment(10, StringClass.SOLUS, 0, 4)
+    assert (r.n, r.string_class, r.bit) == (10, StringClass.SOLUS, 0)
     assert r.variance > 0
 
 
@@ -96,16 +96,18 @@ def test_moment_numerator_matches_per_moment_sums(series_moments, cls, bit):
         assert got[m - 1] == _numerator_per_moment(fam, m, 40), m
 
 
-def _outcome(fn, *args):
+def _single(n, cls, bit):
+    """The table's report at the one length n, or the type of its error."""
     try:
-        return fn(*args)
+        (r,) = run_variance_table([n], cls, bit)
+        return r
     except BitrunsError as exc:
         return type(exc)
 
 
 @pytest.mark.parametrize("cls,bit", defined_families())
 def test_run_variance_table_matches_single_lengths(cls, bit):
-    single = {n: _outcome(run_variance_report, n, cls, bit) for n in range(61)}
+    single = {n: _single(n, cls, bit) for n in range(61)}
     ok = [n for n, r in single.items() if not isinstance(r, type)]
     random.Random(f"{cls}/{bit}").shuffle(ok)
     assert run_variance_table(ok, cls, bit) == [single[n] for n in ok]
@@ -187,9 +189,3 @@ def test_run_numerators_bitsum_needs_bit_0():
         run_numerators(StringClass.MULTUS, 1, [5], bitsum=True)
     with pytest.raises(UndefinedFamily):
         run_numerators(StringClass.SOLUS, 1, [5])
-    assert zero_run_bitsum_numerators(StringClass.MULTUS, [4]) == [
-        tuple(
-            _oracle_numerators(enumerate_joint(4, StringClass.MULTUS), 0)[i]
-            for i in (0, 1, 4)
-        )
-    ]

@@ -158,3 +158,25 @@ def test_suite_reports_a_planted_fault_at_its_length(monkeypatch, scope):
     for r in results:
         assert r.passed is False, str(r)
         assert f"n={BAD_N}" in r.detail, str(r)
+
+
+#: Where each per-length route of a suite reads its length n.
+_LENGTH_ARG = {"joint-dp": 0, "compositions": 1}
+
+
+@pytest.mark.parametrize("scope", sorted(_LENGTH_ARG))
+def test_suite_stops_at_its_first_counterexample(monkeypatch, scope):
+    """A suite runs no case past its first mismatch: with the fault at
+    BAD_N, its route is called for no longer length."""
+    name, plant = _PLANTED[scope]
+    planted = plant(getattr(verify, name))
+    lengths = set()
+
+    def recorded(*args):
+        lengths.add(args[_LENGTH_ARG[scope]])
+        return planted(*args)
+
+    monkeypatch.setattr(verify, name, recorded)
+    results = run_checks(scope, BAD_N + 3)
+    assert results and not any(r.passed for r in results)
+    assert max(lengths) == BAD_N
