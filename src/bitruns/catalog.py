@@ -57,7 +57,6 @@ certifies them.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .ensembles import StringClass
@@ -103,8 +102,6 @@ _ONE = ((0, 1),)
 _ONE_MINUS_Z = ((0, 1), (1, -1))
 
 
-# Bounded: a sweep to order N asks for caps up to about N per range.
-@lru_cache(maxsize=1024)
 def _runs(lo: int, hi, cap) -> tuple:
     """(q, q + a, a) for a / q = sum of z^l over lo <= l <= min(hi, cap)."""
     if cap is not None and (hi is None or cap < hi):
@@ -168,7 +165,6 @@ def _theta(t) -> tuple:
     return tuple((e, e * c) for e, c in t if e)
 
 
-@lru_cache(maxsize=None)  # one entry per class
 def _theta_ones(string_class: StringClass) -> tuple:
     """t_1 with θA_1 = t_1 / q_1^2 for the uncapped 1-runs:
     t_1 = q_1 θa_1 - a_1 θq_1."""
@@ -214,7 +210,6 @@ def cap_form(string_class: StringClass, bit: int) -> CapForm:
     return CapForm(lo, lo_other, q_other, p, q, merged(den), t1)
 
 
-@lru_cache(maxsize=None)  # one entry per class
 def bitsum_gfs(string_class: StringClass) -> tuple:
     """(a, b): the GFs of the total bitsum a_n and the total squared
     bitsum b_n over the class strings of length n.

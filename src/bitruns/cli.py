@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 usage error, 2 verification failure,
 3 computational limit reached.  A reader that closes the output pipe
 early (say `| head`) ends the command with exit 1 and no message.
+
+Every command prints through one printer, each rational or float cell
+at --precision places.  The json document holds the command, its
+parameters (its flags in the order they are declared, then any
+constants it adds), the version and the rows.
 """
 
 from __future__ import annotations
@@ -96,7 +101,25 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _emit(args, command: str, params: dict, header: list, rows: list) -> None:
+def _emit(args, header: list, rows: list, extra: dict = {}) -> None:
+    """Print the table of `args.command` in `args.format`.  An int or str
+    cell prints as it is, a Fraction through ``format_fraction`` and any
+    other value (an mpf) through ``format_float``, at `args.precision`
+    places.  The JSON parameters are the command's own flags, in the
+    order the parser declares them, followed by `extra`."""
+    if not all(isinstance(v, (int, str)) for row in rows for v in row):
+        from fractions import Fraction
+
+        from .render import format_float, format_fraction
+
+        def cell(v):
+            if isinstance(v, (int, str)):
+                return v
+            if isinstance(v, Fraction):
+                return format_fraction(v, args.precision)
+            return format_float(v, args.precision)
+
+        rows = [list(map(cell, row)) for row in rows]
     if args.format == "csv":
         import csv
 
@@ -106,9 +129,17 @@ def _emit(args, command: str, params: dict, header: list, rows: list) -> None:
     elif args.format == "json":
         import json
 
+        # argparse adds a subcommand's flags after `command`, in the
+        # order they are declared, and its set_defaults (`fn`) after them
+        names = list(vars(args))
+        params = {
+            "class" if k == "string_class" else k: getattr(args, k)
+            for k in names[names.index("command") + 1 :]
+            if k != "fn"
+        }
         doc = {
-            "command": command,
-            "parameters": params,
+            "command": args.command,
+            "parameters": {**params, **extra},
             "version": __version__,
             "rows": [dict(zip(header, row)) for row in rows],
         }
@@ -185,7 +216,7 @@ def _cmd_counts(args) -> int:
     cls = StringClass.from_name(args.string_class)
     series = count_gf(cls).expand(args.nmax)
     rows = [[n, series[n]] for n in range(args.nmax + 1)]
-    _emit(args, "counts", {"class": cls.value, "nmax": args.nmax}, ["n", "count"], rows)
+    _emit(args, ["n", "count"], rows)
     return EXIT_OK
 
 
@@ -193,29 +224,13 @@ def _cmd_moments(args) -> int:
     _check_lengths(args.lengths, MAX_CAP_SUM_LENGTH, MAX_CAP_SUM_TOTAL)
     from .ensembles import StringClass
     from .moments import run_variance_table
-    from .render import format_fraction
 
     cls = StringClass.from_name(args.string_class)
-    p = args.precision
-    rows = []
-    for r in run_variance_table(args.lengths, cls, args.bit):
-        rows.append(
-            [
-                r.n,
-                format_fraction(r.mean, p),
-                format_fraction(r.variance, p),
-                format_fraction(r.second_moment, p),
-                format_fraction(r.third_moment, p),
-                format_fraction(r.fourth_moment, p),
-            ]
-        )
-    _emit(
-        args,
-        "moments",
-        {"class": cls.value, "bit": args.bit, "lengths": args.lengths},
-        ["n", "mean", "variance", "second", "third", "fourth"],
-        rows,
-    )
+    rows = [
+        [r.n, r.mean, r.variance, r.second_moment, r.third_moment, r.fourth_moment]
+        for r in run_variance_table(args.lengths, cls, args.bit)
+    ]
+    _emit(args, ["n", "mean", "variance", "second", "third", "fourth"], rows)
     return EXIT_OK
 
 
@@ -235,13 +250,7 @@ def _cmd_table(bound: int, total: int, names: tuple, table: str, args) -> int:
         [n, *(col[i].rho(args.precision) for col in cols)]
         for i, n in enumerate(args.lengths)
     ]
-    _emit(
-        args,
-        args.command,
-        {"lengths": args.lengths},
-        ["n", *(f"rho_{cls.value}" for cls in classes)],
-        rows,
-    )
+    _emit(args, ["n", *(f"rho_{cls.value}" for cls in classes)], rows)
     return EXIT_OK
 
 
@@ -251,20 +260,9 @@ def _cmd_joint(args) -> int:
     from .jointdp import joint_table
 
     cls = StringClass.from_name(args.string_class)
-    table = joint_table(args.n, cls)
-    rows = [
-        [x, y, c]
-        for x, row in enumerate(table.rows)
-        for y, c in enumerate(row)
-        if c
-    ]
-    _emit(
-        args,
-        "joint",
-        {"class": cls.value, "n": args.n},
-        ["zeros", "longest_zero_run", "count"],
-        rows,
-    )
+    table = joint_table(args.n, cls).rows
+    rows = [[x, y, c] for x, row in enumerate(table) for y, c in enumerate(row) if c]
+    _emit(args, ["zeros", "longest_zero_run", "count"], rows)
     return EXIT_OK
 
 
@@ -282,13 +280,7 @@ def _cmd_fewones(args) -> int:
             row.append(fewones_closed_form(n, args.ones, args.run))
         rows.append(row)
     header = ["n", "count"] + (["closed_form"] if closed_ok else [])
-    _emit(
-        args,
-        "fewones",
-        {"ones": args.ones, "run": args.run, "nmax": args.nmax},
-        header,
-        rows,
-    )
+    _emit(args, header, rows)
     return EXIT_OK
 
 
@@ -302,13 +294,7 @@ def _cmd_crossgf(args) -> int:
     cls = StringClass.from_name(args.string_class)
     series = cross_gf(cls, args.i, args.j).expand(args.order)
     rows = [[n, series[n]] for n in range(args.order + 1)]
-    _emit(
-        args,
-        "crossgf",
-        {"class": cls.value, "i": args.i, "j": args.j, "order": args.order},
-        ["n", "count"],
-        rows,
-    )
+    _emit(args, ["n", "count"], rows)
     return EXIT_OK
 
 
@@ -322,22 +308,10 @@ def _cmd_compositions(args) -> int:
         r0, _, s = run_stats(v, n)
         parts = to_composition(v, n)
         rows.append(
-            [
-                bit_string(v, n),
-                "+".join(map(str, parts)),
-                len(parts),
-                max(parts),
-                s,
-                r0,
-            ]
+            [bit_string(v, n), "+".join(map(str, parts)), len(parts), max(parts), s, r0]
         )
-    _emit(
-        args,
-        "compositions",
-        {"n": args.n},
-        ["string", "composition", "parts", "max_part", "bitsum", "longest_zero_run"],
-        rows,
-    )
+    header = ["string", "composition", "parts", "max_part", "bitsum", "longest_zero_run"]
+    _emit(args, header, rows)
     return EXIT_OK
 
 
@@ -353,30 +327,14 @@ def _cmd_asymptotics(args) -> int:
         working_precision,
     )
     from .ensembles import StringClass
-    from .render import format_float, format_fraction
+    from .render import format_float
 
     cls = StringClass.from_name(args.string_class)
-    p = args.precision
     # compute and render inside one scope: str() of an mpf reads the
     # working precision in force where it is called
-    with working_precision(p):
-        rows = []
-        for r in finite_vs_asymptote(args.lengths, cls, args.bit):
-            rows.append(
-                [
-                    r.n,
-                    format_fraction(r.mean, p),
-                    format_float(r.mean_asymptote, p),
-                    format_float(r.mean_gap, p),
-                    format_fraction(r.variance, p),
-                    format_float(r.variance_limit, p),
-                    format_float(r.variance_gap, p),
-                ]
-            )
-        params = {
-            "class": cls.value,
-            "bit": args.bit,
-            "lengths": args.lengths,
+    with working_precision(args.precision):
+        rows = [[r.n, *r[3:]] for r in finite_vs_asymptote(args.lengths, cls, args.bit)]
+        extra = {
             "growth_constant": format_float(growth_constant(cls), 10),
             "growth_residual": format_float(growth_constant_residual(cls), 40),
             "variance_limit": format_float(variance_limit(cls), 10),
@@ -385,15 +343,10 @@ def _cmd_asymptotics(args) -> int:
         # keep the two of the pinned output
         if cls in (StringClass.BIMULTUS, StringClass.PERSOLUS):
             d = density_limits(cls)
-            params["density_mean"] = format_float(d.mean, 10)
-            params["density_variance"] = format_float(d.variance, 10)
-        _emit(
-            args,
-            "asymptotics",
-            params,
-            ["n", "mean", "asymptote", "mean_gap", "variance", "limit", "variance_gap"],
-            rows,
-        )
+            extra["density_mean"] = format_float(d.mean, 10)
+            extra["density_variance"] = format_float(d.variance, 10)
+        header = ["n", "mean", "asymptote", "mean_gap", "variance", "limit", "variance_gap"]
+        _emit(args, header, rows, extra)
         return EXIT_OK
 
 
@@ -403,13 +356,7 @@ def _cmd_verify(args) -> int:
     _check_least("--nmax", args.nmax, 0)
     results = run_checks(args.scope, args.nmax)
     rows = [[r.name, "pass" if r.passed else "fail", r.detail] for r in results]
-    _emit(
-        args,
-        "verify",
-        {"scope": args.scope, "nmax": args.nmax},
-        ["check", "status", "detail"],
-        rows,
-    )
+    _emit(args, ["check", "status", "detail"], rows)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 

@@ -150,15 +150,19 @@ def _cf2(n: int, k: int) -> int:
     return 0
 
 
+# _cf3, _cf4 and _cf5 sum the increments of a running-sum region from
+# the value at its start: one call per n would pass the recursion limit
+# for regions about a thousand lengths long.
+
+
 def _cf3(n: int, k: int) -> int:
     if n < 1 or n > 3 * k - 1:
         return 0
     if n <= k - 1:
         return 2 + _exact_div(n * n - n, 2)
-    if n <= k + 2:
-        return _cf3(n - 1, k) + k - 2
     if n <= 2 * k:
-        return _cf3(n - 1, k) + 3 * k - 2 * n + 2
+        steps = (k - 2 if i <= k + 2 else 3 * k - 2 * i + 2 for i in range(k, n + 1))
+        return _cf3(k - 1, k) + sum(steps)
     m = 3 * k - n
     return _exact_div(m + m * m, 2)
 
@@ -191,10 +195,10 @@ def _cf4(n: int, k: int) -> int:
     if n <= k:
         m = n - 1
         return _exact_div(6 * (1 - _delta(k, n)) + 14 * m - 3 * m * m + m**3, 6)
-    if n <= 2 * k + 2:
-        return _cf4(n - 1, k) + _u4(k, n)
     if n <= 3 * k:
-        return _cf4(n - 1, k) - _v4(k, n)
+        up = 2 * k + 2
+        steps = (_u4(k, i) if i <= up else -_v4(k, i) for i in range(k + 1, n + 1))
+        return _cf4(k, k) + sum(steps)
     m = 4 * k - n
     return _exact_div(2 * m + 3 * m * m + m**3, 6)
 
@@ -255,11 +259,10 @@ def _cf5(n: int, k: int) -> int:
         num = 24 * (4 - _delta(k, n)) - 6 * m + 35 * m * m - 6 * m**3 + m**4
         return _exact_div(num, 24)
     if n <= 2 * k + 1:
-        return _cf5(n - 1, k) + _u5(k, n)
-    if n == 3 * k + 1:
-        return fewones_peak_value_mid(k)
+        return _cf5(k, k) + sum(_u5(k, i) for i in range(k + 1, n + 1))
     if n <= 4 * k:
-        return _cf5(n - 1, k) - _v5(k, n)
+        steps = (_v5(k, i) for i in range(3 * k + 2, n + 1))
+        return fewones_peak_value_mid(k) - sum(steps)
     m = 5 * k - n
     return _exact_div(6 * m + 11 * m * m + 6 * m**3 + m**4, 24)
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub
 from typing import NamedTuple, Sequence
@@ -176,20 +175,15 @@ def run_numerators(
     return [out[n] for n in ns]
 
 
-@lru_cache(maxsize=8)
-def _counts_cached(string_class: StringClass, order: int) -> tuple:
-    # the empty string is a member of every class, whatever the count
-    # GF's z^0 convention
-    return (1,) + count_gf(string_class).expand(order)[1:]
-
-
 def checked_counts(string_class: StringClass, ns: Sequence[int]) -> tuple:
     """The class counts through max(ns), a nonempty list of lengths, with
     the empty string counted at n = 0; raises ValueError for a negative
     length and EmptyEnsemble for one with no class strings."""
     if any(n < 0 for n in ns):
         raise ValueError("lengths must be nonnegative")
-    counts = _counts_cached(string_class, max(ns))
+    # the empty string is a member of every class, whatever the count
+    # GF's z^0 convention
+    counts = (1,) + count_gf(string_class).expand(max(ns))[1:]
     for n in ns:
         if counts[n] == 0:
             raise EmptyEnsemble(f"no {string_class} strings of length {n}")

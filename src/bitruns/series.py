@@ -53,9 +53,11 @@ def divide(src: Sequence[int], den: Terms, length: int) -> list:
     """Coefficients z^0..z^(length-1) of src / den, for the dense src and
     the sparse den with constant term 1: the linear recurrence
     c_n = src_n - sum_{m>=1} d_m c_(n-m), over a zero pad that stands
-    for the coefficients below z^0."""
-    tail = [(f, -d) for f, d in den[1:]]
-    pad = den[-1][0]
+    for the coefficients below z^0.  A term at z^length or above reads
+    only the pad, so it is dropped, and the pad is as deep as the
+    highest term that remains."""
+    tail = [(f, -d) for f, d in den[1:] if f < length]
+    pad = tail[-1][0] if tail else 0
     out = [0] * (pad + length)
     head = src[:length]
     out[pad : pad + len(head)] = head

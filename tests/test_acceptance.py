@@ -9,6 +9,7 @@ is exact integer or rational equality.
 
 import decimal
 from fractions import Fraction
+from operator import mul
 
 import mpmath
 import pytest
@@ -29,7 +30,7 @@ from bitruns.jointdp import (
     joint_table,
     rs_numerator_approx,
 )
-from bitruns.moments import run_numerators, run_variance_table
+from bitruns.moments import MAX_MOMENT, run_numerators, run_variance_table
 from bitruns.render import signed_sqrt_ratio
 
 from families import FAMILIES
@@ -319,10 +320,22 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_6_mass_conservation_to_400():
-    d = count_gf(SOL).expand(MASS_NMAX)
-    for n in range(MASS_NMAX + 1):
-        assert joint_table(n, U).total == 2**n, n
-        assert joint_table(n, SOL).total == d[n], n
+    """Every joint table to n = 400 is nonnegative, sums to the class
+    count, and gives the cap sum's totals of R0 and of R0 * S: row x of a
+    table holds the strings with x zeros, so S = n - x, by R0 = y."""
+    ns = range(MASS_NMAX + 1)
+    for cls, counts in ((U, [2**n for n in ns]), (SOL, count_gf(SOL).expand(MASS_NMAX))):
+        sums = run_numerators(cls, 0, ns, bitsum=True)
+        for n in ns:
+            total = r0 = r0s = 0
+            for x, row in enumerate(joint_table(n, cls).rows):
+                assert min(row) >= 0, (cls, n, x)
+                by_run = sum(map(mul, range(len(row)), row))
+                total += sum(row)
+                r0 += by_run
+                r0s += (n - x) * by_run
+            assert total == counts[n], (cls, n)
+            assert (r0, r0s) == (sums[n][0], sums[n][MAX_MOMENT]), (cls, n)
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,22 @@ def test_shortest_runs():
         assert shortest_runs(cls) == (min(runs[0]), min(runs[1])), cls
 
 
+def test_cross_gf_expansion_ignores_runs_longer_than_its_order():
+    """A threshold far past the order costs no more than a small one: the
+    denominator's terms beyond the order are never read."""
+    import tracemalloc
+
+    want = cross_gf(StringClass.UNCONSTRAINED, 6, 3).expand(5)
+    tracemalloc.start()
+    try:
+        got = cross_gf(StringClass.UNCONSTRAINED, 10**7, 3).expand(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 5 * 2**20
+
+
 def test_cross_gf_rejects_bad_input():
     with pytest.raises(ValueError):
         cross_gf(StringClass.UNCONSTRAINED, 0, 1)

@@ -46,6 +46,57 @@ def test_moments_json_metadata(capsys):
     assert doc["rows"][1]["mean"] == "3.755000"
 
 
+#: argv -> the (key, value) pairs of the json document's `command` and
+#: `parameters`, recorded while each command built its own parameters.
+#: Flags given out of their declared order, and --precision after the
+#: subcommand, leave the parameters in declaration order.
+JSON_PARAMETERS = {
+    ("counts", "--class", "solus", "--nmax", "3"): ("counts", [("class", "solus"), ("nmax", 3)]),
+    ("moments", "--class", "multus", "--bit", "1", "--lengths", "5,10"): (
+        "moments", [("class", "multus"), ("bit", 1), ("lengths", [5, 10])],
+    ),
+    ("table1", "--lengths", "10"): ("table1", [("lengths", [10])]),
+    ("table2", "--lengths", "10,20"): ("table2", [("lengths", [10, 20])]),
+    ("joint", "--class", "solus", "--n", "4"): ("joint", [("class", "solus"), ("n", 4)]),
+    ("fewones", "--ones", "2", "--run", "3", "--nmax", "4"): (
+        "fewones", [("ones", 2), ("run", 3), ("nmax", 4)],
+    ),
+    ("crossgf", "--order", "5", "--j", "4", "--i", "3", "--class", "multus", "--precision", "3"): (
+        "crossgf", [("class", "multus"), ("i", 3), ("j", 4), ("order", 5)],
+    ),
+    ("compositions", "--n", "2"): ("compositions", [("n", 2)]),
+    ("asymptotics", "--class", "persolus", "--lengths", "20,40"): (
+        "asymptotics",
+        [
+            ("class", "persolus"), ("bit", 0), ("lengths", [20, 40]),
+            ("growth_constant", "1.4655712319"), ("growth_residual", "0E-40"),
+            ("variance_limit", "11.3414222235"), ("density_mean", "0.1942540040"),
+            ("density_variance", "0.0495615175"),
+        ],
+    ),
+    ("asymptotics", "--lengths", "5", "--class", "solus"): (
+        "asymptotics",
+        [
+            ("class", "solus"), ("bit", 0), ("lengths", [5]),
+            ("growth_constant", "1.6180339887"), ("growth_residual", "0E-40"),
+            ("variance_limit", "7.1868910445"),
+        ],
+    ),
+    ("verify", "--scope", "counts", "--nmax", "4"): (
+        "verify", [("scope", "counts"), ("nmax", 4)],
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(JSON_PARAMETERS), ids=lambda argv: argv[0])
+def test_json_command_and_parameters_are_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert code == EXIT_OK
+    doc = json.loads(out, object_pairs_hook=list)
+    assert [k for k, _ in doc] == ["command", "parameters", "version", "rows"]
+    assert (doc[0][1], doc[1][1]) == JSON_PARAMETERS[argv]
+
+
 @pytest.mark.parametrize("cls", [c.value for c in bitruns.StringClass])
 def test_moments_at_length_zero(capsys, cls):
     """The empty string is the one member of every class at n = 0."""
@@ -244,7 +295,7 @@ def test_plain_table_matches_two_pass_rendering(capsys, rows):
     from bitruns.cli import _emit
 
     header = ["n", "value"]
-    _emit(Namespace(format="plain"), "t", {}, header, rows)
+    _emit(Namespace(format="plain", command="t", precision=6), header, rows)
     assert capsys.readouterr().out == _two_pass_plain(header, rows)
 
 

@@ -291,6 +291,15 @@ def test_closed_forms_equal_counts():
                 )
 
 
+@pytest.mark.parametrize(
+    "n, ell, k", [(3500, 3, 2000), (2500, 4, 1000), (4001, 5, 2000), (7800, 5, 2000)]
+)
+def test_closed_forms_deep_in_their_running_sums(n, ell, k):
+    """Each running-sum region is thousands of lengths long here: the
+    closed form adds up its increments without a call per length."""
+    assert fewones_closed_form(n, ell, k) == fewones_count(n, ell, k)
+
+
 def test_closed_form_out_of_range():
     with pytest.raises(OutOfFormulaRange):
         fewones_closed_form(5, 6, 3)
