@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 from .ensembles import StringClass
 from .errors import UndefinedFamily, UnsupportedClass
-from .series import RationalGF, dense_terms, merged, terms, terms_mul
+from .series import RationalGF, dense_terms, terms, terms_mul
 
 
 #: d_n generating functions for the five classes, from their dense
@@ -99,6 +99,7 @@ _RUNS = {
 _NO_EMPTY = {StringClass.MULTUS, StringClass.BIMULTUS, StringClass.PERSOLUS}
 
 _ONE = ((0, 1),)
+_MINUS_ONE = ((0, -1),)
 _ONE_MINUS_Z = ((0, 1), (1, -1))
 
 
@@ -116,20 +117,12 @@ def _runs(lo: int, hi, cap) -> tuple:
 
 
 def _parts(string_class: StringClass, zero_cap, one_cap) -> tuple:
-    """The (q, q + a, a) of the 0-runs and of the 1-runs, and q_0 q_1 -
-    a_0 a_1 as a dict from exponent to coefficient."""
+    """The (q, q + a, a) of the 0-runs and of the 1-runs, and the terms
+    of q_0 q_1 - a_0 a_1."""
     (lo0, hi0), (lo1, hi1) = _RUNS[string_class]
     zeros, ones = _runs(lo0, hi0, zero_cap), _runs(lo1, hi1, one_cap)
     (q0, _, a0), (q1, _, a1) = zeros, ones
-    den: dict = {}
-    get = den.get
-    for e, c in q0:
-        for f, d in q1:
-            den[e + f] = get(e + f, 0) + c * d
-    for e, c in a0:
-        for f, d in a1:
-            den[e + f] = get(e + f, 0) - c * d
-    return zeros, ones, den
+    return zeros, ones, terms(terms_mul(q0, q1) + terms_mul(a0, a1, _MINUS_ONE))
 
 
 def bivariate_denominator(string_class: StringClass) -> tuple:
@@ -149,15 +142,10 @@ def alternating_gf(string_class: StringClass, zero_cap=None, one_cap=None) -> Ra
     and whose 1-runs are at most `one_cap` long (None: no cap), with the
     class's z^0 convention."""
     (_, p0, _), (_, p1, _), den = _parts(string_class, zero_cap, one_cap)
-    num: dict = {}
-    get = num.get
-    for e, c in p0:
-        for f, d in p1:
-            num[e + f] = get(e + f, 0) + c * d
+    num = terms_mul(p0, p1)
     if string_class in _NO_EMPTY:
-        for e, c in den.items():
-            num[e] = get(e, 0) - c
-    return RationalGF(num.items(), den.items())
+        num += terms_mul(den, _MINUS_ONE)
+    return RationalGF(num, den)
 
 
 def _theta(t) -> tuple:
@@ -169,8 +157,7 @@ def _theta_ones(string_class: StringClass) -> tuple:
     """t_1 with θA_1 = t_1 / q_1^2 for the uncapped 1-runs:
     t_1 = q_1 θa_1 - a_1 θq_1."""
     q1, _, a1 = _runs(*_RUNS[string_class][1], None)
-    minus = tuple((e, -c) for e, c in terms_mul(a1, _theta(q1)))
-    return terms(terms_mul(q1, _theta(a1)) + minus)
+    return terms(terms_mul(q1, _theta(a1)) + terms_mul(a1, _theta(q1), _MINUS_ONE))
 
 
 class CapForm(NamedTuple):
@@ -207,7 +194,7 @@ def cap_form(string_class: StringClass, bit: int) -> CapForm:
     (_, p, _), (q_other, q, _) = (ones, zeros) if bit else (zeros, ones)
     lo, lo_other = _RUNS[string_class][bit][0], _RUNS[string_class][1 - bit][0]
     t1 = None if bit else _theta_ones(string_class)
-    return CapForm(lo, lo_other, q_other, p, q, merged(den), t1)
+    return CapForm(lo, lo_other, q_other, p, q, den, t1)
 
 
 def bitsum_gfs(string_class: StringClass) -> tuple:
@@ -224,8 +211,8 @@ def bitsum_gfs(string_class: StringClass) -> tuple:
     p2, e2 = terms_mul(f.p, f.p), terms_mul(e, e)
     inner = terms(
         terms_mul(q1, _theta(t1), e)
-        + tuple((x, -2 * c) for x, c in terms_mul(t1, _theta(q1), e))
-        + tuple((x + f.lo, 2 * c) for x, c in terms_mul(t1, t1))
+        + terms_mul(t1, _theta(q1), e, ((0, -2),))
+        + terms_mul(t1, t1, ((f.lo, 2),))
     )
     a = RationalGF(terms_mul(p2, t1), e2)
     b = RationalGF(terms_mul(p2, inner), terms_mul(q1, e2, e))

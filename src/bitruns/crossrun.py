@@ -53,12 +53,7 @@ from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from .catalog import bitsum_gfs, shortest_runs
-from .ensembles import (
-    DEFAULT_ORACLE_BOUND,
-    StringClass,
-    enumerate_joint,
-    oracle_moment,
-)
+from .ensembles import StringClass, enumerate_joint, oracle_moment
 from .errors import DegenerateVariance
 from .moments import checked_counts, run_numerators
 from .render import signed_sqrt_ratio
@@ -190,14 +185,10 @@ def cross_report_table(ns: Sequence[int], string_class: StringClass) -> list:
     return _correlations(ns, string_class, counts, sums)
 
 
-def cross_report_oracle(
-    n: int,
-    string_class: StringClass,
-    bound: int = DEFAULT_ORACLE_BOUND,
-) -> Correlation:
+def cross_report_oracle(n: int, string_class: StringClass) -> Correlation:
     """Same correlation by exhaustive enumeration; works for every class,
     and tests its own variances."""
-    dist = enumerate_joint(n, string_class, bound)
+    dist = enumerate_joint(n, string_class)
     stats = (
         lambda r0, r1, s: r0,
         lambda r0, r1, s: r0 * r0,

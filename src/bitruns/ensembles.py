@@ -138,11 +138,12 @@ class JointDistribution(NamedTuple):
         return dict(self.counts).get((r0, r1, s), 0)
 
 
-def enumerate_classes(n: int, bound: int = DEFAULT_ORACLE_BOUND) -> dict:
+def enumerate_classes(n: int) -> dict:
     """Enumerate all 2^n candidates once and tally (r0, r1, s) into every
-    class they belong to: one JointDistribution per StringClass."""
-    if n > bound:
-        raise OracleBoundExceeded(f"n={n} exceeds the oracle bound {bound}")
+    class they belong to: one JointDistribution per StringClass; n is at
+    most DEFAULT_ORACLE_BOUND."""
+    if n > DEFAULT_ORACLE_BOUND:
+        raise OracleBoundExceeded(f"n={n} exceeds the oracle bound {DEFAULT_ORACLE_BOUND}")
     # tally by (r0, r1, s, predicates) first, then credit each tally to
     # every class the predicates admit: one dict update per candidate
     mask = (1 << n) - 1
@@ -168,14 +169,10 @@ def enumerate_classes(n: int, bound: int = DEFAULT_ORACLE_BOUND) -> dict:
     }
 
 
-def enumerate_joint(
-    n: int,
-    string_class: StringClass,
-    bound: int = DEFAULT_ORACLE_BOUND,
-) -> JointDistribution:
+def enumerate_joint(n: int, string_class: StringClass) -> JointDistribution:
     """Exact (r0, r1, s) counts over the class strings of length n, by
     enumerating all 2^n candidates (see enumerate_classes)."""
-    return enumerate_classes(n, bound)[string_class]
+    return enumerate_classes(n)[string_class]
 
 
 def oracle_moment(dist: JointDistribution, f: Callable[..., int]) -> Fraction:

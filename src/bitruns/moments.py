@@ -14,27 +14,33 @@ of strings whose longest 0-run is below k and a_n = [z^n] R the total
 bitsum, the sum over k = 1..n of a_n - [z^n] R_k sums (longest 0-run) *
 bitsum.
 
-No H_k or R_k is expanded.  With the catalog's ``cap_form``,
-1/(E + z^(k + l)) is a geometric series in z^(k + l), so with
-U_c = 1 / E^(c + 1), for k > lo,
+No H_k or R_k is expanded.  With the catalog's ``cap_form``, both
+capped families read alike: for k > lo,
 
-    [z^n] H_k = sum_c (-1)^c ([z^(n - c(k + l))] P Q U_c
-                - [z^(n - c(k + l) - k)] Q U_c),
-    [z^n] R_k = sum_c (-1)^c (c + 1) ([z^(n - c(k + l))] P^2 t1 U_(c+1)
-                - 2 [z^(n - c(k + l) - k)] P t1 U_(c+1)
-                + [z^(n - c(k + l) - 2k)] t1 U_(c+1)),
+    F_k = (P - z^k)^d B / (E + z^(k + l))^d,
 
-and only c(k + l) <= n contributes: O(n/k) terms per k.  At a fixed n
-and c, the coefficients for k = lo + 1, lo + 2, ... are strided slices
-of the rows P Q U_c and Q U_c, so the weighted sums over k are a few
-dot products per (n, c).  Each row U_c is the one before it divided by
-E by ``series.divide``, the one short recurrence that every expansion
-in the package runs, and is needed only through z^(N - c(lo + 1 + l))
+H_k with d = 1 and B = Q, R_k with d = 2 and B = t1, and F_k =
+B / q_other^d for k <= lo.  With U_c = 1 / E^(c + 1), expanding
+1 / (E + z^(k + l))^d in z^(k + l) and (P - z^k)^d in z^k gives
+
+    [z^n] F_k = sum_c sum_i (-1)^(c + i) C(c + d - 1, d - 1) C(d, i)
+                [z^(n - c(k + l) - ik)] P^(d - i) B U_(c + d - 1),
+
+and only c(k + l) <= n contributes: O(n/k) terms per k.  At a fixed n,
+c and i, the coefficients for k = lo + 1, lo + 2, ... are a slice of
+the row P^(d - i) B U_(c + d - 1) with stride c + i, so the weighted
+sums over k are a few dot products per (n, c).  The c = i = 0 term is
+the uncapped F for every k, and sum_{k=1..j} w_m(k) = j^m, so the
+weighted sum over k = 1..n of [z^n] F - [z^n] F_k is min(lo, n)^m
+([z^n] F - [z^n] B / q_other^d) less the dot products of the other
+terms.  Each row U_j is the one before it divided by E by
+``series.divide``, the one short recurrence that every expansion in the
+package runs, and is read only through z^(N - (j + 1 - d)(lo + 1 + l))
 for N = max(ns); the rows are streamed, and each is multiplied once by
-its sparse numerators.  Memory is O(N) integers for the rows plus a few
-sums per length; the time is O(N^2) for the rows plus O(n log n) dot
-product terms per requested length n, so a dense sweep of every length
-to N costs O(N^2 log N).
+B and d times by P, Horner-wise.  Memory is O(N) integers for the rows
+plus a few sums per length; the time is O(N^2) for the rows plus
+O(n log n) dot product terms per requested length n, so a dense sweep
+of every length to N costs O(N^2 log N).
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import repeat
+from math import comb
 from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
@@ -80,10 +87,13 @@ def _times(t: tuple, row: list, length: int) -> list:
     return out
 
 
-def _strided_sum(row: list, top: int, step: int) -> int:
-    """row[top] + row[top - step] + ... down to index 0, for step >= 1;
-    0 if top < 0."""
-    return sum(row[top::-step]) if top >= 0 else 0
+def _signed_sum(fs: list, segs: list) -> list:
+    """The termwise sum of f * seg over the pairs of fs and segs, the
+    longest seg first."""
+    out = segs[0] if fs[0] == 1 else list(map(mul, segs[0], repeat(fs[0])))
+    for f, seg in zip(fs[1:], segs[1:]):
+        out[: len(seg)] = map(sub, out, seg if f == -1 else map(mul, seg, repeat(-f)))
+    return out
 
 
 def run_numerators(
@@ -103,76 +113,64 @@ def run_numerators(
     form = cap_form(string_class, bit)
     if bitsum and form.t1 is None:
         raise UndefinedFamily(f"no bitsum-marked run family for bit={bit}")
-    lo, l, e = form.lo, form.lo_other, form.e
-    k0, step = lo + 1, lo + 1 + l
+    lo, e = form.lo, form.e
+    k0, step = lo + 1, lo + 1 + form.lo_other
     lengths = sorted(set(ns))
     order = lengths[-1]
     weights = [
         [moment_weight(m, k) for k in range(k0, order + 1)]
         for m in range(2, MAX_MOMENT + 1)
     ]
-    # k <= lo: no run fits, H_k = Q / q_other and R_k = t1 / q_other^2,
-    # and sum_{k=1..j} w_m(k) = j^m
-    small_h = RationalGF(form.q, form.q_other).expand(order)
-    if bitsum:
-        q2 = terms_mul(form.q_other, form.q_other)
-        small_r = RationalGF(form.t1, q2).expand(order)
-        # t1 starts at z^l: the R rows are kept divided by z^l, read l lower
-        t = tuple((x - l, a) for x, a in form.t1)
-        r_terms = (terms_mul(form.p, form.p, t), terms_mul(form.p, t), t)
-    # sums[n]: sum over k = 1..n of w_m(k) [z^n] H_k for m = 1..MAX_MOMENT
-    # and of [z^n] R_k; full[n]: [z^n] of the uncapped H and R
-    sums, full = {}, {}
-    for n in lengths:
-        j = min(lo, n)
-        sums[n] = [small_h[n] * j**m for m in range(1, MAX_MOMENT + 1)]
-        sums[n].append(small_r[n] * j if bitsum else 0)
-    u = divide([1], e, order + 1)
+    # (d, b0, B / z^b0, moments, first sum) of H_k and, with bitsum, R_k:
+    # B's lowest power z^b0 is kept out of the rows, which are read b0
+    # lower, so that B = z^b0 (t1 = z) multiplies no row
+    families, sums = [], {n: [] for n in lengths}
+    for d, b, moments in [(1, form.q, MAX_MOMENT), (2, form.t1, 1)][: 1 + bitsum]:
+        b0, at = b[0][0], len(sums[order])
+        families.append((d, b0, tuple((x - b0, a) for x, a in b), moments, at))
+        # sum_{k=1..j} w_m(k) = j^m: F_k = B / q_other^d for k <= lo, and
+        # the c = i = 0 term is the uncapped F for every k > lo
+        f = RationalGF(terms_mul(*[form.p] * d, b), terms_mul(*[e] * d))
+        g = RationalGF(b, terms_mul(*[form.q_other] * d))
+        f, g = f.expand(order), g.expand(order)
+        for n in lengths:
+            j = min(lo, n)
+            sums[n] += [j**m * (f[n] - g[n]) for m in range(1, moments + 1)]
+
+    def width(j: int) -> int:
+        """How far the families read U_j: at c = j + 1 - d, to N - c step - b0."""
+        return max([0] + [order - (j + 1 - d) * step - b0 + 1 for d, b0, *_ in families])
+
+    us = []  # U_c .. U_(c + d_max - 1), U_j = 1 / E^(j + 1)
+    for j in range(families[-1][0]):
+        us.append(divide(us[-1] if us else [1], e, width(j)))
     for c in range(order // step + 1):
-        # At top = n - c step, [z^n] H_k for k = k0, k0 + 1, ... is
-        # (-1)^c times [z^top] of P Q U_c stepping down by c, less
-        # [z^(top - k0)] of Q U_c stepping down by c + 1, summed over c;
-        # U_c = 1 / E^(c + 1).  [z^n] R_k has (c + 1) (-1)^c times the
-        # reads of P^2 t U_(c+1), -2 P t U_(c+1) and t U_(c+1) from
-        # top - l, top - l - k0 and top - l - 2 k0, by c, c + 1 and c + 2.
-        last = order - c * step + 1
-        b_row = _times(form.q, u, last)
-        a_row = _times(form.p, b_row, last)
-        size = max(last - (l if bitsum else step), 0)
-        u_next = divide(u, e, size)
-        if bitsum:
-            r_a, r_b, r_c = (
-                _times(r, u_next, last - l - i * k0) for i, r in enumerate(r_terms)
-            )
-        for n in lengths[bisect_left(lengths, c * step) :]:
-            top = n - c * step
-            seg = a_row[top::-c] if c else [a_row[n]] * (n - lo)
-            if top >= k0:
-                seg_b = b_row[top - k0 :: -(c + 1)]
-                seg[: len(seg_b)] = map(sub, seg, seg_b)
-            got = [sum(seg)] + [sum(map(mul, w, seg)) for w in weights]
-            if not c:
-                full[n] = (a_row[n], r_a[n - l] if bitsum and n >= l else 0)
-            if bitsum:
-                first = _strided_sum(r_a, top - l, c) if c else full[n][1] * len(seg)
-                got.append(
-                    (c + 1)
-                    * (
-                        first
-                        - 2 * _strided_sum(r_b, top - l - k0, c + 1)
-                        + _strided_sum(r_c, top - l - 2 * k0, c + 2)
-                    )
-                )
-            s = sums[n]
-            s[: len(got)] = map(sub if c & 1 else add, s, got)
-        u = u_next
-    out = {}
-    for n in lengths:
-        h, r = full[n]
-        s = sums[n]
-        row = [n**m * h - s[m - 1] for m in range(1, MAX_MOMENT + 1)]
-        out[n] = tuple(row + [n * r - s[-1]] if bitsum else row)
-    return [out[n] for n in ns]
+        # term (c, i) of [z^n] F_k, k = k0, k0 + 1, ...: rows[i] from
+        # n - c step - i k0 - b0 down by c + i
+        for d, b0, b, moments, at in families:
+            last = order - c * step - b0 + 1
+            rows = [_times(b, us[d - 1], last)]
+            for _ in range(d):
+                rows.insert(0, _times(form.p, rows[0], last))
+            scale = (-1) ** c * comb(c + d - 1, d - 1)
+            fs = [(-1) ** i * comb(d, i) for i in range(c == 0, d + 1)]
+            slices = [(rows[i], c + i) for i in range(c == 0, d + 1)]
+            dots = weights[: moments - 1]
+            first = c * step + (c == 0) * k0 + b0
+            for n in lengths[bisect_left(lengths, first) :]:
+                tops = range(n - first, -1, -k0)
+                segs = [row[t::-by] for (row, by), t in zip(slices, tops)]
+                if dots:
+                    # merged first, so that each weighted dot runs once
+                    vec = _signed_sum(fs, segs)
+                    got = [sum(vec)] + [sum(map(mul, w, vec)) for w in dots]
+                else:
+                    got = [sum(map(mul, fs, map(sum, segs)))]
+                s = sums[n]
+                for m, y in enumerate(got, at):
+                    s[m] -= scale * y
+        us = us[1:] + [divide(us[-1], e, width(c + len(us)))]
+    return [tuple(sums[n]) for n in ns]
 
 
 def checked_counts(string_class: StringClass, ns: Sequence[int]) -> tuple:

@@ -28,11 +28,6 @@ def terms(pairs: Iterable[tuple]) -> Terms:
     get = acc.get
     for e, c in pairs:
         acc[e] = get(e, 0) + c
-    return merged(acc)
-
-
-def merged(acc: dict) -> Terms:
-    """The sparse terms of a dict from exponent to coefficient."""
     return tuple(sorted(t for t in acc.items() if t[1]))
 
 

@@ -26,7 +26,7 @@ from bitruns.ensembles import (
 from bitruns.errors import UndefinedFamily, UnsupportedClass
 from bitruns.jointdp import _at_most
 from bitruns.moments import moment_weight, run_numerators
-from bitruns.series import RationalGF, dense_terms, merged, terms_mul
+from bitruns.series import RationalGF, dense_terms, terms, terms_mul
 
 from families import FAMILIES
 
@@ -84,8 +84,7 @@ def test_bitsum_triples_match_oracle():
 def _constructor_bitsum_gf(string_class, zero_cap=None):
     """(q_0 + a_0)^2 t_1 / (q_0 q_1 - a_0 a_1)^2 with the 0-runs capped."""
     (_, p0, _), _, den = _parts(string_class, zero_cap, None)
-    d = merged(den)
-    return RationalGF(terms_mul(p0, p0, _theta_ones(string_class)), terms_mul(d, d))
+    return RationalGF(terms_mul(p0, p0, _theta_ones(string_class)), terms_mul(den, den))
 
 
 def _constructor_bitsum_hk(string_class, k):
@@ -364,7 +363,7 @@ def test_bivariate_denominator_marks_the_ones():
         at_one: dict = {}
         for e, _, c in den:
             at_one[e] = at_one.get(e, 0) + c
-        assert merged(at_one) == alternating_gf(cls).den_terms, cls
+        assert terms(at_one.items()) == alternating_gf(cls).den_terms, cls
         f = [{} for _ in dists]
         for n, by_class in enumerate(dists):
             for (_, _, s), cnt in by_class[cls].counts:

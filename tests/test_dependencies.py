@@ -28,3 +28,32 @@ def test_every_absolute_import_is_stdlib_or_mpmath():
     for path in sources:
         for name in _absolute_imports(path):
             assert name.split(".")[0] in ALLOWED, (path.name, name)
+
+
+def _unused_imports(source: str, filename: str = "<source>") -> set:
+    """The names a module imports and never references, as a Name or as
+    the base of an attribute (annotations included); `from __future__`
+    imports are exempt."""
+    tree = ast.parse(source, filename)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_unused_import_check_sees_one():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport sys\nfrom typing import Any, Sequence as Seq\n"
+        "def f(x: Seq) -> int:\n    return os.path.sep + x\n"
+    )
+    assert _unused_imports(source) == {"sys", "Any"}
+
+
+def test_every_import_is_used():
+    for path in sorted(Path(bitruns.__file__).parent.glob("*.py")):
+        assert not _unused_imports(path.read_text(), str(path)), path.name

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from bitruns import ensembles
+from bitruns.crossrun import cross_report_oracle
 from bitruns.ensembles import (
     StringClass,
     bit_string,
@@ -160,12 +162,16 @@ def test_one_pass_matches_per_class_loops():
             assert enumerate_joint(n, cls) == dist
 
 
-def test_oracle_bound():
-    with pytest.raises(OracleBoundExceeded):
+def test_oracle_bound(monkeypatch):
+    with pytest.raises(OracleBoundExceeded, match="n=30 exceeds the oracle bound 24"):
         enumerate_joint(30, StringClass.SOLUS)
+    # the bound is read at call time
+    monkeypatch.setattr(ensembles, "DEFAULT_ORACLE_BOUND", 5)
+    with pytest.raises(OracleBoundExceeded, match="n=6 exceeds the oracle bound 5"):
+        enumerate_classes(6)
     with pytest.raises(OracleBoundExceeded):
-        enumerate_classes(6, bound=5)
-    enumerate_joint(5, StringClass.SOLUS, bound=5)
+        cross_report_oracle(6, StringClass.UNCONSTRAINED)
+    assert enumerate_joint(5, StringClass.SOLUS).total == 13
 
 
 def test_oracle_moment():

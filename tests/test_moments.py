@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -189,3 +190,33 @@ def test_run_numerators_bitsum_needs_bit_0():
         run_numerators(StringClass.MULTUS, 1, [5], bitsum=True)
     with pytest.raises(UndefinedFamily):
         run_numerators(StringClass.SOLUS, 1, [5])
+
+
+#: sha256 of repr(run_numerators(cls, bit, PIN_NS[, bitsum=True])),
+#: recorded before the cap sum's reader was rewritten: every digit of
+#: sums as large as 2^1000 * 10^12, far past the series route's reach
+PIN_NS = [1000, 3, 0, 1000, 517]
+PINS = {
+    ("bimultus", 0, False): "7ccb497da8031dc68070316c7a760672754022b597c8d27570064f61bfbe0e55",
+    ("bimultus", 0, True): "644f8c9839418aa852fec31f3222c7554e4d73ac42ee81581a9c24ae6d18f780",
+    ("bimultus", 1, False): "7ccb497da8031dc68070316c7a760672754022b597c8d27570064f61bfbe0e55",
+    ("multus", 0, False): "b2288c8b5745667c0d5e79ebaa5303b6d5c5c1c12b2785233c91aff2a8aed5ab",
+    ("multus", 0, True): "ee5c95e929048a3921b26d009414e0da8c2296a3553be82d78fdeb9ddca05aa0",
+    ("multus", 1, False): "e806e8b5523df9d0c6a3b18c4cade77d78fb3b901efadc60f11797931b839301",
+    ("persolus", 0, False): "52bb9a2a2be298718d0f959ee9679b7b1cbd0ba65399c75f2b9f7c4bbf5faf71",
+    ("persolus", 0, True): "221956e5130281169dd5e6c425fcd90f32b9a953fff876729f465170a5fdc0fa",
+    ("solus", 0, False): "8e5aaf66bfa93dadedc09de3a97892ee6cd70c646aa562d59bb843348efea8f8",
+    ("solus", 0, True): "f88d1cc16cfea7896ef53e8f033d4ce043b319921771481d086b7beb6a7c175a",
+    ("unconstrained", 0, False): "1c8f6339399002ff08e5c918562dfa0f66451d5cd115d4c00acb2580759e746b",
+    ("unconstrained", 0, True): "ee64139e4ab9ace071236352b32a46cd236a9b2b5c24193979540e179780566f",
+    ("unconstrained", 1, False): "1c8f6339399002ff08e5c918562dfa0f66451d5cd115d4c00acb2580759e746b",
+}
+
+
+def test_run_numerators_pinned_at_large_n():
+    assert {(c.value, b) for c, b in defined_families()} == {
+        (c, b) for c, b, _ in PINS
+    }
+    for (cls, bit, bitsum), want in PINS.items():
+        got = run_numerators(StringClass(cls), bit, PIN_NS, bitsum=bitsum)
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == want, (cls, bit, bitsum)
