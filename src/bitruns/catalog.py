@@ -30,11 +30,15 @@ lengths without building any H_k.  A run family is thus only its
 ``alternating_gf`` with the runs of that bit capped gives H and H_k as
 GFs where one is wanted.
 
-The z^0 convention: for multus, bimultus and persolus every GF sets
-the coefficient of z^0 to 0, though the empty string is a member (the
+The z^0 convention (``first_length``): where the runs of some bit are
+at least 2 long (multus, bimultus and persolus) every GF sets the
+coefficient of z^0 to 0, though the empty string is a member (the
 constructor subtracts the denominator from the numerator), and
 comparisons with enumeration start at n = 1 there.  The one exception
 is the multus count GF, which keeps the empty string.
+
+``_RUNS`` is the only statement of a class's runs: the run families,
+the z^0 convention and every GF read it when called.
 
 The total bitsum a and squared bitsum b are (u d/du) F and
 (u d/du)^2 F at u = 1 for the class GF F with each 1 marked by u, so
@@ -95,25 +99,29 @@ _RUNS = {
     StringClass.PERSOLUS: ((2, None), (1, 1)),
 }
 
-#: the classes whose GFs set z^0 to 0
-_NO_EMPTY = {StringClass.MULTUS, StringClass.BIMULTUS, StringClass.PERSOLUS}
-
 _ONE = ((0, 1),)
 _MINUS_ONE = ((0, -1),)
 _ONE_MINUS_Z = ((0, 1), (1, -1))
 
 
+def first_length(string_class: StringClass) -> int:
+    """The first length at which the class GFs count the class strings:
+    1 where the runs of some bit are at least 2 long, whose GFs set z^0
+    to 0, else 0."""
+    return int(any(lo >= 2 for lo, _ in _RUNS[string_class]))
+
+
 def _runs(lo: int, hi, cap) -> tuple:
-    """(q, q + a, a) for a / q = sum of z^l over lo <= l <= min(hi, cap)."""
+    """(q, q + a, a) for a / q = sum of z^l over lo <= l <= min(hi, cap):
+    q = 1 and a that sum where at most one length is allowed, else
+    q = 1 - z and a = z^lo - z^(hi + 1) (z^lo with no upper end)."""
     if cap is not None and (hi is None or cap < hi):
         hi = cap
-    if hi is not None and hi < lo:
-        return _ONE, _ONE, ()
-    if hi == lo:
-        return _ONE, ((0, 1), (lo, 1)), ((lo, 1),)
-    end = () if hi is None else ((hi + 1, -1),)
-    p = _ONE if lo == 1 else _ONE_MINUS_Z + ((lo, 1),)
-    return _ONE_MINUS_Z, p + end, ((lo, 1),) + end
+    if hi is not None and hi <= lo:
+        q, a = _ONE, tuple((l, 1) for l in range(lo, hi + 1))
+    else:
+        q, a = _ONE_MINUS_Z, ((lo, 1),) + (() if hi is None else ((hi + 1, -1),))
+    return q, terms(q + a), a
 
 
 def _parts(string_class: StringClass, zero_cap, one_cap) -> tuple:
@@ -143,7 +151,7 @@ def alternating_gf(string_class: StringClass, zero_cap=None, one_cap=None) -> Ra
     class's z^0 convention."""
     (_, p0, _), (_, p1, _), den = _parts(string_class, zero_cap, one_cap)
     num = terms_mul(p0, p1)
-    if string_class in _NO_EMPTY:
+    if first_length(string_class):
         num += terms_mul(den, _MINUS_ONE)
     return RationalGF(num, den)
 
@@ -219,34 +227,31 @@ def bitsum_gfs(string_class: StringClass) -> tuple:
     return a, b
 
 
-#: The (class, bit) pairs with a run family, in a stable order: a bit
-#: whose runs have one allowed length has none.
-_FAMILIES = tuple(
-    (cls, bit)
-    for cls in sorted(_RUNS, key=lambda c: c.value)
-    for bit in (0, 1)
-    if _RUNS[cls][bit][0] != _RUNS[cls][bit][1]
-)
-
-
 def run_family(string_class: StringClass, bit: int) -> None:
     """Check that runs of `bit` in the class form a run family; raises
     UndefinedFamily where they make no sense (solus and persolus 1-runs).
     The family's H and H_k are ``alternating_gf`` with the runs of `bit`
     capped, read at single lengths through ``cap_form``."""
-    if (string_class, bit) not in _FAMILIES:
+    if (string_class, bit) not in defined_families():
         raise UndefinedFamily(f"no run family for {string_class} bit={bit}")
 
 
 def defined_families() -> list:
-    """All (class, bit) pairs with a run family, in a stable order."""
-    return list(_FAMILIES)
+    """All (class, bit) pairs with a run family, in a stable order: a bit
+    whose runs have one allowed length has none."""
+    return [
+        (cls, bit)
+        for cls in sorted(_RUNS, key=lambda c: c.value)
+        for bit in (0, 1)
+        if _RUNS[cls][bit][0] != _RUNS[cls][bit][1]
+    ]
 
 
 def shortest_runs(string_class: StringClass) -> tuple:
     """(lo0, lo1), the shortest 0-run and 1-run of a class with a run
     family for both bits; raises UnsupportedClass for the others."""
-    if (string_class, 0) not in _FAMILIES or (string_class, 1) not in _FAMILIES:
+    families = defined_families()
+    if (string_class, 0) not in families or (string_class, 1) not in families:
         raise UnsupportedClass(f"no two-run generating function for {string_class}")
     (lo0, _), (lo1, _) = _RUNS[string_class]
     return lo0, lo1

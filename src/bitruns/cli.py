@@ -164,12 +164,12 @@ def _width(column) -> int:
     return width
 
 
-def _class_arg(p, choices=None) -> None:
+def _class_arg(p) -> None:
     p.add_argument(
         "--class",
         dest="string_class",
         required=True,
-        choices=choices or CLASS_CHOICES,
+        choices=CLASS_CHOICES,
         help="string ensemble",
     )
 
@@ -424,7 +424,7 @@ def build_parser() -> _Parser:
     )
 
     p = add_parser("joint", help="(zeros, longest zero run) table")
-    _class_arg(p, choices=["unconstrained", "solus"])
+    _class_arg(p)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=_cmd_joint)
 
@@ -435,7 +435,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_fewones)
 
     p = add_parser("crossgf", help="two-run generating function coefficients")
-    _class_arg(p, choices=["unconstrained", "multus"])
+    _class_arg(p)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--order", type=int, default=20)

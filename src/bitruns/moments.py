@@ -62,15 +62,9 @@ MAX_MOMENT = 4
 
 def moment_weight(m: int, k: int) -> int:
     """Telescoping weight w_m(k) = k^m - (k-1)^m."""
-    if m == 1:
-        return 1
-    if m == 2:
-        return 2 * k - 1
-    if m == 3:
-        return 3 * k * k - 3 * k + 1
-    if m == 4:
-        return 4 * k**3 - 6 * k * k + 4 * k - 1
-    raise UnsupportedMoment(f"moment order {m} not in 1..{MAX_MOMENT}")
+    if not 1 <= m <= MAX_MOMENT:
+        raise UnsupportedMoment(f"moment order {m} not in 1..{MAX_MOMENT}")
+    return k**m - (k - 1) ** m
 
 
 def _times(t: tuple, row: list, length: int) -> list:

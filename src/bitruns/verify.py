@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from .catalog import _NO_EMPTY, bitsum_gfs, count_gf, cross_gf, defined_families
+from .catalog import bitsum_gfs, count_gf, cross_gf, defined_families, first_length
 from .crossrun import cross_numerator
 from .ensembles import (
     DEFAULT_ORACLE_BOUND,
@@ -45,12 +45,6 @@ class CheckResult(NamedTuple):
         return f"{self.name}: {status}" + (f" ({self.detail})" if self.detail else "")
 
 
-def _first_n(string_class: StringClass) -> int:
-    """The first n a GF comparison starts at: 1 for the classes whose GFs
-    set z^0 to 0 though the empty string is a member."""
-    return 1 if string_class in _NO_EMPTY else 0
-
-
 def _check(name: str, mismatches) -> CheckResult:
     """The result of one check from its (label, got, want) mismatches:
     the first one is the counterexample, and no case after it is run."""
@@ -62,7 +56,7 @@ def _check(name: str, mismatches) -> CheckResult:
 def check_counts(nmax: int, oracle: Oracle) -> list:
     def bad(cls):
         series = count_gf(cls).expand(nmax)
-        for n in range(_first_n(cls), nmax + 1):
+        for n in range(first_length(cls), nmax + 1):
             want = oracle(n, cls).total
             if series[n] != want:
                 yield f"n={n}", f"series {series[n]}", f"count {want}"
@@ -92,9 +86,7 @@ def check_run_moments(nmax: int, oracle: Oracle) -> list:
         for dist, r in zip(dists, reports):
             moments = (r.mean, r.second_moment, r.third_moment, r.fourth_moment)
             for m, got in enumerate(moments, 1):
-                want = Fraction(
-                    sum(cnt * key[bit] ** m for key, cnt in dist.counts), dist.total
-                )
+                want = oracle_moment(dist, lambda r0, r1, s: (r0, r1)[bit] ** m)
                 if got != want:
                     yield f"n={dist.n} m={m}", got, want
 
@@ -110,7 +102,7 @@ def check_cross_run(nmax: int, oracle: Oracle) -> list:
         for i in range(1, 7):
             for j in range(1, 7):
                 series = cross_gf(cls, i, j).expand(nmax)
-                for n in range(_first_n(cls), nmax + 1):
+                for n in range(first_length(cls), nmax + 1):
                     counts = oracle(n, cls).counts
                     want = sum(cnt for (r0, r1, _), cnt in counts if r1 < i and r0 < j)
                     if series[n] != want:

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from bitruns import catalog
 from bitruns.catalog import (
     _parts,
     _theta_ones,
@@ -13,9 +14,11 @@ from bitruns.catalog import (
     count_gf,
     cross_gf,
     defined_families,
+    first_length,
     run_family,
     shortest_runs,
 )
+from bitruns.crossrun import cross_numerator
 from bitruns.ensembles import (
     StringClass,
     bit_string,
@@ -675,3 +678,100 @@ def test_zero_run_bitsum_numerators_equal_series_route(series_moments, cls):
         assert _zero_run_bitsum_numerators(cls, [n]) == [want[n]]
     mixed = [40, 3, 40, 0, 11]
     assert _zero_run_bitsum_numerators(cls, mixed) == [want[n] for n in mixed]
+
+
+def test_first_length_is_where_the_gfs_count_the_empty_string():
+    """1 for the classes with a bit whose runs are at least 2 long, where
+    the constructor sets z^0 to 0, else 0."""
+    assert [cls for cls in StringClass if first_length(cls)] == [MUL, BIM, PER]
+    for cls in StringClass:
+        for caps in ((None, None), (1, None), (None, 2), (3, 4)):
+            z0 = alternating_gf(cls, *caps).expand(0)[0]
+            assert z0 == 1 - first_length(cls), (cls, caps)
+
+
+def test_runs_is_the_sum_over_the_allowed_lengths():
+    """a / q = sum of z^l over lo <= l <= min(hi, cap), q = 1 exactly
+    where at most one length is allowed, and q + a is the middle term."""
+    for lo in (1, 2, 3):
+        for hi in (None, lo, lo + 2):
+            for cap in (None, 0, 1, 2, 3, 5):
+                q, p, a = catalog._runs(lo, hi, cap)
+                top = min(h for h in (hi, cap, 12) if h is not None)
+                want = tuple(int(lo <= n <= top) for n in range(13))
+                assert RationalGF(a, q).expand(12) == want, (lo, hi, cap)
+                assert (q == ((0, 1),)) == (top <= lo)
+                assert p == terms(q + a)
+
+
+def _run_length_oracle(runs, n):
+    """(r0, r1, s) -> count over the n-bit strings whose 0-runs and 1-runs
+    have lengths in `runs`, from the runs themselves."""
+    tally: dict = {}
+    for v in range(1 << n):
+        found = [[], []]
+        for run in re.findall("0+|1+", bit_string(v, n)):
+            found[int(run[0])].append(len(run))
+        ok = all(
+            lo <= length and (hi is None or length <= hi)
+            for (lo, hi), lengths in zip(runs, found)
+            for length in lengths
+        )
+        if ok:
+            key = (max(found[0], default=0), max(found[1], default=0), v.bit_count())
+            tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+#: One changed row of ``_RUNS`` per case, with lo = 3 or lo0 != lo1 both
+#: >= 2, which no named class has.
+RULE_SWAPS = [
+    (SOL, ((2, None), (3, None))),
+    (PER, ((3, None), (1, 1))),
+    (MUL, ((1, None), (4, None))),
+]
+
+
+@pytest.mark.parametrize("cls,runs", RULE_SWAPS, ids=[c.value for c, _ in RULE_SWAPS])
+def test_one_row_of_runs_states_the_class(monkeypatch, cls, runs):
+    """With one row of ``_RUNS`` changed, every constructor route counts
+    the strings of the new runs, against an oracle that reads the runs
+    alone: the row is the only statement of the class."""
+    monkeypatch.setitem(catalog._RUNS, cls, runs)
+    nmax = 12
+    dists = [_run_length_oracle(runs, n) for n in range(nmax + 1)]
+
+    def total(n, keep=lambda r0, r1, s: 1):
+        return sum(cnt * keep(*key) for key, cnt in dists[n].items())
+
+    start = first_length(cls)
+    assert start == int(max(lo for lo, _ in runs) >= 2)
+    series = alternating_gf(cls).expand(nmax)
+    assert series == (0,) * start + tuple(total(n) for n in range(start, nmax + 1))
+
+    a, b = (gf.expand(nmax) for gf in bitsum_gfs(cls))
+    assert a == tuple(total(n, lambda r0, r1, s: s) for n in range(nmax + 1))
+    assert b == tuple(total(n, lambda r0, r1, s: s * s) for n in range(nmax + 1))
+
+    families = [bit for c, bit in defined_families() if c is cls]
+    assert families == [bit for bit, (lo, hi) in enumerate(runs) if lo != hi]
+    ns = list(range(nmax + 1))
+    for bit in families:
+        got = run_numerators(cls, bit, ns, bitsum=bit == 0)
+        for n in ns:
+            want = [total(n, lambda *key: key[bit] ** m) for m in range(1, 5)]
+            if bit == 0:
+                want.append(total(n, lambda r0, r1, s: r0 * s))
+            assert list(got[n]) == want, (bit, n)
+
+    if families != [0, 1]:
+        for route in (lambda: cross_numerator(cls, ns), lambda: cross_gf(cls, 2, 2)):
+            with pytest.raises(UnsupportedClass):
+                route()
+        return
+    assert cross_numerator(cls, ns) == [total(n, lambda r0, r1, s: r0 * r1) for n in ns]
+    for i in range(1, 6):
+        for j in range(1, 6):
+            series = cross_gf(cls, i, j).expand(nmax)
+            want = [total(n, lambda r0, r1, s: r1 < i and r0 < j) for n in ns]
+            assert series == (0,) * start + tuple(want[start:]), (i, j)

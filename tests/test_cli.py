@@ -64,6 +64,9 @@ JSON_PARAMETERS = {
     ("crossgf", "--order", "5", "--j", "4", "--i", "3", "--class", "multus", "--precision", "3"): (
         "crossgf", [("class", "multus"), ("i", 3), ("j", 4), ("order", 5)],
     ),
+    ("crossgf", "--class", "bimultus", "--i", "2", "--j", "3", "--order", "4"): (
+        "crossgf", [("class", "bimultus"), ("i", 2), ("j", 3), ("order", 4)],
+    ),
     ("compositions", "--n", "2"): ("compositions", [("n", 2)]),
     ("asymptotics", "--class", "persolus", "--lengths", "20,40"): (
         "asymptotics",
@@ -88,7 +91,13 @@ JSON_PARAMETERS = {
 }
 
 
-@pytest.mark.parametrize("argv", list(JSON_PARAMETERS), ids=lambda argv: argv[0])
+# the bimultus crossgf line has an id of its own, which keeps the id of
+# the multus one
+@pytest.mark.parametrize(
+    "argv",
+    list(JSON_PARAMETERS),
+    ids=lambda argv: argv[0] + ("-bimultus" if "bimultus" in argv else ""),
+)
 def test_json_command_and_parameters_are_pinned(capsys, argv):
     code, out, _ = run_cli(capsys, "--format", "json", *argv)
     assert code == EXIT_OK
@@ -146,6 +155,58 @@ def test_crossgf(capsys):
     assert code == EXIT_OK
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1][1] == "0"
+
+
+@pytest.mark.parametrize("i,j", [(1, 1), (2, 3), (3, 3), (4, 2), (6, 6)])
+def test_crossgf_bimultus_matches_the_oracle(capsys, i, j):
+    """Every row from n = 1 counts the bimultus strings with no 1-run of
+    i and no 0-run of j; z^0 is 0 under the class's convention."""
+    from bitruns.ensembles import StringClass, enumerate_joint
+
+    code, out, err = run_cli(
+        capsys, "--format", "csv", "crossgf", "--class", "bimultus",
+        "--i", str(i), "--j", str(j), "--order", "12",
+    )
+    assert (code, err) == (EXIT_OK, "")
+    rows = [[int(v) for v in r] for r in list(csv.reader(io.StringIO(out)))[1:]]
+    want = [
+        sum(
+            cnt
+            for (r0, r1, _), cnt in enumerate_joint(n, StringClass.BIMULTUS).counts
+            if r1 < i and r0 < j
+        )
+        for n in range(1, 13)
+    ]
+    assert rows == [[0, 0]] + [[n, c] for n, c in enumerate(want, 1)]
+
+
+#: The classes `joint` and `crossgf` have no route for, with the
+#: library's refusal.
+_REFUSALS = [
+    (("joint", "--class", cls, "--n", "3"), f"no bounded-composition count for {cls}")
+    for cls in ("multus", "bimultus", "persolus")
+] + [
+    (("crossgf", "--class", cls, "--i", "2", "--j", "2"), f"no two-run generating function for {cls}")
+    for cls in ("solus", "persolus")
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", _REFUSALS, ids=[f"{argv[0]}-{argv[2]}" for argv, _ in _REFUSALS]
+)
+def test_joint_and_crossgf_leave_class_refusals_to_the_library(capsys, monkeypatch, argv, message):
+    """A class the command has no route for exits 1 with the library's
+    one-line refusal, before any table or series is expanded."""
+    from bitruns import jointdp
+    from bitruns.series import RationalGF
+
+    def forbidden(*args):
+        raise AssertionError("expansion started")
+
+    monkeypatch.setattr(jointdp, "_signed_binomials", forbidden)
+    monkeypatch.setattr(RationalGF, "expand", forbidden)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"bitruns: {message}\n")
 
 
 def test_compositions(capsys):

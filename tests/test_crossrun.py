@@ -102,6 +102,17 @@ def test_degenerate_variance():
         cross_report_table([0], StringClass.UNCONSTRAINED)
 
 
+@pytest.mark.parametrize(
+    "n,cls", [(0, cls) for cls in StringClass] + [(1, StringClass.MULTUS)]
+)
+def test_oracle_refuses_a_single_class_string(n, cls):
+    """The oracle tests its own variances: the empty string at n = 0, and
+    "0" at n = 1 for multus, are the one class string."""
+    assert enumerate_joint(n, cls).total == 1
+    with pytest.raises(DegenerateVariance, match=f"^zero run-length variance at n={n} for {cls}$"):
+        cross_report_oracle(n, cls)
+
+
 def _forbid_product(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a sum started")
