@@ -39,7 +39,7 @@ _EXPORTS = {
         "StringClass",
         "class_member",
         "enumerate_joint",
-        "oracle_moment",
+        "oracle_tally",
         "run_stats",
         "to_composition",
     ),

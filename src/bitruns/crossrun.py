@@ -41,7 +41,7 @@ lo1) rows for N = max(ns), each at most N long: O(N^2) Python-level
 steps, and about N^3 / 24 big-integer additions inside the prefix
 sums for unconstrained.  Memory is a few rows of N integers.  The
 exhaustive oracle covers every class at small n: ``cross_report_oracle``
-reads the same five sums off ``enumerate_joint`` with ``oracle_moment``.
+reads the same five sums off one (r0, r1) tally, ``oracle_tally``.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from .catalog import bitsum_gfs, shortest_runs
-from .ensembles import StringClass, enumerate_joint, oracle_moment
-from .errors import DegenerateVariance
+from .ensembles import StringClass, enumerate_joint, oracle_tally
+from .errors import DegenerateVariance, EmptyEnsemble
 from .moments import checked_counts, run_numerators
 from .render import signed_sqrt_ratio
 
@@ -189,16 +189,12 @@ def cross_report_oracle(n: int, string_class: StringClass) -> Correlation:
     """Same correlation by exhaustive enumeration; works for every class,
     and tests its own variances."""
     dist = enumerate_joint(n, string_class)
-    stats = (
-        lambda r0, r1, s: r0,
-        lambda r0, r1, s: r0 * r0,
-        lambda r0, r1, s: r1,
-        lambda r0, r1, s: r1 * r1,
-        lambda r0, r1, s: r0 * r1,
-    )
-    means = [oracle_moment(dist, f) for f in stats]
-    # the means are the sums over a count of 1
-    (r,) = _correlations([n], string_class, {n: 1}, [means])
+    if dist.total == 0:
+        raise EmptyEnsemble(f"no {string_class} strings of length {n}")
+    sums = [0] * 5
+    for (r0, r1), c in oracle_tally(dist, lambda r0, r1, s: (r0, r1)).items():
+        sums = [a + c * v for a, v in zip(sums, (r0, r0 * r0, r1, r1 * r1, r0 * r1))]
+    (r,) = _correlations([n], string_class, {n: dist.total}, [sums])
     if r.var_r0 == 0 or r.var_other == 0:
         raise DegenerateVariance(
             f"zero run-length variance at n={n} for {string_class}"

@@ -13,17 +13,16 @@ truth that the generating-function and binomial-sum pipelines are
 checked against.  A string of length n is an integer v < 2^n whose
 bit i is position i, so the per-string statistics are word operations.
 ``enumerate_joint`` tallies the (r0, r1, s) triples of a class, and
-``oracle_moment(dist, f)`` is the one reader of such a tally: the mean
-of any function f(r0, r1, s).
+``oracle_tally(dist, f)``, the one reader of such a tally, counts the
+class strings by any key f(r0, r1, s); no other module reads its format.
 """
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Hashable, NamedTuple
 
-from .errors import EmptyEnsemble, OracleBoundExceeded
+from .errors import OracleBoundExceeded
 
 #: Largest n enumerate_joint accepts by default (2^24 strings).
 DEFAULT_ORACLE_BOUND = 24
@@ -99,6 +98,8 @@ def _longest_one_run(v: int) -> int:
 
 
 def _check_string(v: int, n: int) -> None:
+    if n < 0:
+        raise ValueError(f"length must be nonnegative, got {n}")
     if not 0 <= v < 1 << n:
         raise ValueError(f"{v} is not a string of length {n}")
 
@@ -142,6 +143,8 @@ def enumerate_classes(n: int) -> dict:
     """Enumerate all 2^n candidates once and tally (r0, r1, s) into every
     class they belong to: one JointDistribution per StringClass; n is at
     most DEFAULT_ORACLE_BOUND."""
+    if n < 0:
+        raise ValueError(f"length must be nonnegative, got {n}")
     if n > DEFAULT_ORACLE_BOUND:
         raise OracleBoundExceeded(f"n={n} exceeds the oracle bound {DEFAULT_ORACLE_BOUND}")
     # tally by (r0, r1, s, predicates) first, then credit each tally to
@@ -175,14 +178,14 @@ def enumerate_joint(n: int, string_class: StringClass) -> JointDistribution:
     return enumerate_classes(n)[string_class]
 
 
-def oracle_moment(dist: JointDistribution, f: Callable[..., int]) -> Fraction:
-    """Exact expectation of f(r0, r1, s) under the uniform distribution
-    on the class."""
-    if dist.total == 0:
-        raise EmptyEnsemble(
-            f"no {dist.string_class} strings of length {dist.n}"
-        )
-    return Fraction(sum(f(*key) * c for key, c in dist.counts), dist.total)
+def oracle_tally(dist: JointDistribution, f: Callable[..., Hashable]) -> dict:
+    """{f(r0, r1, s): number of class strings} in one pass over the
+    tally; the counts sum to dist.total, and an empty class gives {}."""
+    out: dict = {}
+    for key, c in dist.counts:
+        k = f(*key)
+        out[k] = out.get(k, 0) + c
+    return out
 
 
 def to_composition(v: int, n: int) -> list:

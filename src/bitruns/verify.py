@@ -23,15 +23,15 @@ from .ensembles import (
     _longest_one_run,
     bit_string,
     enumerate_classes,
-    oracle_moment,
+    oracle_tally,
     to_composition,
 )
 from .errors import OracleBoundExceeded
 from .jointdp import joint_table
 from .moments import run_variance_table
 
-#: enumerate_joint as a check sees it: run_checks hands every check one
-#: memo of enumerate_classes, so each n is enumerated once per call.
+#: A JointDistribution per (n, class), read with oracle_tally: run_checks hands
+#: every check one memo of enumerate_classes, so each n is enumerated once.
 Oracle = Callable[[int, StringClass], JointDistribution]
 
 
@@ -68,9 +68,9 @@ def check_bitsums(nmax: int, oracle: Oracle) -> list:
     def bad(cls):
         a, b = (gf.expand(nmax) for gf in bitsum_gfs(cls))
         for n in range(nmax + 1):
-            counts = oracle(n, cls).counts
-            wa = sum(cnt * s for (_, _, s), cnt in counts)
-            wb = sum(cnt * s * s for (_, _, s), cnt in counts)
+            by_s = oracle_tally(oracle(n, cls), lambda r0, r1, s: s).items()
+            wa = sum(cnt * s for s, cnt in by_s)
+            wb = sum(cnt * s * s for s, cnt in by_s)
             if (a[n], b[n]) != (wa, wb):
                 yield f"n={n}", f"({a[n]},{b[n]})", f"({wa},{wb})"
 
@@ -84,9 +84,10 @@ def check_run_moments(nmax: int, oracle: Oracle) -> list:
         dists = [d for d in dists if d.total]
         reports = run_variance_table([d.n for d in dists], cls, bit)
         for dist, r in zip(dists, reports):
+            runs = oracle_tally(dist, lambda r0, r1, s: (r0, r1)[bit]).items()
             moments = (r.mean, r.second_moment, r.third_moment, r.fourth_moment)
             for m, got in enumerate(moments, 1):
-                want = oracle_moment(dist, lambda r0, r1, s: (r0, r1)[bit] ** m)
+                want = Fraction(sum(cnt * k**m for k, cnt in runs), dist.total)
                 if got != want:
                     yield f"n={dist.n} m={m}", got, want
 
@@ -98,23 +99,25 @@ def check_run_moments(nmax: int, oracle: Oracle) -> list:
 
 def check_cross_run(nmax: int, oracle: Oracle) -> list:
     def bad(cls):
+        # one (r0, r1) tally per length serves every check below
+        dists = [oracle(n, cls) for n in range(nmax + 1)]
+        pairs = [oracle_tally(d, lambda r0, r1, s: (r0, r1)).items() for d in dists]
         # two-run family coefficients
         for i in range(1, 7):
             for j in range(1, 7):
                 series = cross_gf(cls, i, j).expand(nmax)
                 for n in range(first_length(cls), nmax + 1):
-                    counts = oracle(n, cls).counts
-                    want = sum(cnt for (r0, r1, _), cnt in counts if r1 < i and r0 < j)
+                    want = sum(cnt for (r0, r1), cnt in pairs[n] if r1 < i and r0 < j)
                     if series[n] != want:
                         yield f"f_{{{i},{j}}} n={n}", series[n], want
-        # product moments
+        # E(R0 R1), the GF mean over count_gf's count: a wrong count fails here too
         counts = count_gf(cls).expand(nmax)
         xnum = cross_numerator(cls, range(nmax + 1))
         for n in range(1, nmax + 1):
-            dist = oracle(n, cls)
-            if dist.total:
+            if dists[n].total:
                 got = Fraction(xnum[n], counts[n])
-                want = oracle_moment(dist, lambda r0, r1, s: r0 * r1)
+                xs = sum(cnt * r0 * r1 for (r0, r1), cnt in pairs[n])
+                want = Fraction(xs, dists[n].total)
                 if got != want:
                     yield f"E(R0 R1) n={n}", got, want
 
@@ -126,10 +129,7 @@ def check_joint_dp(nmax: int, oracle: Oracle) -> list:
     def bad(cls):
         for n in range(nmax + 1):
             table = joint_table(n, cls)
-            tally: dict = {}
-            for (r0, _, s), cnt in oracle(n, cls).counts:
-                key = (n - s, r0)
-                tally[key] = tally.get(key, 0) + cnt
+            tally = oracle_tally(oracle(n, cls), lambda r0, r1, s: (n - s, r0))
             for x in range(n + 1):
                 for y in range(x + 1):
                     got, want = table.count(x, y), tally.get((x, y), 0)

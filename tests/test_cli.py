@@ -532,7 +532,7 @@ def test_package_exports_are_pinned():
         "joint_rs_report_table",
         "joint_table",
         "mean_asymptote",
-        "oracle_moment",
+        "oracle_tally",
         "rs_numerator_approx",
         "run_checks",
         "run_family",

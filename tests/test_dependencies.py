@@ -57,3 +57,22 @@ def test_unused_import_check_sees_one():
 def test_every_import_is_used():
     for path in sorted(Path(bitruns.__file__).parent.glob("*.py")):
         assert not _unused_imports(path.read_text(), str(path)), path.name
+
+
+def _counts_reads(source: str, filename: str = "<source>") -> int:
+    """How many times a module reads an attribute named `counts`."""
+    tree = ast.parse(source, filename)
+    return sum(
+        isinstance(node, ast.Attribute) and node.attr == "counts" for node in ast.walk(tree)
+    )
+
+
+def test_only_ensembles_reads_the_tally():
+    """JointDistribution.counts is read through oracle_tally everywhere
+    else, so its format is known to one module."""
+    reads = {
+        path.name: _counts_reads(path.read_text(), str(path))
+        for path in sorted(Path(bitruns.__file__).parent.glob("*.py"))
+    }
+    assert reads.pop("ensembles.py") > 0  # the check sees the reader's own reads
+    assert {name: k for name, k in reads.items() if k} == {}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -10,7 +11,7 @@ from bitruns.ensembles import (
     class_member,
     enumerate_classes,
     enumerate_joint,
-    oracle_moment,
+    oracle_tally,
     run_stats,
     to_composition,
 )
@@ -174,18 +175,81 @@ def test_oracle_bound(monkeypatch):
     assert enumerate_joint(5, StringClass.SOLUS).total == 13
 
 
-def test_oracle_moment():
+def _mean(dist, f):
+    return Fraction(sum(v * c for v, c in oracle_tally(dist, f).items()), dist.total)
+
+
+def test_oracle_tally():
     dist = enumerate_joint(2, StringClass.UNCONSTRAINED)
-    assert oracle_moment(dist, lambda r0, r1, s: s) == 1
-    assert oracle_moment(dist, lambda r0, r1, s: r1) == 1
-    assert oracle_moment(dist, lambda r0, r1, s: r0 * r1) == Fraction(2, 4)
-    # "00", "01", "10", "11": r0 = 2, 1, 1, 0 and s = 0, 1, 1, 2
-    assert oracle_moment(dist, lambda r0, r1, s: r0 * s) == Fraction(2, 4)
+    # "00", "01", "10", "11": r0 = 2, 1, 1, 0, r1 = 0, 1, 1, 2 and s = 0, 1, 1, 2
+    assert oracle_tally(dist, lambda r0, r1, s: s) == {0: 1, 1: 2, 2: 1}
+    assert oracle_tally(dist, lambda r0, r1, s: (r0, r1)) == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+    assert oracle_tally(dist, lambda r0, r1, s: r0 * s) == {0: 2, 1: 2}
+    assert _mean(dist, lambda r0, r1, s: s) == 1
+    assert _mean(dist, lambda r0, r1, s: r1) == 1
+    assert _mean(dist, lambda r0, r1, s: r0 * r1) == Fraction(2, 4)
+    assert _mean(dist, lambda r0, r1, s: r0 * s) == Fraction(2, 4)
 
 
-def test_oracle_moment_empty_ensemble():
-    with pytest.raises(EmptyEnsemble):
-        oracle_moment(enumerate_joint(1, StringClass.BIMULTUS), lambda r0, r1, s: s)
+def test_oracle_tally_empty_ensemble():
+    dist = enumerate_joint(1, StringClass.BIMULTUS)
+    assert dist.total == 0
+    assert oracle_tally(dist, lambda r0, r1, s: s) == {}
+    # the mean has no reader of its own: the oracle's correlation refuses it
+    with pytest.raises(EmptyEnsemble, match="^no bimultus strings of length 1$"):
+        cross_report_oracle(1, StringClass.BIMULTUS)
+
+
+#: Keys to tally by, given the length n first: the identity, one
+#: statistic, the joint table's (zeros, r0) cell, and a constant.
+_KEYS = {
+    "identity": lambda n, r0, r1, s: (r0, r1, s),
+    "r0": lambda n, r0, r1, s: r0,
+    "zeros-r0": lambda n, r0, r1, s: (n - s, r0),
+    "constant": lambda n, r0, r1, s: "all",
+}
+
+
+@pytest.mark.parametrize("cls", list(StringClass))
+@pytest.mark.parametrize("key", list(_KEYS))
+def test_oracle_tally_recounts_the_strings(cls, key):
+    """oracle_tally(dist, f) equals f counted string by string, with
+    run_stats and class_member over range(1 << n)."""
+    for n in range(11):
+        f = partial(_KEYS[key], n)
+        want = {}
+        for v in range(1 << n):
+            if class_member(v, n, cls):
+                k = f(*run_stats(v, n))
+                want[k] = want.get(k, 0) + 1
+        dist = enumerate_joint(n, cls)
+        got = oracle_tally(dist, f)
+        assert got == want, (cls, n, key)
+        assert sum(got.values()) == dist.total
+
+
+@pytest.mark.parametrize(
+    "call, n",
+    [
+        pytest.param(lambda: enumerate_classes(-1), -1, id="enumerate_classes"),
+        pytest.param(lambda: enumerate_joint(-2, StringClass.SOLUS), -2, id="enumerate_joint"),
+        pytest.param(lambda: run_stats(0, -1), -1, id="run_stats"),
+        pytest.param(lambda: to_composition(0, -1), -1, id="to_composition"),
+        pytest.param(lambda: bit_string(0, -1), -1, id="bit_string"),
+        pytest.param(
+            lambda: class_member(0, -1, StringClass.MULTUS), -1, id="class_member"
+        ),
+        pytest.param(
+            lambda: cross_report_oracle(-1, StringClass.UNCONSTRAINED),
+            -1,
+            id="cross_report_oracle",
+        ),
+    ],
+)
+def test_negative_length_is_named(call, n):
+    """Checked before any work, where a shift by n would fail unnamed."""
+    with pytest.raises(ValueError, match=f"^length must be nonnegative, got {n}$"):
+        call()
 
 
 def test_to_composition():
