@@ -19,23 +19,23 @@ never below DIGITS significant digits; ``working_precision`` raises it
 to what a number of printed places needs.  The hand-written count GF's
 denominator cross-checks the root (``growth_constant_residual``).
 
-mpmath is imported on the first call that computes a value, so commands
-that print no limit constant never load it.
+mpmath is imported with this module, and only the ``asymptotics``
+command and the package's lazy ``bitruns.__getattr__`` import it, so no
+other command loads mpmath.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
+
+import mpmath
 
 from .catalog import bivariate_denominator, count_gf
 from .ensembles import StringClass
 from .errors import UndefinedFamily
 from .moments import run_variance_table
-
-if TYPE_CHECKING:
-    from mpmath import mpf
 
 #: least working precision, in significant digits
 DIGITS = 50
@@ -48,8 +48,6 @@ GUARD_DIGITS = 10
 def working_precision(places: int):
     """Context manager under which values computed here, and read back
     with str(), are good to `places` decimal places."""
-    import mpmath
-
     return mpmath.workdps(max(DIGITS, places + GUARD_DIGITS))
 
 
@@ -58,8 +56,6 @@ def _at_working_precision(fn):
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        import mpmath
-
         with mpmath.workdps(max(mpmath.mp.dps, DIGITS)):
             return fn(*args, **kwargs)
 
@@ -70,10 +66,10 @@ class _Root(NamedTuple):
     """What the dominant root gives: beta, ln(beta) and the bitsum
     density's mean and variance."""
 
-    beta: mpf
-    log_beta: mpf
-    mean: mpf
-    variance: mpf
+    beta: mpmath.mpf
+    log_beta: mpmath.mpf
+    mean: mpmath.mpf
+    variance: mpmath.mpf
 
 
 # one entry per (class, working precision): every asymptote row asks for
@@ -84,8 +80,6 @@ def _dominant_root(string_class: StringClass, dps: int) -> _Root:
     `dps` digits.  With G_ij = sum of c ez^i eu^j rho^ez over the terms
     c z^ez u^eu of D, x(t) = log rho(e^t) has x' = -G01/G10 and
     x'' = -(G02 + 2 G11 x' + G20 x'^2)/G10 at t = 0."""
-    import mpmath
-
     den = bivariate_denominator(string_class)
 
     def g(i: int, j: int, z):
@@ -107,32 +101,23 @@ def _dominant_root(string_class: StringClass, dps: int) -> _Root:
     return _Root(beta, mpmath.log(beta), -x1, -x2)
 
 
-def _root(string_class: StringClass) -> _Root:
-    """_dominant_root at the working precision."""
-    import mpmath
-
-    return _dominant_root(string_class, mpmath.mp.dps)
-
-
 @_at_working_precision
-def growth_constant(string_class: StringClass) -> mpf:
+def growth_constant(string_class: StringClass) -> mpmath.mpf:
     """beta: 1 over the smallest positive root of the class GF's denominator."""
-    return _root(string_class).beta
+    return _dominant_root(string_class, mpmath.mp.dps).beta
 
 
 @_at_working_precision
-def growth_constant_residual(string_class: StringClass) -> mpf:
+def growth_constant_residual(string_class: StringClass) -> mpmath.mpf:
     """|den(1/beta)| where den is the count-GF denominator; should vanish."""
     rho = 1 / growth_constant(string_class)
     return abs(sum(c * rho**e for e, c in count_gf(string_class).den_terms))
 
 
 @_at_working_precision
-def variance_limit(string_class: StringClass) -> mpf:
+def variance_limit(string_class: StringClass) -> mpmath.mpf:
     """Limit of the longest-run variance: 1/12 + pi^2 / (6 ln(beta)^2)."""
-    import mpmath
-
-    lb = _root(string_class).log_beta
+    lb = _dominant_root(string_class, mpmath.mp.dps).log_beta
     return mpmath.mpf(1) / 12 + mpmath.pi**2 / (6 * lb * lb)
 
 
@@ -150,10 +135,8 @@ MEAN_OFFSETS = {
 
 
 @_at_working_precision
-def mean_asymptote(n: int, string_class: StringClass, bit: int) -> mpf:
+def mean_asymptote(n: int, string_class: StringClass, bit: int) -> mpmath.mpf:
     """Conjectured large-n approximation to the expected longest run."""
-    import mpmath
-
     if n < 1:
         raise ValueError("the asymptote needs n >= 1")
     try:
@@ -162,7 +145,7 @@ def mean_asymptote(n: int, string_class: StringClass, bit: int) -> mpf:
         raise UndefinedFamily(
             f"no mean asymptote for {string_class} bit={bit}"
         ) from None
-    lb = _root(string_class).log_beta
+    lb = _dominant_root(string_class, mpmath.mp.dps).log_beta
     off = mpmath.mpf(offset.numerator) / offset.denominator
     return mpmath.log(n) / lb - (off - mpmath.euler / lb)
 
@@ -171,14 +154,14 @@ class DensityLimits(NamedTuple):
     """Limits of E(S_n)/n and V(S_n)/n over a class."""
 
     string_class: StringClass
-    mean: mpf
-    variance: mpf
+    mean: mpmath.mpf
+    variance: mpmath.mpf
 
 
 @_at_working_precision
 def density_limits(string_class: StringClass) -> DensityLimits:
     """The bitsum density's limits, E(S_n)/n and V(S_n)/n."""
-    root = _root(string_class)
+    root = _dominant_root(string_class, mpmath.mp.dps)
     return DensityLimits(string_class, mean=root.mean, variance=root.variance)
 
 
@@ -189,11 +172,11 @@ class AsymptoteReport(NamedTuple):
     string_class: StringClass
     bit: int
     mean: Fraction
-    mean_asymptote: mpf
-    mean_gap: mpf
+    mean_asymptote: mpmath.mpf
+    mean_gap: mpmath.mpf
     variance: Fraction
-    variance_limit: mpf
-    variance_gap: mpf
+    variance_limit: mpmath.mpf
+    variance_gap: mpmath.mpf
 
 
 @_at_working_precision
@@ -203,8 +186,6 @@ def finite_vs_asymptote(
     """Compare exact mean and variance with the asymptotes at several n;
     every length is checked against the asymptote's n >= 1 before the
     moments are summed."""
-    import mpmath
-
     if ns and min(ns) < 1:
         raise ValueError("the asymptote needs n >= 1")
     vlim = variance_limit(string_class)

@@ -176,10 +176,10 @@ def _class_arg(p) -> None:
 
 def _lengths(text: str) -> list:
     try:
-        out = [int(t) for t in text.split(",") if t]
+        out = [int(t) for t in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad length list {text!r}") from None
-    if not out or any(n < 0 for n in out):
+    if any(n < 0 for n in out):
         raise argparse.ArgumentTypeError(f"bad length list {text!r}")
     return out
 

@@ -24,7 +24,8 @@ from typing import Callable, Hashable, NamedTuple
 
 from .errors import OracleBoundExceeded
 
-#: Largest n enumerate_joint accepts by default (2^24 strings).
+#: Largest n the oracle enumerates (2^24 strings): enumerate_classes and
+#: verify's --nmax refuse anything above it.
 DEFAULT_ORACLE_BOUND = 24
 
 
@@ -134,9 +135,6 @@ class JointDistribution(NamedTuple):
     string_class: StringClass
     counts: tuple  # ((r0, r1, s), count) pairs, sorted
     total: int
-
-    def count(self, r0: int, r1: int, s: int) -> int:
-        return dict(self.counts).get((r0, r1, s), 0)
 
 
 def enumerate_classes(n: int) -> dict:

@@ -28,7 +28,10 @@ operations and holds only itself.
 The few-ones questions need no table: the number of strings with fewer
 than ell ones and no zero run of length k is the sum of N(n - s, s, k - 1)
 over s < ell, and for ell <= 5 piecewise polynomial closed forms are
-available as well.
+available as well.  The few-ones approximation to the run-bitsum
+product numerator, ``rs_numerator_approx``, is a sum over the solus
+table instead: R0*S over the cells with fewer than ell_max ones or a
+longest zero run R0 <= 1.
 """
 
 from __future__ import annotations
@@ -294,34 +297,24 @@ def fewones_closed_form(n: int, ell: int, k: int) -> int:
 def rs_numerator_approx(order: int, ell_max: int = 5) -> tuple:
     """Few-ones approximation to the run-bitsum product numerator.
 
-    Accumulates, for bitsum levels below ell_max, the rectangle-count
-    differences that isolate strings with a given longest zero run.  The
-    result agrees with the exact numerator through z^(2 ell_max - 1), and
-    that bound is sharp: the z^(2 ell_max) coefficient already falls short.
-    The z^n shortfall is exactly the sum of R0*S over the length-n strings
-    with at least ell_max ones and a longest zero run R0 >= 2.  Strings
-    with R0 <= 1 miss nothing: together they carry total bitsum n, which
-    the all-zeros string's term supplies.
+    The z^n coefficient sums R0*S over the cells of the length-n solus
+    joint table with fewer than ell_max ones or a longest zero run
+    R0 <= 1: the exact numerator less the strings with at least ell_max
+    ones and R0 >= 2.  It agrees with the exact numerator through
+    z^(2 ell_max - 1), and that bound is sharp: the z^(2 ell_max)
+    coefficient already falls short.
     """
     if ell_max < 2:
         raise ValueError("ell_max must be at least 2")
-    def f(ell: int, k: int):
-        if 2 <= ell <= 5:
-            return [
-                fewones_closed_form(n, ell, k) if n else 1 for n in range(order + 1)
-            ]
-        return [fewones_count(n, ell, k) for n in range(order + 1)]
-
-    acc = [0] * (order + 1)
-    for k in range(2, order + 2):
-        hi, lo = f(2, k + 1), f(2, k)
-        for n in range(order + 1):
-            acc[n] += k * (hi[n] - lo[n])
-    for ell in range(3, ell_max + 1):
-        for k in range(2, order + 2):
-            a, b = f(ell, k + 1), f(ell - 1, k + 1)
-            c, d = f(ell, k), f(ell - 1, k)
-            w = ell - 1
-            for n in range(order + 1):
-                acc[n] += w * k * (a[n] - b[n] - c[n] + d[n])
+    acc = []
+    for n in range(order + 1):
+        rows = joint_table(n, StringClass.SOLUS).rows
+        acc.append(
+            sum(
+                y * (n - x) * c
+                for x, row in enumerate(rows)
+                for y, c in enumerate(row)
+                if n - x < ell_max or y <= 1
+            )
+        )
     return tuple(acc)

@@ -265,9 +265,17 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_bad_lengths_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["moments", "--class", "solus", "--lengths", "a,b"])
-    assert exc.value.code == EXIT_USAGE
+    # an empty item is an error, not a length to skip
+    for text in ("a,b", "1,,2", ",5", "5,"):
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "--class", "solus", "--lengths", text])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("bitruns ")]
+        assert errors == [
+            f"bitruns moments: error: argument --lengths: bad length list {text!r}"
+        ]
 
 
 def test_domain_error_maps_to_usage(capsys):
@@ -427,28 +435,32 @@ except SystemExit:
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("bitruns", "mpmath"))))
 """
 
-_CLI_ONLY = ["bitruns", "bitruns.cli", "bitruns.errors"]
+_CLI_ONLY = {"bitruns", "bitruns.cli", "bitruns.errors"}
 
-#: Modules each command must leave unloaded; None: load only _CLI_ONLY.
-_UNLOADED = {
-    "--version": None,
-    "counts": None,  # the probe runs counts with a bad --class: a usage error
-    "moments": {"jointdp", "crossrun", "verify", "asymptotics"},
-    "table1": {"jointdp", "verify", "asymptotics"},
-    "table2": {"jointdp", "verify", "asymptotics"},
+_SERIES = {"catalog", "ensembles", "series"}
+
+#: argv -> the package modules it loads beyond _CLI_ONLY.  mpmath loads
+#: with `asymptotics` and with no other command.
+_LOADS = {
+    ("--version",): set(),
+    ("table1", "--lengths", "10"): _SERIES | {"crossrun", "moments", "render"},
+    ("counts", "--class", "bogus"): set(),  # a usage error
+    ("moments", "--class", "solus", "--lengths", "10"): _SERIES | {"moments", "render"},
+    ("table2", "--lengths", "10"): _SERIES | {"crossrun", "moments", "render"},
+    ("compositions", "--n", "5"): {"ensembles"},
+    ("counts", "--class", "solus", "--nmax", "3"): _SERIES,
+    ("crossgf", "--class", "unconstrained", "--i", "1", "--j", "1", "--order", "4"): _SERIES,
+    ("joint", "--class", "solus", "--n", "4"): {"ensembles", "jointdp"},
+    ("fewones", "--ones", "3", "--run", "3", "--nmax", "5"): {"ensembles", "jointdp"},
+    ("verify", "--scope", "counts", "--nmax", "3"): {
+        p.stem for p in Path(bitruns.__file__).parent.glob("*.py")
+    } - {"__init__", "asymptotics"},
+    ("asymptotics", "--class", "solus", "--lengths", "10"): _SERIES
+    | {"asymptotics", "moments", "render"},
 }
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--version"],
-        ["table1", "--lengths", "10"],
-        ["counts", "--class", "bogus"],
-        ["moments", "--class", "solus", "--lengths", "10"],
-        ["table2", "--lengths", "10"],
-    ],
-)
+@pytest.mark.parametrize("argv", list(_LOADS))
 def test_commands_without_limits_leave_mpmath_unloaded(argv):
     src = str(Path(bitruns.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -457,14 +469,10 @@ def test_commands_without_limits_leave_mpmath_unloaded(argv):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert "mpmath" not in loaded
-    unloaded = _UNLOADED[argv[0]]
-    if unloaded is None:
-        assert loaded == _CLI_ONLY
-    else:
-        assert set(_CLI_ONLY) <= set(loaded)
-        assert not {f"bitruns.{m}" for m in unloaded} & set(loaded)
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert ("mpmath" in loaded) == (argv[0] == "asymptotics")
+    package = {m for m in loaded if m.startswith("bitruns")}
+    assert package == _CLI_ONLY | {f"bitruns.{m}" for m in _LOADS[argv]}
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])

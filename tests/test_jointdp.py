@@ -4,7 +4,7 @@ from itertools import accumulate
 import pytest
 
 from bitruns.catalog import count_gf
-from bitruns.ensembles import StringClass, enumerate_joint
+from bitruns.ensembles import StringClass, enumerate_joint, oracle_tally
 from bitruns.errors import DegenerateVariance, OutOfFormulaRange, UnsupportedClass
 from bitruns.crossrun import joint_rs_report_table
 from bitruns.jointdp import (
@@ -334,3 +334,41 @@ def test_rs_numerator_approx_prefix():
         assert approx[top] < exact[top], ell_max
     with pytest.raises(ValueError):
         rs_numerator_approx(5, 1)
+
+
+def _rectangle_route(order, ell_max):
+    """The route rs_numerator_approx replaced, with fewones_count at every
+    level: differences of the counts with bitsum < ell and longest zero
+    run < k isolate the strings with a given bitsum and longest zero run
+    k >= 2, each weighted by k times its bitsum."""
+
+    def f(ell, k):
+        return [fewones_count(n, ell, k) for n in range(order + 1)]
+
+    acc = [0] * (order + 1)
+    for k in range(2, order + 2):
+        hi, lo = f(2, k + 1), f(2, k)
+        for n in range(order + 1):
+            acc[n] += k * (hi[n] - lo[n])
+    for ell in range(3, ell_max + 1):
+        for k in range(2, order + 2):
+            a, b = f(ell, k + 1), f(ell - 1, k + 1)
+            c, d = f(ell, k), f(ell - 1, k)
+            for n in range(order + 1):
+                acc[n] += (ell - 1) * k * (a[n] - b[n] - c[n] + d[n])
+    return tuple(acc)
+
+
+def test_rs_numerator_approx_matches_the_rectangle_route():
+    for ell_max in range(2, 8):
+        assert rs_numerator_approx(30, ell_max) == _rectangle_route(30, ell_max), ell_max
+
+
+def test_rs_numerator_approx_matches_the_oracle():
+    # R0*S over the solus strings with fewer than ell_max ones or R0 <= 1
+    approx = {ell_max: rs_numerator_approx(14, ell_max) for ell_max in range(2, 8)}
+    for n in range(15):
+        tally = oracle_tally(enumerate_joint(n, SOL), lambda r0, r1, s: (r0, s))
+        for ell_max, got in approx.items():
+            want = sum(c * r0 * s for (r0, s), c in tally.items() if s < ell_max or r0 <= 1)
+            assert got[n] == want, (n, ell_max)
