@@ -38,7 +38,7 @@ _EXPORTS = {
         "RunStats",
         "StringClass",
         "class_member",
-        "enumerate_joint",
+        "enumerate_classes",
         "oracle_tally",
         "run_stats",
         "to_composition",

@@ -53,7 +53,7 @@ from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from .catalog import bitsum_gfs, shortest_runs
-from .ensembles import StringClass, enumerate_joint, oracle_tally
+from .ensembles import StringClass, enumerate_classes, oracle_tally
 from .errors import DegenerateVariance, EmptyEnsemble
 from .moments import checked_counts, run_numerators
 from .render import signed_sqrt_ratio
@@ -188,7 +188,7 @@ def cross_report_table(ns: Sequence[int], string_class: StringClass) -> list:
 def cross_report_oracle(n: int, string_class: StringClass) -> Correlation:
     """Same correlation by exhaustive enumeration; works for every class,
     and tests its own variances."""
-    dist = enumerate_joint(n, string_class)
+    dist = enumerate_classes(n)[string_class]
     if dist.total == 0:
         raise EmptyEnsemble(f"no {string_class} strings of length {n}")
     sums = [0] * 5

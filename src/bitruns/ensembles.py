@@ -12,14 +12,18 @@ Everything here is brute force on purpose: this module is the ground
 truth that the generating-function and binomial-sum pipelines are
 checked against.  A string of length n is an integer v < 2^n whose
 bit i is position i, so the per-string statistics are word operations.
-``enumerate_joint`` tallies the (r0, r1, s) triples of a class, and
-``oracle_tally(dist, f)``, the one reader of such a tally, counts the
-class strings by any key f(r0, r1, s); no other module reads its format.
+Each is stated once, for the 1s: a statistic of the 0s of v is the same
+statistic of the 1s of its complement v ^ (2^n - 1).
+``enumerate_classes(n)[cls]`` tallies the (r0, r1, s) triples of a
+class, and ``oracle_tally(dist, f)``, the one reader of such a tally,
+counts the class strings by any key f(r0, r1, s); no other module reads
+its format.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from typing import Callable, Hashable, NamedTuple
 
 from .errors import OracleBoundExceeded
@@ -53,20 +57,14 @@ class RunStats(NamedTuple):
     s: int   # bitsum (number of 1s)
 
 
-def _ones_isolated_ok(v: int, n: int) -> bool:
+def _isolated(v: int) -> bool:
     # solus: no two adjacent 1s
     return v & (v >> 1) == 0
 
 
-def _ones_clumped_ok(v: int, n: int) -> bool:
+def _clumped(v: int) -> bool:
     # multus: no isolated 1 bit
     return v & ~((v << 1) | (v >> 1)) == 0
-
-
-def _zeros_clumped_ok(v: int, n: int) -> bool:
-    mask = (1 << n) - 1
-    c = ~v & mask
-    return c & ~((c << 1) | (c >> 1)) & mask == 0
 
 
 def _classes_satisfied(ones_isolated: bool, ones_clumped: bool, zeros_clumped: bool):
@@ -109,17 +107,14 @@ def class_member(v: int, n: int, string_class: StringClass) -> bool:
     """True iff the n-bit string v belongs to the class.  The empty
     string (n = 0) satisfies every predicate vacuously."""
     _check_string(v, n)
-    return string_class in _CLASSES_BY_PREDICATES[
-        _ones_isolated_ok(v, n), _ones_clumped_ok(v, n), _zeros_clumped_ok(v, n)
-    ]
+    c = v ^ ((1 << n) - 1)
+    return string_class in _CLASSES_BY_PREDICATES[_isolated(v), _clumped(v), _clumped(c)]
 
 
 def run_stats(v: int, n: int) -> RunStats:
     """Longest 0-run, longest 1-run and bitsum of the n-bit string v."""
     _check_string(v, n)
-    return RunStats(
-        _longest_one_run(~v & ((1 << n) - 1)), _longest_one_run(v), v.bit_count()
-    )
+    return RunStats(_longest_one_run(v ^ ((1 << n) - 1)), _longest_one_run(v), v.bit_count())
 
 
 def bit_string(v: int, n: int) -> str:
@@ -145,35 +140,24 @@ def enumerate_classes(n: int) -> dict:
         raise ValueError(f"length must be nonnegative, got {n}")
     if n > DEFAULT_ORACLE_BOUND:
         raise OracleBoundExceeded(f"n={n} exceeds the oracle bound {DEFAULT_ORACLE_BOUND}")
-    # tally by (r0, r1, s, predicates) first, then credit each tally to
-    # every class the predicates admit: one dict update per candidate
+    # tally by (r0, r1, s, predicates) first, each 0-statistic read off
+    # the complement c, then credit each tally to every class the
+    # predicates admit
     mask = (1 << n) - 1
-    tally: dict = {}
-    for v in range(1 << n):
-        key = (
-            _longest_one_run(~v & mask),
-            _longest_one_run(v),
-            v.bit_count(),
-            _ones_isolated_ok(v, n),
-            _ones_clumped_ok(v, n),
-            _zeros_clumped_ok(v, n),
-        )
-        tally[key] = tally.get(key, 0) + 1
-    acc: dict = {cls: {} for cls in StringClass}
-    for key, c in tally.items():
-        stats = RunStats(*key[:3])
+    tally = Counter(
+        (_longest_one_run(c), _longest_one_run(v), v.bit_count(),
+         _isolated(v), _clumped(v), _clumped(c))
+        for v in range(1 << n)
+        for c in (v ^ mask,)
+    )
+    acc = {cls: Counter() for cls in StringClass}
+    for key, count in tally.items():
         for cls in _CLASSES_BY_PREDICATES[key[3:]]:
-            acc[cls][stats] = acc[cls].get(stats, 0) + c
+            acc[cls][RunStats(*key[:3])] += count
     return {
         cls: JointDistribution(n, cls, tuple(sorted(a.items())), sum(a.values()))
         for cls, a in acc.items()
     }
-
-
-def enumerate_joint(n: int, string_class: StringClass) -> JointDistribution:
-    """Exact (r0, r1, s) counts over the class strings of length n, by
-    enumerating all 2^n candidates (see enumerate_classes)."""
-    return enumerate_classes(n)[string_class]
 
 
 def oracle_tally(dist: JointDistribution, f: Callable[..., Hashable]) -> dict:

@@ -1,12 +1,14 @@
 """The series route for the run moments, kept as the reference of the
 cap sum in `bitruns.moments` that replaced it, and the run-family GFs it
 reads: H, the class GF, and H_k, that of the class strings with no run
-of k designated bits, both from the alternating-run constructor."""
+of k designated bits, both from the alternating-run constructor, and
+the oracle cache every test reads the enumeration through."""
 
+import functools
 from typing import NamedTuple
 
 from bitruns.catalog import alternating_gf, defined_families
-from bitruns.ensembles import StringClass
+from bitruns.ensembles import StringClass, enumerate_classes
 from bitruns.moments import MAX_MOMENT, moment_weight
 from bitruns.series import RationalGF
 
@@ -25,6 +27,10 @@ class RunFamily(NamedTuple):
             return alternating_gf(self.string_class, None, k - 1)
         return alternating_gf(self.string_class, k - 1)
 
+
+#: enumerate_classes memoized per length, shared by every test module;
+#: tests that monkeypatch the oracle or its bound call it directly
+oracle = functools.lru_cache(maxsize=None)(enumerate_classes)
 
 #: the eight run families, by (class, bit)
 FAMILIES = {

@@ -22,7 +22,7 @@ from bitruns.asymptotics import (
 )
 from bitruns.catalog import bitsum_gfs, count_gf
 from bitruns.crossrun import cross_numerator, cross_report_table, joint_rs_report_table
-from bitruns.ensembles import StringClass, enumerate_joint
+from bitruns.ensembles import StringClass
 from bitruns.jointdp import (
     fewones_closed_form,
     fewones_count,
@@ -33,7 +33,7 @@ from bitruns.jointdp import (
 from bitruns.moments import MAX_MOMENT, run_numerators, run_variance_table
 from bitruns.render import signed_sqrt_ratio
 
-from families import FAMILIES
+from families import FAMILIES, oracle
 
 U = StringClass.UNCONSTRAINED
 SOL = StringClass.SOLUS
@@ -134,7 +134,7 @@ def test_criterion_2_rs_approx_five_levels_z10_known_gap():
     # and the coefficient is 1414, not 1454.  The reference's "1454 from
     # five levels" is read here as five bitsum levels 1..5, which is
     # ell_max = 6; test_criterion_2_cross_numerators checks that value.
-    dist = enumerate_joint(10, SOL)
+    dist = oracle(10)[SOL]
     gap = sum(c * r0 * s for (r0, _, s), c in dist.counts if s >= 5 and r0 >= 2)
     assert gap > 0
     assert rs_numerator_approx(10, 5)[10] == RS_NUM[10] - gap
@@ -287,7 +287,7 @@ def test_criterion_6_oracle_equivalence():
     for cls in StringClass:
         counts = count_gf(cls).expand(ORACLE_NMAX)
         for n in range(1, ORACLE_NMAX + 1):
-            dist = enumerate_joint(n, cls)
+            dist = oracle(n)[cls]
             assert counts[n] == dist.total, (cls, n)
             if dist.total == 0:
                 continue

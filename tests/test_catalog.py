@@ -23,15 +23,13 @@ from bitruns.ensembles import (
     StringClass,
     bit_string,
     class_member,
-    enumerate_classes,
-    enumerate_joint,
 )
 from bitruns.errors import UndefinedFamily, UnsupportedClass
 from bitruns.jointdp import _at_most
 from bitruns.moments import moment_weight, run_numerators
 from bitruns.series import RationalGF, dense_terms, terms, terms_mul
 
-from families import FAMILIES
+from families import FAMILIES, oracle
 
 U, SOL, MUL, BIM, PER = (
     StringClass.UNCONSTRAINED,
@@ -54,7 +52,7 @@ def test_bitsum_gfs_match_oracle():
     """a_n and b_n sum the bitsum and its square over the class strings
     for every class, multus included, at n <= 14."""
     order = 14
-    dists = [enumerate_classes(n) for n in range(order + 1)]
+    dists = [oracle(n) for n in range(order + 1)]
     for cls in StringClass:
         a, b = (gf.expand(order) for gf in bitsum_gfs(cls))
         for n, by_class in enumerate(dists):
@@ -71,7 +69,7 @@ def test_bitsum_triples_match_oracle():
         assert (a, b) == tuple(gf.expand(9) for gf in bitsum_gfs(cls)), cls
         d = count_gf(cls).expand(9)
         for n in range(1, 10):
-            dist = enumerate_joint(n, cls)
+            dist = oracle(n)[cls]
             wa = sum(cnt * s for (_, _, s), cnt in dist.counts)
             wb = sum(cnt * s * s for (_, _, s), cnt in dist.counts)
             assert a[n] == wa, (cls, n)
@@ -105,7 +103,7 @@ def test_bitsum_hk_match_oracle():
             for n in range(11):
                 want = sum(
                     cnt * s
-                    for (r0, _, s), cnt in enumerate_joint(n, cls).counts
+                    for (r0, _, s), cnt in oracle(n)[cls].counts
                     if r0 < k
                 )
                 assert series[n] == want, (cls, k, n)
@@ -168,7 +166,7 @@ def test_zero_cap_coefficients_match_oracle():
     for cls in StringClass:
         caps = _cap_coefficients(cls, 0, ns[-1])
         for n in ns:
-            counts = enumerate_joint(n, cls).counts
+            counts = oracle(n)[cls].counts
             h, r = caps[n]
             for k in range(1, n + 2):
                 below = [(s, cnt) for (r0, _, s), cnt in counts if r0 < k]
@@ -201,7 +199,7 @@ def test_hk_counts_no_long_runs():
             for n in range(1, 10):
                 want = sum(
                     cnt
-                    for key, cnt in enumerate_joint(n, cls).counts
+                    for key, cnt in oracle(n)[cls].counts
                     if key[bit] < k
                 )
                 assert series[n] == want, (cls, bit, k, n)
@@ -223,7 +221,7 @@ def test_cross_gf_counts():
                 for n in range(start, 9):
                     want = sum(
                         cnt
-                        for (r0, r1, _), cnt in enumerate_joint(n, cls).counts
+                        for (r0, r1, _), cnt in oracle(n)[cls].counts
                         if r1 < i and r0 < j
                     )
                     assert series[n] == want, (cls, i, j, n)
@@ -273,7 +271,7 @@ def test_cross_gf_rejects_bad_input():
         (a, b): cross_gf(BIM, a, b).expand(14) for a in range(1, 8) for b in range(1, 8)
     }
     for n in range(1, 15):
-        counts = enumerate_joint(n, BIM).counts
+        counts = oracle(n)[BIM].counts
         for (a, b), s in series.items():
             want = sum(cnt for (r0, r1, _), cnt in counts if r1 < a and r0 < b)
             assert s[n] == want, (a, b, n)
@@ -360,7 +358,7 @@ def test_bivariate_denominator_marks_the_ones():
     bitsum) beyond the numerator's degree (4 for every class):
     sum of c f(n - ez, s - eu) over the terms c z^ez u^eu is 0."""
     order = 12
-    dists = [enumerate_classes(n) for n in range(order + 1)]
+    dists = [oracle(n) for n in range(order + 1)]
     for cls in StringClass:
         den = bivariate_denominator(cls)
         at_one: dict = {}
@@ -640,7 +638,7 @@ def test_one_cap_coefficients_equal_constructor_gfs(cls):
         for n in range(max(k - 1, 1), CAP_ORDER + 1):
             assert caps[n][0][k - 1] == hk[n], (k, n)
     for n in range(1, 11):
-        counts = enumerate_joint(n, cls).counts
+        counts = oracle(n)[cls].counts
         for k in range(1, n + 2):
             want = sum(cnt for (_, r1, _), cnt in counts if r1 < k)
             assert caps[n][0][k - 1] == want, (n, k)

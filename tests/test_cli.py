@@ -161,7 +161,8 @@ def test_crossgf(capsys):
 def test_crossgf_bimultus_matches_the_oracle(capsys, i, j):
     """Every row from n = 1 counts the bimultus strings with no 1-run of
     i and no 0-run of j; z^0 is 0 under the class's convention."""
-    from bitruns.ensembles import StringClass, enumerate_joint
+    from bitruns.ensembles import StringClass
+    from families import oracle
 
     code, out, err = run_cli(
         capsys, "--format", "csv", "crossgf", "--class", "bimultus",
@@ -172,7 +173,7 @@ def test_crossgf_bimultus_matches_the_oracle(capsys, i, j):
     want = [
         sum(
             cnt
-            for (r0, r1, _), cnt in enumerate_joint(n, StringClass.BIMULTUS).counts
+            for (r0, r1, _), cnt in oracle(n)[StringClass.BIMULTUS].counts
             if r1 < i and r0 < j
         )
         for n in range(1, 13)
@@ -531,7 +532,7 @@ def test_package_exports_are_pinned():
         "cross_report_oracle",
         "cross_report_table",
         "density_limits",
-        "enumerate_joint",
+        "enumerate_classes",
         "fewones_closed_form",
         "fewones_count",
         "fewones_peak",

@@ -9,7 +9,6 @@ the class, and refuses the class everywhere else.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,10 +16,12 @@ from hypothesis import strategies as st
 
 from bitruns.catalog import defined_families
 from bitruns.crossrun import correlation_counts, cross_report_table, joint_rs_report_table
-from bitruns.ensembles import StringClass, enumerate_classes, oracle_tally
+from bitruns.ensembles import StringClass, oracle_tally
 from bitruns.errors import DegenerateVariance, EmptyEnsemble, UnsupportedClass
 from bitruns.jointdp import joint_table
 from bitruns.moments import run_variance_table
+
+from families import oracle
 
 U, SOLUS, MULTUS, BIMULTUS, PERSOLUS = StringClass
 
@@ -29,7 +30,6 @@ U, SOLUS, MULTUS, BIMULTUS, PERSOLUS = StringClass
 CROSS_CLASSES = {U, MULTUS, BIMULTUS}
 JOINT_TABLE_CLASSES = {U, SOLUS}
 
-_oracle = lru_cache(maxsize=None)(enumerate_classes)
 
 
 def _mean(dist, f):
@@ -64,7 +64,7 @@ def test_route_classes_match_the_catalog():
 @example(cls=BIMULTUS, n=0)
 @example(cls=PERSOLUS, n=0)
 def test_routes_agree_with_the_oracle(cls, n):
-    dist = _oracle(n)[cls]
+    dist = oracle(n)[cls]
     families = [b for c, b in defined_families() if c is cls]
     if dist.total == 0:
         for bit in families:
@@ -147,7 +147,7 @@ def test_zero_variances_are_the_single_string_lengths(cls):
     """var R0, var R1 and var S vanish together, exactly at the lengths
     with one class string, which correlation_counts refuses."""
     for n in range(15):
-        dist = _oracle(n)[cls]
+        dist = oracle(n)[cls]
         if dist.total == 0:
             with pytest.raises(EmptyEnsemble):
                 correlation_counts(cls, [n])

@@ -12,8 +12,10 @@ from bitruns.crossrun import (
     cross_report_table,
     largest_part_row,
 )
-from bitruns.ensembles import StringClass, enumerate_joint
+from bitruns.ensembles import StringClass
 from bitruns.errors import DegenerateVariance, UnsupportedClass
+
+from families import oracle
 
 
 CROSS_CLASSES = [StringClass.UNCONSTRAINED, StringClass.MULTUS, StringClass.BIMULTUS]
@@ -23,11 +25,11 @@ CROSS_CLASSES = [StringClass.UNCONSTRAINED, StringClass.MULTUS, StringClass.BIMU
 def test_cross_moment_matches_oracle(cls):
     xnum = cross_numerator(cls, range(15))
     for n in range(15):
-        dist = enumerate_joint(n, cls)
+        dist = oracle(n)[cls]
         assert xnum[n] == sum(c * r0 * r1 for (r0, r1, _), c in dist.counts), (cls, n)
-    ns = [n for n in range(11) if enumerate_joint(n, cls).total > 1]
+    ns = [n for n in range(11) if oracle(n)[cls].total > 1]
     for r in cross_report_table(ns, cls):
-        want = Fraction(xnum[r.n], enumerate_joint(r.n, cls).total)
+        want = Fraction(xnum[r.n], oracle(r.n)[cls].total)
         assert r.mean_product == want, (cls, r.n)
     # any order, repeats and a single length read the same sums
     mixed = [14, 3, 14, 0, 9]
@@ -108,7 +110,7 @@ def test_degenerate_variance():
 def test_oracle_refuses_a_single_class_string(n, cls):
     """The oracle tests its own variances: the empty string at n = 0, and
     "0" at n = 1 for multus, are the one class string."""
-    assert enumerate_joint(n, cls).total == 1
+    assert oracle(n)[cls].total == 1
     with pytest.raises(DegenerateVariance, match=f"^zero run-length variance at n={n} for {cls}$"):
         cross_report_oracle(n, cls)
 

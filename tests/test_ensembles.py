@@ -10,12 +10,13 @@ from bitruns.ensembles import (
     bit_string,
     class_member,
     enumerate_classes,
-    enumerate_joint,
     oracle_tally,
     run_stats,
     to_composition,
 )
 from bitruns.errors import EmptyEnsemble, OracleBoundExceeded
+
+from families import oracle
 
 
 def _word(bits):
@@ -110,15 +111,37 @@ def test_run_stats():
     assert run_stats(0b11, 4) == (2, 2, 2)  # leading zeros are positions 2, 3
 
 
-def test_enumerate_joint_totals():
+def test_complement_swaps_the_runs_and_the_bits():
+    """The symmetry the oracle's tally rests on: a statistic of the 0s of
+    v is that of the 1s of its complement c.  So c swaps r0 and r1 and
+    has n - s ones, bimultus is multus on v and on c, and persolus is
+    solus on v and multus on c."""
+    for n in range(13):
+        mask = (1 << n) - 1
+        for v in range(1 << n):
+            c = v ^ mask
+            r0, r1, s = run_stats(v, n)
+            assert run_stats(c, n) == (r1, r0, n - s), (v, n)
+            solus = class_member(v, n, StringClass.SOLUS)
+            multus = class_member(v, n, StringClass.MULTUS)
+            zeros_clumped = class_member(c, n, StringClass.MULTUS)
+            for cls, want in (
+                (StringClass.BIMULTUS, multus and zeros_clumped),
+                (StringClass.PERSOLUS, solus and zeros_clumped),
+            ):
+                assert class_member(v, n, cls) is want, (v, n, cls)
+                assert _tuple_member(_bits(v, n), cls) is want, (v, n, cls)
+
+
+def test_enumerate_classes_totals():
     # fibonacci-like counts for the no-adjacent-1s class
-    got = [enumerate_joint(n, StringClass.SOLUS).total for n in range(8)]
+    got = [oracle(n)[StringClass.SOLUS].total for n in range(8)]
     assert got == [1, 2, 3, 5, 8, 13, 21, 34]
-    assert enumerate_joint(5, StringClass.UNCONSTRAINED).total == 32
+    assert oracle(5)[StringClass.UNCONSTRAINED].total == 32
 
 
-def test_enumerate_joint_counts_are_consistent():
-    dist = enumerate_joint(6, StringClass.MULTUS)
+def test_enumerate_classes_counts_are_consistent():
+    dist = oracle(6)[StringClass.MULTUS]
     assert dist.total == sum(c for _, c in dist.counts)
     tally = oracle_tally(dist, lambda *key: key)
     assert tally[(6, 0, 0)] == 1  # the all-zero string
@@ -155,25 +178,24 @@ def _per_class_loop(n, cls):
 
 
 def test_one_pass_matches_per_class_loops():
-    for n in range(13):
-        dists = enumerate_classes(n)
+    for n in range(15):
+        dists = oracle(n)
         assert list(dists) == list(StringClass)
         for cls, dist in dists.items():
             assert (dist.n, dist.string_class) == (n, cls)
             assert (dist.counts, dist.total) == _per_class_loop(n, cls), (n, cls)
-            assert enumerate_joint(n, cls) == dist
 
 
 def test_oracle_bound(monkeypatch):
     with pytest.raises(OracleBoundExceeded, match="n=30 exceeds the oracle bound 24"):
-        enumerate_joint(30, StringClass.SOLUS)
+        enumerate_classes(30)
     # the bound is read at call time
     monkeypatch.setattr(ensembles, "DEFAULT_ORACLE_BOUND", 5)
     with pytest.raises(OracleBoundExceeded, match="n=6 exceeds the oracle bound 5"):
         enumerate_classes(6)
     with pytest.raises(OracleBoundExceeded):
         cross_report_oracle(6, StringClass.UNCONSTRAINED)
-    assert enumerate_joint(5, StringClass.SOLUS).total == 13
+    assert enumerate_classes(5)[StringClass.SOLUS].total == 13
 
 
 def _mean(dist, f):
@@ -181,7 +203,7 @@ def _mean(dist, f):
 
 
 def test_oracle_tally():
-    dist = enumerate_joint(2, StringClass.UNCONSTRAINED)
+    dist = oracle(2)[StringClass.UNCONSTRAINED]
     # "00", "01", "10", "11": r0 = 2, 1, 1, 0, r1 = 0, 1, 1, 2 and s = 0, 1, 1, 2
     assert oracle_tally(dist, lambda r0, r1, s: s) == {0: 1, 1: 2, 2: 1}
     assert oracle_tally(dist, lambda r0, r1, s: (r0, r1)) == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
@@ -193,7 +215,7 @@ def test_oracle_tally():
 
 
 def test_oracle_tally_empty_ensemble():
-    dist = enumerate_joint(1, StringClass.BIMULTUS)
+    dist = oracle(1)[StringClass.BIMULTUS]
     assert dist.total == 0
     assert oracle_tally(dist, lambda r0, r1, s: s) == {}
     # the mean has no reader of its own: the oracle's correlation refuses it
@@ -223,7 +245,7 @@ def test_oracle_tally_recounts_the_strings(cls, key):
             if class_member(v, n, cls):
                 k = f(*run_stats(v, n))
                 want[k] = want.get(k, 0) + 1
-        dist = enumerate_joint(n, cls)
+        dist = oracle(n)[cls]
         got = oracle_tally(dist, f)
         assert got == want, (cls, n, key)
         assert sum(got.values()) == dist.total
@@ -233,7 +255,6 @@ def test_oracle_tally_recounts_the_strings(cls, key):
     "call, n",
     [
         pytest.param(lambda: enumerate_classes(-1), -1, id="enumerate_classes"),
-        pytest.param(lambda: enumerate_joint(-2, StringClass.SOLUS), -2, id="enumerate_joint"),
         pytest.param(lambda: run_stats(0, -1), -1, id="run_stats"),
         pytest.param(lambda: to_composition(0, -1), -1, id="to_composition"),
         pytest.param(lambda: bit_string(0, -1), -1, id="bit_string"),

@@ -4,7 +4,7 @@ from itertools import accumulate
 import pytest
 
 from bitruns.catalog import count_gf
-from bitruns.ensembles import StringClass, enumerate_joint, oracle_tally
+from bitruns.ensembles import StringClass, oracle_tally
 from bitruns.errors import DegenerateVariance, OutOfFormulaRange, UnsupportedClass
 from bitruns.crossrun import joint_rs_report_table
 from bitruns.jointdp import (
@@ -15,6 +15,8 @@ from bitruns.jointdp import (
     joint_table,
     rs_numerator_approx,
 )
+
+from families import oracle
 
 U = StringClass.UNCONSTRAINED
 SOL = StringClass.SOLUS
@@ -134,7 +136,7 @@ def test_joint_table_matches_dp(cls):
 
 def _oracle_table(n, cls):
     want = {}
-    for (r0, _, s), cnt in enumerate_joint(n, cls).counts:
+    for (r0, _, s), cnt in oracle(n)[cls].counts:
         key = (n - s, r0)
         want[key] = want.get(key, 0) + cnt
     return want
@@ -177,7 +179,7 @@ def test_boundary_counts():
 
 def test_joint_rs_report_exact_fields():
     (r,) = joint_rs_report_table([10], StringClass.UNCONSTRAINED)
-    dist = enumerate_joint(10, StringClass.UNCONSTRAINED)
+    dist = oracle(10)[StringClass.UNCONSTRAINED]
     er0 = Fraction(sum(c * r0 for (r0, _, s), c in dist.counts), dist.total)
     es = Fraction(sum(c * s for (_, _, s), c in dist.counts), dist.total)
     ers = Fraction(sum(c * r0 * s for (r0, _, s), c in dist.counts), dist.total)
@@ -234,7 +236,7 @@ def test_joint_rs_report_multus_matches_oracle():
     """Multus, which had no hand-written bitsum GFs, against the oracle."""
     ns = list(range(14, 1, -1))
     for n, r in zip(ns, joint_rs_report_table(ns, StringClass.MULTUS)):
-        dist = enumerate_joint(n, StringClass.MULTUS)
+        dist = oracle(n)[StringClass.MULTUS]
         er, es, err, ess, ers = (
             Fraction(sum(c * f(r0, s) for (r0, _, s), c in dist.counts), dist.total)
             for f in (
@@ -259,7 +261,7 @@ def test_joint_rs_report_multus_matches_oracle():
 def test_fewones_count_matches_brute_force(cls):
     # ell = 1 and k = 1 reach the edges s = 0 and y = 0 (solus: "1")
     for n in range(11):
-        counts = enumerate_joint(n, cls).counts
+        counts = oracle(n)[cls].counts
         for ell in (1, 2, 3, 5):
             for k in (1, 2, 3, 7):
                 want = sum(cnt for (r0, _, s), cnt in counts if s < ell and r0 < k)
@@ -269,7 +271,7 @@ def test_fewones_count_matches_brute_force(cls):
 def test_fewones_count_unconstrained_variant():
     want = sum(
         cnt
-        for (r0, _, s), cnt in enumerate_joint(8, StringClass.UNCONSTRAINED).counts
+        for (r0, _, s), cnt in oracle(8)[StringClass.UNCONSTRAINED].counts
         if s < 3 and r0 < 4
     )
     assert fewones_count(8, 3, 4, StringClass.UNCONSTRAINED) == want
@@ -325,7 +327,7 @@ def test_rs_numerator_approx_prefix():
     # at z^(2L), so the bound is sharp
     exact = []
     for n in range(13):
-        dist = enumerate_joint(n, StringClass.SOLUS)
+        dist = oracle(n)[StringClass.SOLUS]
         exact.append(sum(c * r0 * s for (r0, _, s), c in dist.counts))
     for ell_max in range(2, 7):
         top = 2 * ell_max
@@ -368,7 +370,7 @@ def test_rs_numerator_approx_matches_the_oracle():
     # R0*S over the solus strings with fewer than ell_max ones or R0 <= 1
     approx = {ell_max: rs_numerator_approx(14, ell_max) for ell_max in range(2, 8)}
     for n in range(15):
-        tally = oracle_tally(enumerate_joint(n, SOL), lambda r0, r1, s: (r0, s))
+        tally = oracle_tally(oracle(n)[SOL], lambda r0, r1, s: (r0, s))
         for ell_max, got in approx.items():
             want = sum(c * r0 * s for (r0, s), c in tally.items() if s < ell_max or r0 <= 1)
             assert got[n] == want, (n, ell_max)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bitruns.catalog import defined_families
-from bitruns.ensembles import StringClass, enumerate_joint
+from bitruns.ensembles import StringClass
 from bitruns.errors import BitrunsError, EmptyEnsemble, UndefinedFamily, UnsupportedMoment
 from bitruns.moments import (
     MAX_MOMENT,
@@ -14,7 +14,7 @@ from bitruns.moments import (
     run_variance_table,
 )
 
-from families import FAMILIES
+from families import FAMILIES, oracle
 
 
 def test_moment_weight_telescopes():
@@ -36,7 +36,7 @@ def _moments(r):
 
 def test_run_moment_matches_oracle():
     for cls, bit in defined_families():
-        dists = [enumerate_joint(n, cls) for n in range(1, 9)]
+        dists = [oracle(n)[cls] for n in range(1, 9)]
         dists = [d for d in dists if d.total]
         reports = run_variance_table([d.n for d in dists], cls, bit)
         for dist, r in zip(dists, reports):
@@ -142,7 +142,7 @@ def _oracle_numerators(dist, bit):
 @pytest.mark.parametrize("cls,bit", defined_families())
 def test_run_numerators_match_oracle(cls, bit):
     ns = list(range(ORACLE_N + 1))
-    want = [_oracle_numerators(enumerate_joint(n, cls), bit) for n in ns]
+    want = [_oracle_numerators(oracle(n)[cls], bit) for n in ns]
     assert run_numerators(cls, bit, ns) == [w[:MAX_MOMENT] for w in want]
     if bit == 0:
         assert run_numerators(cls, 0, ns, bitsum=True) == want
@@ -163,7 +163,7 @@ def test_run_numerators_match_oracle(cls, bit):
 def test_run_numerators_below_the_shortest_run(cls, bit, ns):
     """Lengths with no room for a cap above the shortest run: every k <=
     n fits no run, or only at k = n."""
-    want = [_oracle_numerators(enumerate_joint(n, cls), bit) for n in ns]
+    want = [_oracle_numerators(oracle(n)[cls], bit) for n in ns]
     assert run_numerators(cls, bit, ns) == [w[:MAX_MOMENT] for w in want]
     if bit == 0:
         assert run_numerators(cls, 0, ns, bitsum=True) == want
