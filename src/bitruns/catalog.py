@@ -65,13 +65,13 @@ from typing import NamedTuple
 
 from .ensembles import StringClass
 from .errors import UndefinedFamily, UnsupportedClass
-from .series import RationalGF, dense_terms, terms, terms_mul
+from .series import RationalGF, terms, terms_mul
 
 
 #: d_n generating functions for the five classes, from their dense
 #: numerator and denominator coefficients, constant term first.
 _COUNT_GFS = {
-    cls: RationalGF(dense_terms(num), dense_terms(den))
+    cls: RationalGF(enumerate(num), enumerate(den))
     for cls, (num, den) in {
         StringClass.UNCONSTRAINED: ((1,), (1, -2)),
         StringClass.SOLUS: ((1, 1), (1, -1, -1)),

@@ -1,12 +1,14 @@
 """Bitstring ensembles, per-string statistics and the exhaustive oracle.
 
-The five ensembles:
+The five ensembles, each one rule (``_RULES``) on the longest 1-run r1
+and on whether the 1s and the 0s are clumped (every bit has a
+neighbour of its own value):
 
-* unconstrained: every 0/1 string
-* solus:     no two adjacent 1s
-* multus:    every 1 has an adjacent 1
-* bimultus:  every 1 has an adjacent 1 and every 0 has an adjacent 0
-* persolus:  no two adjacent 1s and every 0 has an adjacent 0
+* unconstrained: always
+* solus:     r1 <= 1 (no two adjacent 1s)
+* multus:    1s clumped
+* bimultus:  1s clumped and 0s clumped
+* persolus:  r1 <= 1 and 0s clumped
 
 Everything here is brute force on purpose: this module is the ground
 truth that the generating-function and binomial-sum pipelines are
@@ -57,34 +59,19 @@ class RunStats(NamedTuple):
     s: int   # bitsum (number of 1s)
 
 
-def _isolated(v: int) -> bool:
-    # solus: no two adjacent 1s
-    return v & (v >> 1) == 0
-
-
 def _clumped(v: int) -> bool:
-    # multus: no isolated 1 bit
+    # no isolated 1 bit
     return v & ~((v << 1) | (v >> 1)) == 0
 
 
-def _classes_satisfied(ones_isolated: bool, ones_clumped: bool, zeros_clumped: bool):
-    yield StringClass.UNCONSTRAINED
-    if ones_isolated:
-        yield StringClass.SOLUS
-    if ones_clumped:
-        yield StringClass.MULTUS
-    if ones_clumped and zeros_clumped:
-        yield StringClass.BIMULTUS
-    if ones_isolated and zeros_clumped:
-        yield StringClass.PERSOLUS
-
-
-#: Classes by (ones isolated, ones clumped, zeros clumped).
-_CLASSES_BY_PREDICATES = {
-    (a, b, c): tuple(_classes_satisfied(a, b, c))
-    for a in (False, True)
-    for b in (False, True)
-    for c in (False, True)
+#: Each class once, as a rule on (longest 1-run, 1s clumped, 0s clumped):
+#: separated 1s are a longest 1-run of at most 1.
+_RULES = {
+    StringClass.UNCONSTRAINED: lambda r1, clumped, zeros_clumped: True,
+    StringClass.SOLUS: lambda r1, clumped, zeros_clumped: r1 <= 1,
+    StringClass.MULTUS: lambda r1, clumped, zeros_clumped: clumped,
+    StringClass.BIMULTUS: lambda r1, clumped, zeros_clumped: clumped and zeros_clumped,
+    StringClass.PERSOLUS: lambda r1, clumped, zeros_clumped: r1 <= 1 and zeros_clumped,
 }
 
 
@@ -105,10 +92,10 @@ def _check_string(v: int, n: int) -> None:
 
 def class_member(v: int, n: int, string_class: StringClass) -> bool:
     """True iff the n-bit string v belongs to the class.  The empty
-    string (n = 0) satisfies every predicate vacuously."""
+    string (n = 0) meets every rule vacuously."""
     _check_string(v, n)
     c = v ^ ((1 << n) - 1)
-    return string_class in _CLASSES_BY_PREDICATES[_isolated(v), _clumped(v), _clumped(c)]
+    return _RULES[string_class](_longest_one_run(v), _clumped(v), _clumped(c))
 
 
 def run_stats(v: int, n: int) -> RunStats:
@@ -140,20 +127,20 @@ def enumerate_classes(n: int) -> dict:
         raise ValueError(f"length must be nonnegative, got {n}")
     if n > DEFAULT_ORACLE_BOUND:
         raise OracleBoundExceeded(f"n={n} exceeds the oracle bound {DEFAULT_ORACLE_BOUND}")
-    # tally by (r0, r1, s, predicates) first, each 0-statistic read off
-    # the complement c, then credit each tally to every class the
-    # predicates admit
+    # tally by (r0, r1, s, 1s clumped, 0s clumped) first, each
+    # 0-statistic read off the complement c, then credit each tally to
+    # every class whose rule it meets
     mask = (1 << n) - 1
     tally = Counter(
-        (_longest_one_run(c), _longest_one_run(v), v.bit_count(),
-         _isolated(v), _clumped(v), _clumped(c))
+        (_longest_one_run(c), _longest_one_run(v), v.bit_count(), _clumped(v), _clumped(c))
         for v in range(1 << n)
         for c in (v ^ mask,)
     )
     acc = {cls: Counter() for cls in StringClass}
-    for key, count in tally.items():
-        for cls in _CLASSES_BY_PREDICATES[key[3:]]:
-            acc[cls][RunStats(*key[:3])] += count
+    for (r0, r1, s, clumped, zeros_clumped), count in tally.items():
+        for cls, rule in _RULES.items():
+            if rule(r1, clumped, zeros_clumped):
+                acc[cls][RunStats(r0, r1, s)] += count
     return {
         cls: JointDistribution(n, cls, tuple(sorted(a.items())), sum(a.values()))
         for cls, a in acc.items()

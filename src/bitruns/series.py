@@ -31,11 +31,6 @@ def terms(pairs: Iterable[tuple]) -> Terms:
     return tuple(sorted(t for t in acc.items() if t[1]))
 
 
-def dense_terms(coeffs: Iterable[int]) -> Terms:
-    """The sparse terms of a dense coefficient sequence."""
-    return tuple((e, c) for e, c in enumerate(coeffs) if c)
-
-
 def terms_mul(*factors: Terms) -> Terms:
     """Product of sparse polynomials."""
     out: Terms = ((0, 1),)

@@ -148,7 +148,7 @@ def check_compositions(nmax: int, oracle: Oracle) -> list:
             for v in range(1 << n):
                 parts = tuple(to_composition(v, n))
                 # r0 and the bitsum from word operations, not from the split
-                r0 = _longest_one_run(~v & mask)
+                r0 = _longest_one_run(v ^ mask)
                 s = v.bit_count()
                 if sum(parts) != n + 1:
                     got, want = f"parts sum {sum(parts)}", n + 1

@@ -2,13 +2,14 @@
 cap sum in `bitruns.moments` that replaced it, and the run-family GFs it
 reads: H, the class GF, and H_k, that of the class strings with no run
 of k designated bits, both from the alternating-run constructor, and
-the oracle cache every test reads the enumeration through."""
+the oracle cache every test reads the enumeration through, and
+`oracle_sum`, the sum over a tally that the tests read it by."""
 
 import functools
 from typing import NamedTuple
 
 from bitruns.catalog import alternating_gf, defined_families
-from bitruns.ensembles import StringClass, enumerate_classes
+from bitruns.ensembles import StringClass, enumerate_classes, oracle_tally
 from bitruns.moments import MAX_MOMENT, moment_weight
 from bitruns.series import RationalGF
 
@@ -31,6 +32,12 @@ class RunFamily(NamedTuple):
 #: enumerate_classes memoized per length, shared by every test module;
 #: tests that monkeypatch the oracle or its bound call it directly
 oracle = functools.lru_cache(maxsize=None)(enumerate_classes)
+
+
+def oracle_sum(dist, f) -> int:
+    """Sum of f(r0, r1, s) over the class strings, read through
+    oracle_tally; a boolean f counts the strings it holds for."""
+    return sum(k * c for k, c in oracle_tally(dist, f).items())
 
 #: the eight run families, by (class, bit)
 FAMILIES = {

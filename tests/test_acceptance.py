@@ -22,7 +22,7 @@ from bitruns.asymptotics import (
 )
 from bitruns.catalog import bitsum_gfs, count_gf
 from bitruns.crossrun import cross_numerator, cross_report_table, joint_rs_report_table
-from bitruns.ensembles import StringClass
+from bitruns.ensembles import StringClass, oracle_tally
 from bitruns.jointdp import (
     fewones_closed_form,
     fewones_count,
@@ -33,7 +33,7 @@ from bitruns.jointdp import (
 from bitruns.moments import MAX_MOMENT, run_numerators, run_variance_table
 from bitruns.render import signed_sqrt_ratio
 
-from families import FAMILIES, oracle
+from families import FAMILIES, oracle, oracle_sum
 
 U = StringClass.UNCONSTRAINED
 SOL = StringClass.SOLUS
@@ -135,7 +135,7 @@ def test_criterion_2_rs_approx_five_levels_z10_known_gap():
     # five levels" is read here as five bitsum levels 1..5, which is
     # ell_max = 6; test_criterion_2_cross_numerators checks that value.
     dist = oracle(10)[SOL]
-    gap = sum(c * r0 * s for (r0, _, s), c in dist.counts if s >= 5 and r0 >= 2)
+    gap = oracle_sum(dist, lambda r0, r1, s: r0 * s * (s >= 5 and r0 >= 2))
     assert gap > 0
     assert rs_numerator_approx(10, 5)[10] == RS_NUM[10] - gap
 
@@ -295,20 +295,14 @@ def test_criterion_6_oracle_equivalence():
             for bit in bits:
                 (r,) = run_variance_table([n], cls, bit)
                 for m, got in ((1, r.mean), (2, r.second_moment)):
-                    want = Fraction(
-                        sum(c * key[bit] ** m for key, c in dist.counts),
-                        dist.total,
-                    )
+                    want = Fraction(oracle_sum(dist, lambda *key: key[bit] ** m), dist.total)
                     assert got == want, (cls, n, bit, m)
             if cls in (U, M):
-                want = sum(c * r0 * r1 for (r0, r1, _), c in dist.counts)
+                want = oracle_sum(dist, lambda r0, r1, s: r0 * r1)
                 assert cross_numerator(cls, [n]) == [want], (cls, n)
             if cls in (U, SOL):
                 table = joint_table(n, cls)
-                marginal: dict = {}
-                for (r0, _, s), c in dist.counts:
-                    key = (n - s, r0)
-                    marginal[key] = marginal.get(key, 0) + c
+                marginal = oracle_tally(dist, lambda r0, r1, s: (n - s, r0))
                 for x in range(n + 1):
                     for y in range(x + 1):
                         assert table.count(x, y) == marginal.get((x, y), 0), (

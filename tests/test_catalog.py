@@ -23,13 +23,14 @@ from bitruns.ensembles import (
     StringClass,
     bit_string,
     class_member,
+    oracle_tally,
 )
 from bitruns.errors import UndefinedFamily, UnsupportedClass
 from bitruns.jointdp import _at_most
 from bitruns.moments import moment_weight, run_numerators
-from bitruns.series import RationalGF, dense_terms, terms, terms_mul
+from bitruns.series import RationalGF, terms, terms_mul
 
-from families import FAMILIES, oracle
+from families import FAMILIES, oracle, oracle_sum
 
 U, SOL, MUL, BIM, PER = (
     StringClass.UNCONSTRAINED,
@@ -56,9 +57,9 @@ def test_bitsum_gfs_match_oracle():
     for cls in StringClass:
         a, b = (gf.expand(order) for gf in bitsum_gfs(cls))
         for n, by_class in enumerate(dists):
-            counts = by_class[cls].counts
-            assert a[n] == sum(cnt * s for (_, _, s), cnt in counts), (cls, n)
-            assert b[n] == sum(cnt * s * s for (_, _, s), cnt in counts), (cls, n)
+            dist = by_class[cls]
+            assert a[n] == oracle_sum(dist, lambda r0, r1, s: s), (cls, n)
+            assert b[n] == oracle_sum(dist, lambda r0, r1, s: s * s), (cls, n)
 
 
 def test_bitsum_triples_match_oracle():
@@ -70,8 +71,8 @@ def test_bitsum_triples_match_oracle():
         d = count_gf(cls).expand(9)
         for n in range(1, 10):
             dist = oracle(n)[cls]
-            wa = sum(cnt * s for (_, _, s), cnt in dist.counts)
-            wb = sum(cnt * s * s for (_, _, s), cnt in dist.counts)
+            wa = oracle_sum(dist, lambda r0, r1, s: s)
+            wb = oracle_sum(dist, lambda r0, r1, s: s * s)
             assert a[n] == wa, (cls, n)
             assert b[n] == wb, (cls, n)
             assert c[n] == d[n] * wb - wa * wa, (cls, n)
@@ -101,11 +102,7 @@ def test_bitsum_hk_match_oracle():
         for k in range(1, 12):
             series = _constructor_bitsum_hk(cls, k).expand(10)
             for n in range(11):
-                want = sum(
-                    cnt * s
-                    for (r0, _, s), cnt in oracle(n)[cls].counts
-                    if r0 < k
-                )
+                want = oracle_sum(oracle(n)[cls], lambda r0, r1, s: s * (r0 < k))
                 assert series[n] == want, (cls, k, n)
         assert _constructor_bitsum_hk(cls, 12).expand(10) == bitsum_gfs(cls)[0].expand(10)
     with pytest.raises(ValueError):
@@ -166,12 +163,11 @@ def test_zero_cap_coefficients_match_oracle():
     for cls in StringClass:
         caps = _cap_coefficients(cls, 0, ns[-1])
         for n in ns:
-            counts = oracle(n)[cls].counts
+            dist = oracle(n)[cls]
             h, r = caps[n]
             for k in range(1, n + 2):
-                below = [(s, cnt) for (r0, _, s), cnt in counts if r0 < k]
-                assert h[k - 1] == sum(cnt for _, cnt in below), (cls, n, k)
-                assert r[k - 1] == sum(s * cnt for s, cnt in below), (cls, n, k)
+                assert h[k - 1] == oracle_sum(dist, lambda r0, r1, s: r0 < k), (cls, n, k)
+                assert r[k - 1] == oracle_sum(dist, lambda r0, r1, s: s * (r0 < k)), (cls, n, k)
 
 
 def test_defined_families():
@@ -197,11 +193,7 @@ def test_hk_counts_no_long_runs():
         for k in range(1, 7):
             series = fam.hk(k).expand(9)
             for n in range(1, 10):
-                want = sum(
-                    cnt
-                    for key, cnt in oracle(n)[cls].counts
-                    if key[bit] < k
-                )
+                want = oracle_sum(oracle(n)[cls], lambda *key: key[bit] < k)
                 assert series[n] == want, (cls, bit, k, n)
 
 
@@ -219,11 +211,7 @@ def test_cross_gf_counts():
             for j in range(1, 6):
                 series = cross_gf(cls, i, j).expand(8)
                 for n in range(start, 9):
-                    want = sum(
-                        cnt
-                        for (r0, r1, _), cnt in oracle(n)[cls].counts
-                        if r1 < i and r0 < j
-                    )
+                    want = oracle_sum(oracle(n)[cls], lambda r0, r1, s: r1 < i and r0 < j)
                     assert series[n] == want, (cls, i, j, n)
 
 
@@ -271,9 +259,9 @@ def test_cross_gf_rejects_bad_input():
         (a, b): cross_gf(BIM, a, b).expand(14) for a in range(1, 8) for b in range(1, 8)
     }
     for n in range(1, 15):
-        counts = oracle(n)[BIM].counts
+        dist = oracle(n)[BIM]
         for (a, b), s in series.items():
-            want = sum(cnt for (r0, r1, _), cnt in counts if r1 < a and r0 < b)
+            want = oracle_sum(dist, lambda r0, r1, s: r1 < a and r0 < b)
             assert s[n] == want, (a, b, n)
 
 
@@ -365,10 +353,7 @@ def test_bivariate_denominator_marks_the_ones():
         for e, _, c in den:
             at_one[e] = at_one.get(e, 0) + c
         assert terms(at_one.items()) == alternating_gf(cls).den_terms, cls
-        f = [{} for _ in dists]
-        for n, by_class in enumerate(dists):
-            for (_, _, s), cnt in by_class[cls].counts:
-                f[n][s] = f[n].get(s, 0) + cnt
+        f = [oracle_tally(by_class[cls], lambda r0, r1, s: s) for by_class in dists]
         for n in range(5, order + 1):
             for s in range(n + 1):
                 assert sum(c * f[n - e].get(s - u, 0) for e, u, c in den) == 0, (cls, n, s)
@@ -395,7 +380,7 @@ _gf = RationalGF
 
 
 def _p(*coeffs):
-    return dense_terms(coeffs)
+    return terms(enumerate(coeffs))
 
 
 #: The hand-written (a, b, c) bitsum GFs, c_n = d_n b_n - a_n^2, that
@@ -638,9 +623,9 @@ def test_one_cap_coefficients_equal_constructor_gfs(cls):
         for n in range(max(k - 1, 1), CAP_ORDER + 1):
             assert caps[n][0][k - 1] == hk[n], (k, n)
     for n in range(1, 11):
-        counts = oracle(n)[cls].counts
+        dist = oracle(n)[cls]
         for k in range(1, n + 2):
-            want = sum(cnt for (_, r1, _), cnt in counts if r1 < k)
+            want = oracle_sum(dist, lambda r0, r1, s: r1 < k)
             assert caps[n][0][k - 1] == want, (n, k)
 
 
@@ -648,8 +633,8 @@ def test_cap_form_pieces():
     """E, P and Q for the 1-runs of multus, and the families without one."""
     f = cap_form(MUL, 1)
     assert (f.lo, f.lo_other) == (2, 1)
-    assert f.e == dense_terms((1, -2, 1, -1))  # (1 - z)^2 - z^3
-    assert f.p == dense_terms((1, -1, 1)) and f.q == ((0, 1),)
+    assert f.e == _p(1, -2, 1, -1)  # (1 - z)^2 - z^3
+    assert f.p == _p(1, -1, 1) and f.q == ((0, 1),)
     assert f.t1 is None
     assert cap_form(SOL, 0).t1 == _theta_ones(SOL)
     for cls in (SOL, PER):
@@ -719,6 +704,17 @@ def _run_length_oracle(runs, n):
             key = (max(found[0], default=0), max(found[1], default=0), v.bit_count())
             tally[key] = tally.get(key, 0) + 1
     return tally
+
+
+@pytest.mark.parametrize("cls", list(StringClass), ids=str)
+def test_runs_and_oracle_rules_state_the_same_class(cls):
+    """The class's row of ``_RUNS`` and its oracle rule, on (longest
+    1-run, 1s clumped, 0s clumped), tally the same strings at n <= 12:
+    the two statements of each class are tied directly, not only
+    through the generating-function routes."""
+    for n in range(13):
+        got = oracle_tally(oracle(n)[cls], lambda *key: key)
+        assert got == _run_length_oracle(catalog._RUNS[cls], n), (cls, n)
 
 
 #: One changed row of ``_RUNS`` per case, with lo = 3 or lo0 != lo1 both

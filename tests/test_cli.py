@@ -162,7 +162,7 @@ def test_crossgf_bimultus_matches_the_oracle(capsys, i, j):
     """Every row from n = 1 counts the bimultus strings with no 1-run of
     i and no 0-run of j; z^0 is 0 under the class's convention."""
     from bitruns.ensembles import StringClass
-    from families import oracle
+    from families import oracle, oracle_sum
 
     code, out, err = run_cli(
         capsys, "--format", "csv", "crossgf", "--class", "bimultus",
@@ -171,11 +171,7 @@ def test_crossgf_bimultus_matches_the_oracle(capsys, i, j):
     assert (code, err) == (EXIT_OK, "")
     rows = [[int(v) for v in r] for r in list(csv.reader(io.StringIO(out)))[1:]]
     want = [
-        sum(
-            cnt
-            for (r0, r1, _), cnt in oracle(n)[StringClass.BIMULTUS].counts
-            if r1 < i and r0 < j
-        )
+        oracle_sum(oracle(n)[StringClass.BIMULTUS], lambda r0, r1, s: r1 < i and r0 < j)
         for n in range(1, 13)
     ]
     assert rows == [[0, 0]] + [[n, c] for n, c in enumerate(want, 1)]

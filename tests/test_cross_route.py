@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 
 from bitruns.catalog import defined_families
 from bitruns.crossrun import correlation_counts, cross_report_table, joint_rs_report_table
-from bitruns.ensembles import StringClass, oracle_tally
+from bitruns.ensembles import StringClass
 from bitruns.errors import DegenerateVariance, EmptyEnsemble, UnsupportedClass
 from bitruns.jointdp import joint_table
 from bitruns.moments import run_variance_table
 
-from families import oracle
+from families import oracle, oracle_sum
 
 U, SOLUS, MULTUS, BIMULTUS, PERSOLUS = StringClass
 
@@ -34,7 +34,7 @@ JOINT_TABLE_CLASSES = {U, SOLUS}
 
 def _mean(dist, f):
     """The mean of f(r0, r1, s) over the class strings, from the tally."""
-    return Fraction(sum(v * c for v, c in oracle_tally(dist, f).items()), dist.total)
+    return Fraction(oracle_sum(dist, f), dist.total)
 
 
 def _table_moments(table):

@@ -69,10 +69,14 @@ def _counts_reads(source: str, filename: str = "<source>") -> int:
 
 def test_only_ensembles_reads_the_tally():
     """JointDistribution.counts is read through oracle_tally everywhere
-    else, so its format is known to one module."""
+    else, tests included, so its format is known to one module and to
+    test_ensembles.py, which pins it."""
+    sources = sorted(Path(bitruns.__file__).parent.glob("*.py"))
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert len(tests) > 10
     reads = {
-        path.name: _counts_reads(path.read_text(), str(path))
-        for path in sorted(Path(bitruns.__file__).parent.glob("*.py"))
+        path.name: _counts_reads(path.read_text(), str(path)) for path in sources + tests
     }
     assert reads.pop("ensembles.py") > 0  # the check sees the reader's own reads
+    assert reads.pop("test_ensembles.py") > 0
     assert {name: k for name, k in reads.items() if k} == {}

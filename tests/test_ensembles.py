@@ -61,7 +61,7 @@ def _tuple_composition(bits):
 def _tuple_member(bits, cls):
     """Class membership read off the runs, with no bit arithmetic."""
     n = len(bits)
-    ones_isolated = all(not (bits[i] and bits[i + 1]) for i in range(n - 1))
+    ones_separated = all(not (bits[i] and bits[i + 1]) for i in range(n - 1))
 
     def clumped(b):
         return all(
@@ -73,10 +73,10 @@ def _tuple_member(bits, cls):
 
     return {
         StringClass.UNCONSTRAINED: True,
-        StringClass.SOLUS: ones_isolated,
+        StringClass.SOLUS: ones_separated,
         StringClass.MULTUS: clumped(1),
         StringClass.BIMULTUS: clumped(1) and clumped(0),
-        StringClass.PERSOLUS: ones_isolated and clumped(0),
+        StringClass.PERSOLUS: ones_separated and clumped(0),
     }[cls]
 
 

@@ -16,7 +16,7 @@ from bitruns.jointdp import (
     rs_numerator_approx,
 )
 
-from families import oracle
+from families import oracle, oracle_sum
 
 U = StringClass.UNCONSTRAINED
 SOL = StringClass.SOLUS
@@ -135,11 +135,7 @@ def test_joint_table_matches_dp(cls):
 
 
 def _oracle_table(n, cls):
-    want = {}
-    for (r0, _, s), cnt in oracle(n)[cls].counts:
-        key = (n - s, r0)
-        want[key] = want.get(key, 0) + cnt
-    return want
+    return oracle_tally(oracle(n)[cls], lambda r0, r1, s: (n - s, r0))
 
 
 @pytest.mark.parametrize("cls", [StringClass.UNCONSTRAINED, StringClass.SOLUS])
@@ -180,9 +176,9 @@ def test_boundary_counts():
 def test_joint_rs_report_exact_fields():
     (r,) = joint_rs_report_table([10], StringClass.UNCONSTRAINED)
     dist = oracle(10)[StringClass.UNCONSTRAINED]
-    er0 = Fraction(sum(c * r0 for (r0, _, s), c in dist.counts), dist.total)
-    es = Fraction(sum(c * s for (_, _, s), c in dist.counts), dist.total)
-    ers = Fraction(sum(c * r0 * s for (r0, _, s), c in dist.counts), dist.total)
+    er0 = Fraction(oracle_sum(dist, lambda r0, r1, s: r0), dist.total)
+    es = Fraction(oracle_sum(dist, lambda r0, r1, s: s), dist.total)
+    ers = Fraction(oracle_sum(dist, lambda r0, r1, s: r0 * s), dist.total)
     assert r.mean_r0 == er0
     assert r.mean_other == es
     assert r.mean_product == ers
@@ -238,13 +234,13 @@ def test_joint_rs_report_multus_matches_oracle():
     for n, r in zip(ns, joint_rs_report_table(ns, StringClass.MULTUS)):
         dist = oracle(n)[StringClass.MULTUS]
         er, es, err, ess, ers = (
-            Fraction(sum(c * f(r0, s) for (r0, _, s), c in dist.counts), dist.total)
+            Fraction(oracle_sum(dist, f), dist.total)
             for f in (
-                lambda r0, s: r0,
-                lambda r0, s: s,
-                lambda r0, s: r0 * r0,
-                lambda r0, s: s * s,
-                lambda r0, s: r0 * s,
+                lambda r0, r1, s: r0,
+                lambda r0, r1, s: s,
+                lambda r0, r1, s: r0 * r0,
+                lambda r0, r1, s: s * s,
+                lambda r0, r1, s: r0 * s,
             )
         )
         got = (
@@ -261,19 +257,15 @@ def test_joint_rs_report_multus_matches_oracle():
 def test_fewones_count_matches_brute_force(cls):
     # ell = 1 and k = 1 reach the edges s = 0 and y = 0 (solus: "1")
     for n in range(11):
-        counts = oracle(n)[cls].counts
+        dist = oracle(n)[cls]
         for ell in (1, 2, 3, 5):
             for k in (1, 2, 3, 7):
-                want = sum(cnt for (r0, _, s), cnt in counts if s < ell and r0 < k)
+                want = oracle_sum(dist, lambda r0, r1, s: s < ell and r0 < k)
                 assert fewones_count(n, ell, k, cls) == want, (cls, n, ell, k)
 
 
 def test_fewones_count_unconstrained_variant():
-    want = sum(
-        cnt
-        for (r0, _, s), cnt in oracle(8)[StringClass.UNCONSTRAINED].counts
-        if s < 3 and r0 < 4
-    )
+    want = oracle_sum(oracle(8)[StringClass.UNCONSTRAINED], lambda r0, r1, s: s < 3 and r0 < 4)
     assert fewones_count(8, 3, 4, StringClass.UNCONSTRAINED) == want
 
 
@@ -328,7 +320,7 @@ def test_rs_numerator_approx_prefix():
     exact = []
     for n in range(13):
         dist = oracle(n)[StringClass.SOLUS]
-        exact.append(sum(c * r0 * s for (r0, _, s), c in dist.counts))
+        exact.append(oracle_sum(dist, lambda r0, r1, s: r0 * s))
     for ell_max in range(2, 7):
         top = 2 * ell_max
         approx = list(rs_numerator_approx(top, ell_max))

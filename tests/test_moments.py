@@ -14,7 +14,7 @@ from bitruns.moments import (
     run_variance_table,
 )
 
-from families import FAMILIES, oracle
+from families import FAMILIES, oracle, oracle_sum
 
 
 def test_moment_weight_telescopes():
@@ -41,10 +41,7 @@ def test_run_moment_matches_oracle():
         reports = run_variance_table([d.n for d in dists], cls, bit)
         for dist, r in zip(dists, reports):
             for m, got in enumerate(_moments(r), 1):
-                want = Fraction(
-                    sum(cnt * key[bit] ** m for key, cnt in dist.counts),
-                    dist.total,
-                )
+                want = Fraction(oracle_sum(dist, lambda *key: key[bit] ** m), dist.total)
                 assert got == want, (cls, bit, dist.n, m)
 
 
@@ -132,11 +129,8 @@ SERIES_N = 90
 def _oracle_numerators(dist, bit):
     """Sums of R^m, m = 1..MAX_MOMENT, and of R * bitsum over the strings
     of one length, R the longest run of `bit`."""
-    sums = [
-        sum(cnt * key[bit] ** m for key, cnt in dist.counts)
-        for m in range(1, MAX_MOMENT + 1)
-    ]
-    return tuple(sums + [sum(cnt * key[bit] * key[2] for key, cnt in dist.counts)])
+    sums = [oracle_sum(dist, lambda *key: key[bit] ** m) for m in range(1, MAX_MOMENT + 1)]
+    return tuple(sums + [oracle_sum(dist, lambda *key: key[bit] * key[2])])
 
 
 @pytest.mark.parametrize("cls,bit", defined_families())
