@@ -38,10 +38,10 @@ _EXPORTS = {
         "RunStats",
         "StringClass",
         "class_member",
+        "compositions",
         "enumerate_classes",
         "oracle_tally",
         "run_stats",
-        "to_composition",
     ),
     "errors": ("BitrunsError",),
     "jointdp": (

@@ -17,16 +17,20 @@ bit i is position i, so the per-string statistics are word operations.
 Each is stated once, for the 1s: a statistic of the 0s of v is the same
 statistic of the 1s of its complement v ^ (2^n - 1).
 ``enumerate_classes(n)[cls]`` tallies the (r0, r1, s) triples of a
-class, and ``oracle_tally(dist, f)``, the one reader of such a tally,
-counts the class strings by any key f(r0, r1, s); no other module reads
-its format.
+class.  It pairs each string with its complement: it enumerates only
+the 2^(n-1) strings whose last bit is 0, computes each pair's
+statistics once, and credits the complement with them swapped (r1, r0,
+n - s).  ``compositions(n)`` streams the waiting-time composition of
+every string in the order of v, each from the one before.
+``oracle_tally(dist, f)``, the one reader of a tally, counts the class
+strings by any key f(r0, r1, s); no other module reads its format.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter
-from typing import Callable, Hashable, NamedTuple
+from typing import Callable, Hashable, Iterator, NamedTuple
 
 from .errors import OracleBoundExceeded
 
@@ -120,22 +124,29 @@ class JointDistribution(NamedTuple):
 
 
 def enumerate_classes(n: int) -> dict:
-    """Enumerate all 2^n candidates once and tally (r0, r1, s) into every
-    class they belong to: one JointDistribution per StringClass; n is at
-    most DEFAULT_ORACLE_BOUND."""
+    """Tally (r0, r1, s) of all 2^n strings into every class they belong
+    to, computing each complement pair's statistics once: one
+    JointDistribution per StringClass; n is at most DEFAULT_ORACLE_BOUND."""
     if n < 0:
         raise ValueError(f"length must be nonnegative, got {n}")
     if n > DEFAULT_ORACLE_BOUND:
         raise OracleBoundExceeded(f"n={n} exceeds the oracle bound {DEFAULT_ORACLE_BOUND}")
     # tally by (r0, r1, s, 1s clumped, 0s clumped) first, each
-    # 0-statistic read off the complement c, then credit each tally to
-    # every class whose rule it meets
+    # 0-statistic read off the complement c = v ^ mask.  c's key is v's
+    # with the bits swapped, (r1, r0, n - s, 0s clumped, 1s clumped), so
+    # only the v with bit n - 1 clear are enumerated and each key credits
+    # the pair; the empty string is its own complement and counted once.
+    # Then credit each tally to every class whose rule it meets.
     mask = (1 << n) - 1
-    tally = Counter(
+    half = Counter(
         (_longest_one_run(c), _longest_one_run(v), v.bit_count(), _clumped(v), _clumped(c))
-        for v in range(1 << n)
+        for v in range(1 << max(n - 1, 0))
         for c in (v ^ mask,)
     )
+    tally = Counter(half)
+    if n:
+        for (r0, r1, s, clumped, zeros_clumped), count in half.items():
+            tally[r1, r0, n - s, zeros_clumped, clumped] += count
     acc = {cls: Counter() for cls in StringClass}
     for (r0, r1, s, clumped, zeros_clumped), count in tally.items():
         for cls, rule in _RULES.items():
@@ -157,15 +168,28 @@ def oracle_tally(dist: JointDistribution, f: Callable[..., Hashable]) -> dict:
     return out
 
 
-def to_composition(v: int, n: int) -> list:
-    """Waiting-time composition of the n-bit string v with a 1 appended.
+def compositions(n: int) -> Iterator[tuple]:
+    """The waiting-time composition of every n-bit string, v = 0 first.
 
-    Parts are the gaps between successive 1s (each part is one plus the
-    number of 0s preceding that 1).  Parts sum to n+1, the number of
-    parts is the bitsum of the appended string, and the largest part is
-    the longest 0-run plus one.
+    A string's composition is that of its bits with a 1 appended: the
+    gaps between successive 1s (each part is one plus the number of 0s
+    preceding that 1).  Parts sum to n+1, the number of parts is the
+    bitsum of the appended string, and the largest part is the longest
+    0-run plus one.  A negative n is refused here, not at the first
+    next().
     """
-    _check_string(v, n)
-    # position 0 first, then the appended 1; the text after it is empty
-    gaps = format(v | 1 << n, "b")[::-1].split("1")
-    return [len(g) + 1 for g in gaps[:-1]]
+    if n < 0:
+        raise ValueError(f"length must be nonnegative, got {n}")
+    return _compositions(n)
+
+
+def _compositions(n: int) -> Iterator[tuple]:
+    # v - 1 ends in t 1s, t the lowest set bit of v, so its first t parts
+    # are 1s; v clears those bits and sets bit t, so its first part is
+    # t + 1 and the gap after it is one less than v - 1's part t
+    parts = (n + 1,)
+    yield parts
+    for v in range(1, 1 << n):
+        t = (v & -v).bit_length() - 1
+        parts = (t + 1, parts[t] - 1) + parts[t + 1:]
+        yield parts

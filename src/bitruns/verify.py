@@ -22,9 +22,9 @@ from .ensembles import (
     StringClass,
     _longest_one_run,
     bit_string,
+    compositions,
     enumerate_classes,
     oracle_tally,
-    to_composition,
 )
 from .errors import OracleBoundExceeded
 from .jointdp import joint_table
@@ -144,25 +144,26 @@ def check_compositions(nmax: int, oracle: Oracle) -> list:
     def bad():
         for n in range(nmax + 1):
             mask = (1 << n) - 1
-            seen = set()
-            for v in range(1 << n):
-                parts = tuple(to_composition(v, n))
-                # r0 and the bitsum from word operations, not from the split
+            # v < w exactly when v's parts, last part first, compare
+            # greater than w's: a strictly decreasing stream is one to one
+            prev = (n + 2,)  # above every composition of n + 1
+            for v, parts in enumerate(compositions(n)):
+                # r0 and the bitsum from word operations, not from the parts
                 r0 = _longest_one_run(v ^ mask)
                 s = v.bit_count()
+                last_first = parts[::-1]
                 if sum(parts) != n + 1:
                     got, want = f"parts sum {sum(parts)}", n + 1
                 elif len(parts) != s + 1:
                     got, want = f"{len(parts)} parts", f"bitsum+1 {s + 1}"
                 elif max(parts) != r0 + 1:
                     got, want = f"max part {max(parts)}", f"r0+1 {r0 + 1}"
+                elif last_first >= prev:
+                    got, want = f"parts {parts} after {prev[::-1]}", "parts in the order of v"
                 else:
-                    seen.add(parts)
+                    prev = last_first
                     continue
                 yield f"n={n} {bit_string(v, n)}", got, want
-            # 2^n distinct compositions: the map from strings is one to one
-            if len(seen) != 2**n:
-                yield f"n={n}", f"{len(seen)} compositions", 2**n
 
     return [_check("compositions", bad())]
 

@@ -384,7 +384,7 @@ def test_verify_over_oracle_bound_exits_before_enumerating(capsys, monkeypatch):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(verify, "enumerate_classes", forbidden)
-    monkeypatch.setattr(verify, "to_composition", forbidden)
+    monkeypatch.setattr(verify, "compositions", forbidden)
     code, out, err = run_cli(capsys, "verify", "--nmax", "25")
     assert code == EXIT_LIMIT
     assert out == ""
@@ -523,6 +523,7 @@ def test_package_exports_are_pinned():
         "StringClass",
         "bitsum_gfs",
         "class_member",
+        "compositions",
         "count_gf",
         "cross_gf",
         "cross_report_oracle",
@@ -543,7 +544,6 @@ def test_package_exports_are_pinned():
         "run_family",
         "run_stats",
         "run_variance_table",
-        "to_composition",
         "variance_limit",
         "__version__",
     ]
@@ -610,7 +610,7 @@ _WORK = {
     "table1": ("crossrun", "cross_report_table"),
     "joint": ("jointdp", "joint_table"),
     "fewones": ("jointdp", "fewones_count"),
-    "compositions": ("ensembles", "to_composition"),
+    "compositions": ("ensembles", "compositions"),
 }
 
 

@@ -9,10 +9,10 @@ from bitruns.ensembles import (
     StringClass,
     bit_string,
     class_member,
+    compositions,
     enumerate_classes,
     oracle_tally,
     run_stats,
-    to_composition,
 )
 from bitruns.errors import EmptyEnsemble, OracleBoundExceeded
 
@@ -55,7 +55,7 @@ def _tuple_composition(bits):
         if b:
             parts.append(gap)
             gap = 0
-    return parts
+    return tuple(parts)
 
 
 def _tuple_member(bits, cls):
@@ -256,7 +256,7 @@ def test_oracle_tally_recounts_the_strings(cls, key):
     [
         pytest.param(lambda: enumerate_classes(-1), -1, id="enumerate_classes"),
         pytest.param(lambda: run_stats(0, -1), -1, id="run_stats"),
-        pytest.param(lambda: to_composition(0, -1), -1, id="to_composition"),
+        pytest.param(lambda: compositions(-1), -1, id="compositions"),
         pytest.param(lambda: bit_string(0, -1), -1, id="bit_string"),
         pytest.param(
             lambda: class_member(0, -1, StringClass.MULTUS), -1, id="class_member"
@@ -274,12 +274,15 @@ def test_negative_length_is_named(call, n):
         call()
 
 
-def test_to_composition():
-    assert to_composition(*_word((0, 1, 0, 0))) == [2, 3]
-    assert to_composition(0, 0) == [1]
+def test_compositions():
+    v, n = _word((0, 1, 0, 0))
+    assert list(compositions(n))[v] == (2, 3)
+    assert list(compositions(0)) == [(1,)]
     for n in range(7):
-        for v in range(1 << n):
-            parts = to_composition(v, n)
+        # one composition per string and none past the last, v = 2^n - 1
+        stream = list(compositions(n))
+        assert len(stream) == 1 << n
+        for v, parts in enumerate(stream):
             r0, _, s = run_stats(v, n)
             assert sum(parts) == n + 1
             assert len(parts) == s + 1
@@ -294,16 +297,16 @@ def test_bit_string():
 
 def test_integer_forms_match_tuple_routes():
     for n in range(13):
-        for v in range(1 << n):
+        for v, parts in zip(range(1 << n), compositions(n), strict=True):
             bits = _bits(v, n)
             assert bit_string(v, n) == "".join(map(str, bits))
-            assert to_composition(v, n) == _tuple_composition(bits), (v, n)
+            assert parts == _tuple_composition(bits), (v, n)
             assert run_stats(v, n) == _tuple_run_stats(bits), (v, n)
             for cls in StringClass:
                 assert class_member(v, n, cls) is _tuple_member(bits, cls), (v, n, cls)
 
 
-@pytest.mark.parametrize("fn", [run_stats, to_composition, bit_string])
+@pytest.mark.parametrize("fn", [run_stats, bit_string])
 def test_string_out_of_range(fn):
     for v, n in ((4, 2), (-1, 3), (1, 0)):
         with pytest.raises(ValueError):

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from bitruns import verify
-from bitruns.ensembles import DEFAULT_ORACLE_BOUND
+from bitruns.ensembles import DEFAULT_ORACLE_BOUND, run_stats
 from bitruns.errors import OracleBoundExceeded
 from bitruns.verify import CheckResult, available_scopes, run_checks
 
@@ -57,7 +61,7 @@ def test_oracle_bound_checked_before_any_enumeration(monkeypatch):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(verify, "enumerate_classes", forbidden)
-    monkeypatch.setattr(verify, "to_composition", forbidden)
+    monkeypatch.setattr(verify, "compositions", forbidden)
     for scope in available_scopes():
         with pytest.raises(OracleBoundExceeded):
             run_checks(scope, DEFAULT_ORACLE_BOUND + 1)
@@ -124,10 +128,10 @@ def _plant_joint_dp(joint_table):
     return planted
 
 
-def _plant_compositions(to_composition):
-    def planted(v, n):
-        parts = to_composition(v, n)
-        return parts[:-1] + [parts[-1] + 1] if n == BAD_N else parts
+def _plant_compositions(compositions):
+    def planted(n):
+        stream = compositions(n)
+        return (p[:-1] + (p[-1] + 1,) for p in stream) if n == BAD_N else stream
 
     return planted
 
@@ -139,7 +143,7 @@ _PLANTED = {
     "run-moments": ("run_variance_table", _plant_run_moments),
     "cross-run": ("cross_numerator", _plant_cross_run),
     "joint-dp": ("joint_table", _plant_joint_dp),
-    "compositions": ("to_composition", _plant_compositions),
+    "compositions": ("compositions", _plant_compositions),
 }
 
 
@@ -160,23 +164,95 @@ def test_suite_reports_a_planted_fault_at_its_length(monkeypatch, scope):
         assert f"n={BAD_N}" in r.detail, str(r)
 
 
-#: Where each per-length route of a suite reads its length n.
-_LENGTH_ARG = {"joint-dp": 0, "compositions": 1}
-
-
-@pytest.mark.parametrize("scope", sorted(_LENGTH_ARG))
+@pytest.mark.parametrize("scope", ["compositions", "joint-dp"])
 def test_suite_stops_at_its_first_counterexample(monkeypatch, scope):
     """A suite runs no case past its first mismatch: with the fault at
-    BAD_N, its route is called for no longer length."""
+    BAD_N, its per-length route is called for no longer length."""
     name, plant = _PLANTED[scope]
     planted = plant(getattr(verify, name))
     lengths = set()
 
-    def recorded(*args):
-        lengths.add(args[_LENGTH_ARG[scope]])
-        return planted(*args)
+    def recorded(n, *args):
+        lengths.add(n)
+        return planted(n, *args)
 
     monkeypatch.setattr(verify, name, recorded)
     results = run_checks(scope, BAD_N + 3)
     assert results and not any(r.passed for r in results)
     assert max(lengths) == BAD_N
+
+
+# -- the one-to-one check of the compositions suite -----------------------------
+
+
+def _twins():
+    """Two strings of length BAD_N with the same bitsum and longest 0-run:
+    each passes the per-string checks with the other's composition."""
+    seen = {}
+    for v in range(1 << BAD_N):
+        r0, _, s = run_stats(v, BAD_N)
+        if (r0, s) in seen:
+            return seen[r0, s], v
+        seen[r0, s] = v
+
+
+def _swap(stream, a, b):
+    stream[a], stream[b] = stream[b], stream[a]
+
+
+def _duplicate(stream, a, b):
+    stream[b] = stream[a]
+
+
+@pytest.mark.parametrize("edit", [_swap, _duplicate], ids=["swap", "duplicate"])
+def test_compositions_suite_reports_a_map_that_is_not_in_order(monkeypatch, edit):
+    """Two strings that share their bitsum and longest 0-run, with their
+    compositions swapped or one copied to both: every per-string check
+    passes, and the one-to-one check names the length."""
+    compositions = verify.compositions
+
+    def planted(n):
+        stream = list(compositions(n))
+        if n == BAD_N:
+            edit(stream, *_twins())
+        return iter(stream)
+
+    monkeypatch.setattr(verify, "compositions", planted)
+    (r,) = run_checks("compositions", BAD_N + 2)
+    assert r.passed is False, str(r)
+    assert f"n={BAD_N}" in r.detail, str(r)
+
+
+#: Spawns `python -m bitruns.cli` with the given arguments and prints its
+#: exit code and its peak RSS from wait4.  It runs in a process of its own
+#: because a child spawned with a shared address space, as posix_spawn
+#: does, starts with its parent's peak RSS, here the test runner's.
+_RSS_PROBE = """
+import os, sys
+argv = [sys.executable, "-m", "bitruns.cli", *sys.argv[1:]]
+out = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=out)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mb(*argv):
+    src = str(Path(verify.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    code, maxrss = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere
+    return maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+def test_compositions_suite_memory_does_not_grow_with_nmax():
+    """The one-to-one check holds one composition, not every one of a
+    length: 2^17 strings peak within 5 MB of 2^10."""
+    small = _peak_rss_mb("verify", "--scope", "compositions", "--nmax", "10")
+    large = _peak_rss_mb("verify", "--scope", "compositions", "--nmax", "17")
+    assert abs(large - small) < 5, (small, large)
