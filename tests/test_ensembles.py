@@ -274,19 +274,23 @@ def test_negative_length_is_named(call, n):
         call()
 
 
-def test_compositions():
+def test_to_composition():
+    """Item v of compositions(n) is the composition of the string v."""
     v, n = _word((0, 1, 0, 0))
     assert list(compositions(n))[v] == (2, 3)
     assert list(compositions(0)) == [(1,)]
     for n in range(7):
-        # one composition per string and none past the last, v = 2^n - 1
-        stream = list(compositions(n))
-        assert len(stream) == 1 << n
-        for v, parts in enumerate(stream):
+        for v, parts in enumerate(compositions(n)):
             r0, _, s = run_stats(v, n)
             assert sum(parts) == n + 1
             assert len(parts) == s + 1
             assert max(parts) == r0 + 1
+
+
+def test_compositions_stop_at_the_last_string():
+    """One composition per string and none past the last, v = 2^n - 1."""
+    for n in range(7):
+        assert sum(1 for _ in compositions(n)) == 1 << n
 
 
 def test_bit_string():
