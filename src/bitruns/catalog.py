@@ -25,10 +25,10 @@ upper length and the other bit's a is one term z^l, so capping the runs
 below k turns the denominator into E + z^(k + l) for a fixed E: H_k,
 and for the 0-runs R_k, are geometric series in z^(k + l) over fixed
 rational functions (``cap_form``).  The run moments read them at single
-lengths without building any H_k.  A run family is thus only its
-(class, bit) pair (``defined_families``, checked by ``run_family``);
-``alternating_gf`` with the runs of that bit capped gives H and H_k as
-GFs where one is wanted.
+lengths and build only the H_k with k below about sqrt(N / 2).  A run
+family is thus only its (class, bit) pair (``defined_families``,
+checked by ``run_family``); ``alternating_gf`` with the runs of that
+bit capped gives H and H_k as GFs where one is wanted.
 
 The z^0 convention (``first_length``): where the runs of some bit are
 at least 2 long (multus, bimultus and persolus) every GF sets the

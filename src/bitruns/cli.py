@@ -49,17 +49,19 @@ EXIT_LIMIT = 3
 MAX_SERIES_ORDER = 20000
 
 #: Largest `--lengths` entry of `moments`, `asymptotics` and `table2`.
-#: The cap sum holds a few rows of N integers of up to N bits and costs
-#: O(N^2): on a 2-vCPU Xeon VM, `moments --class solus --lengths 10000`
-#: takes 42 s and 50 MB, and the time grows about 5x per doubling.
+#: The cap sum holds one expansion or a few rows of N integers of up to
+#: N bits and costs O(N^1.5) steps on them: on a 2-vCPU Xeon VM,
+#: `moments --class solus --lengths 10000` takes 1.3 s and 41 MB and
+#: `table2 --lengths 10000` 5.7 s and 64 MB, and the time grows about
+#: 3.5-5x per doubling.
 MAX_CAP_SUM_LENGTH = 10000
 
 #: Largest sum of those `--lengths`.  Each listed length n adds about
 #: n^2 log n digit operations to the rows that the largest one needs: on
-#: the same VM `table2` takes 62 s at 10000 alone and 85 s for the 40
+#: the same VM `table2` takes 5.7 s at 10000 alone and 16 s for the 40
 #: lengths 9961..10000, so at this bound no list costs much more than
-#: 1.4 times the one length MAX_CAP_SUM_LENGTH, and a dense sweep
-#: reaches 1..893 (5.1 s).
+#: 3 times the one length MAX_CAP_SUM_LENGTH, and a dense sweep
+#: reaches 1..893 (1.8 s).
 MAX_CAP_SUM_TOTAL = 400000
 
 #: Largest `table1 --lengths` entry.  The run-run product costs O(N^3)

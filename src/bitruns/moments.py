@@ -14,8 +14,8 @@ of strings whose longest 0-run is below k and a_n = [z^n] R the total
 bitsum, the sum over k = 1..n of a_n - [z^n] R_k sums (longest 0-run) *
 bitsum.
 
-No H_k or R_k is expanded.  With the catalog's ``cap_form``, both
-capped families read alike: for k > lo,
+Only the caps below a split K are expanded.  With the catalog's
+``cap_form``, both capped families read alike: for k > lo,
 
     F_k = (P - z^k)^d B / (E + z^(k + l))^d,
 
@@ -27,20 +27,25 @@ B / q_other^d for k <= lo.  With U_c = 1 / E^(c + 1), expanding
                 [z^(n - c(k + l) - ik)] P^(d - i) B U_(c + d - 1),
 
 and only c(k + l) <= n contributes: O(n/k) terms per k.  At a fixed n,
-c and i, the coefficients for k = lo + 1, lo + 2, ... are a slice of
-the row P^(d - i) B U_(c + d - 1) with stride c + i, so the weighted
-sums over k are a few dot products per (n, c).  The c = i = 0 term is
-the uncapped F for every k, and sum_{k=1..j} w_m(k) = j^m, so the
-weighted sum over k = 1..n of [z^n] F - [z^n] F_k is min(lo, n)^m
-([z^n] F - [z^n] B / q_other^d) less the dot products of the other
-terms.  Each row U_j is the one before it divided by E by
-``series.divide``, the one short recurrence that every expansion in the
-package runs, and is read only through z^(N - (j + 1 - d)(lo + 1 + l))
-for N = max(ns); the rows are streamed, and each is multiplied once by
-B and d times by P, Horner-wise.  Memory is O(N) integers for the rows
-plus a few sums per length; the time is O(N^2) for the rows plus
-O(n log n) dot product terms per requested length n, so a dense sweep
-of every length to N costs O(N^2 log N).
+c and i, the coefficients for k = K, K + 1, ... are a slice of the row
+P^(d - i) B U_(c + d - 1) with stride c + i, so the weighted sums over
+k >= K are a few dot products per (n, c).  The c = i = 0 term is the
+uncapped F for every k, and sum_{k=1..j} w_m(k) = j^m, so the weighted
+sum over k = 1..n of [z^n] F - [z^n] F_k is min(lo, n)^m ([z^n] F -
+[z^n] B / q_other^d), plus w_m(k) ([z^n] F - [z^n] F_k) for each cap
+lo < k < K, less the dot products of the other terms.  Each cap below K
+is one expansion of F_k to N = max(ns), and F_k is dropped before the
+next.  Each row U_j is the one before it divided by E; that and every
+expansion run ``series.divide``, the one short recurrence of the
+package.  A row is read only through z^(N - (j + 1 - d)(K + l)), so
+only the c with c(K + l) <= N need one: about N / (K + l) rows.  The
+rows are streamed, and each is multiplied once by B and d times by P,
+Horner-wise.  Memory is O(N) integers for one expansion or a few rows,
+plus a few sums per length.  The time is O(N K) steps for the caps
+below K, O(N^2 / K) for the rows and, per requested length n, dot
+products over about n / K values of c, O(n log n) terms in all.
+K = max(lo + 1, isqrt(N // 2)) balances the first two at O(N^1.5);
+a dense sweep of every length to N adds O(N^2 log N) dot product terms.
 """
 
 from __future__ import annotations
@@ -48,14 +53,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import repeat
-from math import comb
+from math import comb, isqrt
 from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
-from .catalog import cap_form, count_gf
+from .catalog import CapForm, cap_form, count_gf
 from .ensembles import StringClass
 from .errors import EmptyEnsemble, UndefinedFamily, UnsupportedMoment
-from .series import RationalGF, divide, terms_mul
+from .series import RationalGF, divide, terms, terms_mul
 
 MAX_MOMENT = 4
 
@@ -99,7 +104,8 @@ def run_numerators(
     """For each length n in ns, in order: the sums of R^m, m = 1..MAX_MOMENT,
     over the class strings of length n, R their longest run of `bit`,
     followed with `bitsum` (bit 0) by the sum of R * bitsum.  No H_k is
-    expanded; see the module docstring."""
+    expanded from the cap K = max(lo + 1, isqrt(N // 2)) up; see the
+    module docstring."""
     if not ns:
         return []
     if any(n < 0 for n in ns):
@@ -107,14 +113,31 @@ def run_numerators(
     form = cap_form(string_class, bit)
     if bitsum and form.t1 is None:
         raise UndefinedFamily(f"no bitsum-marked run family for bit={bit}")
-    lo, e = form.lo, form.e
-    k0, step = lo + 1, lo + 1 + form.lo_other
     lengths = sorted(set(ns))
+    # a cap below K costs one expansion to N, and each row from K up about
+    # as much, with about N / K rows: the two balance at K ~ sqrt(N)
+    split = max(form.lo + 1, isqrt(lengths[-1] // 2))
+    sums = _cap_sums(form, lengths, bitsum, split)
+    return [tuple(sums[n]) for n in ns]
+
+
+def _cap_sums(form: CapForm, lengths: list, bitsum: bool, split: int) -> dict:
+    """run_numerators' sums by length, for the sorted distinct lengths:
+    the caps lo < k < split each off its own expansion, and those from
+    split up off the rows."""
+    lo, e, l = form.lo, form.e, form.lo_other
+    step = split + l
     order = lengths[-1]
     weights = [
-        [moment_weight(m, k) for k in range(k0, order + 1)]
+        [moment_weight(m, k) for k in range(split, order + 1)]
         for m in range(2, MAX_MOMENT + 1)
     ]
+
+    def read(num: tuple, den: tuple) -> list:
+        """[z^n] num / den at each length; the expansion is dropped."""
+        series = RationalGF(num, den).expand(order)
+        return [series[n] for n in lengths]
+
     # (d, b0, B / z^b0, moments, first sum) of H_k and, with bitsum, R_k:
     # B's lowest power z^b0 is kept out of the rows, which are read b0
     # lower, so that B = z^b0 (t1 = z) multiplies no row
@@ -123,13 +146,21 @@ def run_numerators(
         b0, at = b[0][0], len(sums[order])
         families.append((d, b0, tuple((x - b0, a) for x, a in b), moments, at))
         # sum_{k=1..j} w_m(k) = j^m: F_k = B / q_other^d for k <= lo, and
-        # the c = i = 0 term is the uncapped F for every k > lo
-        f = RationalGF(terms_mul(*[form.p] * d, b), terms_mul(*[e] * d))
-        g = RationalGF(b, terms_mul(*[form.q_other] * d))
-        f, g = f.expand(order), g.expand(order)
-        for n in lengths:
+        # the c = i = 0 term is the uncapped F for every k >= split
+        f = read(terms_mul(*[form.p] * d, b), terms_mul(*[e] * d))
+        g = read(b, terms_mul(*[form.q_other] * d))
+        for n, x, y in zip(lengths, f, g):
             j = min(lo, n)
-            sums[n] += [j**m * (f[n] - g[n]) for m in range(1, moments + 1)]
+            sums[n] += [j**m * (x - y) for m in range(1, moments + 1)]
+        for k in range(lo + 1, min(split, order + 1)):
+            p, q = terms(form.p + ((k, -1),)), terms(e + ((k + l, 1),))
+            fk = read(terms_mul(*[p] * d, b), terms_mul(*[q] * d))
+            w = [moment_weight(m, k) for m in range(1, moments + 1)]
+            i = bisect_left(lengths, k)
+            for n, x, y in zip(lengths[i:], f[i:], fk[i:]):
+                s, y = sums[n], x - y
+                for m, wm in enumerate(w, at):
+                    s[m] += wm * y
 
     def width(j: int) -> int:
         """How far the families read U_j: at c = j + 1 - d, to N - c step - b0."""
@@ -139,9 +170,13 @@ def run_numerators(
     for j in range(families[-1][0]):
         us.append(divide(us[-1] if us else [1], e, width(j)))
     for c in range(order // step + 1):
-        # term (c, i) of [z^n] F_k, k = k0, k0 + 1, ...: rows[i] from
-        # n - c step - i k0 - b0 down by c + i
+        # term (c, i) of [z^n] F_k, k = split, split + 1, ...: rows[i]
+        # from n - c step - i split - b0 down by c + i
         for d, b0, b, moments, at in families:
+            first = c * step + (c == 0) * split + b0
+            todo = lengths[bisect_left(lengths, first) :]
+            if not todo:
+                continue
             last = order - c * step - b0 + 1
             rows = [_times(b, us[d - 1], last)]
             for _ in range(d):
@@ -150,9 +185,8 @@ def run_numerators(
             fs = [(-1) ** i * comb(d, i) for i in range(c == 0, d + 1)]
             slices = [(rows[i], c + i) for i in range(c == 0, d + 1)]
             dots = weights[: moments - 1]
-            first = c * step + (c == 0) * k0 + b0
-            for n in lengths[bisect_left(lengths, first) :]:
-                tops = range(n - first, -1, -k0)
+            for n in todo:
+                tops = range(n - first, -1, -split)
                 segs = [row[t::-by] for (row, by), t in zip(slices, tops)]
                 if dots:
                     # merged first, so that each weighted dot runs once
@@ -164,7 +198,7 @@ def run_numerators(
                 for m, y in enumerate(got, at):
                     s[m] -= scale * y
         us = us[1:] + [divide(us[-1], e, width(c + len(us)))]
-    return [tuple(sums[n]) for n in ns]
+    return sums
 
 
 def checked_counts(string_class: StringClass, ns: Sequence[int]) -> tuple:

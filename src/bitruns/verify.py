@@ -147,7 +147,8 @@ def check_compositions(nmax: int, oracle: Oracle) -> list:
             # v < w exactly when v's parts, last part first, compare
             # greater than w's: a strictly decreasing stream is one to one
             prev = (n + 2,)  # above every composition of n + 1
-            for v, parts in enumerate(compositions(n)):
+            stream, v = compositions(n), -1
+            for v, parts in zip(range(1 << n), stream):
                 # r0 and the bitsum from word operations, not from the parts
                 r0 = _longest_one_run(v ^ mask)
                 s = v.bit_count()
@@ -164,6 +165,10 @@ def check_compositions(nmax: int, oracle: Oracle) -> list:
                     prev = last_first
                     continue
                 yield f"n={n} {bit_string(v, n)}", got, want
+            # one composition per string: none missing, none past the last
+            seen = v + 1 + sum(1 for _ in stream)
+            if seen != 1 << n:
+                yield f"n={n}", f"{seen} compositions", f"2^n {1 << n}"
 
     return [_check("compositions", bad())]
 

@@ -677,8 +677,8 @@ _SUM_BOUNDS = {
 def test_length_sum_bound_exits_before_any_work(capsys, monkeypatch, command):
     """The list of every length up to the length bound, each entry in
     bound but not their sum, exits 3 with one line before the command's
-    work starts (for table2 that list is about an hour of work, by the
-    N^3 growth of dense sweeps); a list that sums to the bound itself
+    work starts (for table2 that list is well over ten minutes of work,
+    by the growth of dense sweeps); a list that sums to the bound itself
     gets to the work."""
     import importlib
 

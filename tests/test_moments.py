@@ -1,18 +1,26 @@
 import hashlib
 import random
+from bisect import bisect_left
 from fractions import Fraction
+from math import comb
+from operator import mul
 
 import pytest
 
-from bitruns.catalog import defined_families
+from bitruns import moments
+from bitruns.catalog import cap_form, defined_families
 from bitruns.ensembles import StringClass
 from bitruns.errors import BitrunsError, EmptyEnsemble, UndefinedFamily, UnsupportedMoment
 from bitruns.moments import (
     MAX_MOMENT,
+    _cap_sums,
+    _signed_sum,
+    _times,
     moment_weight,
     run_numerators,
     run_variance_table,
 )
+from bitruns.series import RationalGF, divide, terms_mul
 
 from families import FAMILIES, oracle, oracle_sum
 
@@ -214,3 +222,115 @@ def test_run_numerators_pinned_at_large_n():
     for (cls, bit, bitsum), want in PINS.items():
         got = run_numerators(StringClass(cls), bit, PIN_NS, bitsum=bitsum)
         assert hashlib.sha256(repr(got).encode()).hexdigest() == want, (cls, bit, bitsum)
+
+
+#: sha256 of repr(run_numerators(cls, bit, ns[, bitsum=True])) at paper
+#: scale, recorded while every cap was read off the rows: at N = 4000 the
+#: split is K = 44, so most caps below n are expanded on their own
+SPLIT_PINS = {
+    ("unconstrained", 0, (4000, 2999, 1), True): "d860f22dd442d64b6c4a0553b65d4393439718fa1e05d81536c6f0bb3ddc367a",
+    ("solus", 0, (4000, 2999, 1), True): "feadb86eebbb3d1ff409650770570561b29ef3b9b602058aeb16f6e94c21a9cf",
+    ("multus", 1, (4000,), False): "f6f2f2ae197e4f87ae2a85c98ee5d840a95239728ed2b82cc01ed380e75c4965",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("cls,bit,ns,bitsum", SPLIT_PINS)
+def test_run_numerators_pinned_at_paper_scale(cls, bit, ns, bitsum):
+    got = run_numerators(StringClass(cls), bit, list(ns), bitsum=bitsum)
+    want = SPLIT_PINS[cls, bit, ns, bitsum]
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == want
+
+
+# ---------------------------------------------------------------------------
+# the split of the caps between their own expansions and the rows
+
+SPLIT_N = 150
+
+
+def _all_rows_route(cls, bit, ns, bitsum=False):
+    """The reader the split replaced, kept as its reference: every cap
+    k > lo off the rows, with c up to N / (lo + 1 + l)."""
+    form = cap_form(cls, bit)
+    lo, e = form.lo, form.e
+    k0, step = lo + 1, lo + 1 + form.lo_other
+    lengths = sorted(set(ns))
+    order = lengths[-1]
+    weights = [
+        [moment_weight(m, k) for k in range(k0, order + 1)]
+        for m in range(2, MAX_MOMENT + 1)
+    ]
+    families, sums = [], {n: [] for n in lengths}
+    for d, b, moments in [(1, form.q, MAX_MOMENT), (2, form.t1, 1)][: 1 + bitsum]:
+        b0, at = b[0][0], len(sums[order])
+        families.append((d, b0, tuple((x - b0, a) for x, a in b), moments, at))
+        f = RationalGF(terms_mul(*[form.p] * d, b), terms_mul(*[e] * d))
+        g = RationalGF(b, terms_mul(*[form.q_other] * d))
+        f, g = f.expand(order), g.expand(order)
+        for n in lengths:
+            j = min(lo, n)
+            sums[n] += [j**m * (f[n] - g[n]) for m in range(1, moments + 1)]
+
+    def width(j):
+        return max([0] + [order - (j + 1 - d) * step - b0 + 1 for d, b0, *_ in families])
+
+    us = []
+    for j in range(families[-1][0]):
+        us.append(divide(us[-1] if us else [1], e, width(j)))
+    for c in range(order // step + 1):
+        for d, b0, b, moments, at in families:
+            last = order - c * step - b0 + 1
+            rows = [_times(b, us[d - 1], last)]
+            for _ in range(d):
+                rows.insert(0, _times(form.p, rows[0], last))
+            scale = (-1) ** c * comb(c + d - 1, d - 1)
+            fs = [(-1) ** i * comb(d, i) for i in range(c == 0, d + 1)]
+            slices = [(rows[i], c + i) for i in range(c == 0, d + 1)]
+            dots = weights[: moments - 1]
+            first = c * step + (c == 0) * k0 + b0
+            for n in lengths[bisect_left(lengths, first) :]:
+                tops = range(n - first, -1, -k0)
+                segs = [row[t::-by] for (row, by), t in zip(slices, tops)]
+                if dots:
+                    vec = _signed_sum(fs, segs)
+                    got = [sum(vec)] + [sum(map(mul, w, vec)) for w in dots]
+                else:
+                    got = [sum(map(mul, fs, map(sum, segs)))]
+                s = sums[n]
+                for m, y in enumerate(got, at):
+                    s[m] -= scale * y
+        us = us[1:] + [divide(us[-1], e, width(c + len(us)))]
+    return [tuple(sums[n]) for n in ns]
+
+
+@pytest.mark.parametrize("cls,bit", defined_families())
+def test_every_split_equals_the_all_rows_route(cls, bit):
+    """At every split K from lo + 1, where no cap is expanded, to N + 1,
+    where every cap is, the split reader equals the all-rows route, at
+    lengths around K, repeated, out of order, and 0."""
+    form = cap_form(cls, bit)
+    every = range(SPLIT_N + 1)
+    for bitsum in [False, True][: 1 + (form.t1 is not None)]:
+        want = dict(zip(every, _all_rows_route(cls, bit, every, bitsum)))
+        assert run_numerators(cls, bit, every, bitsum) == list(want.values())
+        for split in range(form.lo + 1, SPLIT_N + 2):
+            ns = sorted({0, split - 1, split, split + 1, 2 * split} & want.keys())
+            ns = [SPLIT_N] + ns[::-1] + ns[1:2]
+            sums = _cap_sums(form, sorted(set(ns)), bitsum, split)
+            assert [tuple(sums[n]) for n in ns] == [want[n] for n in ns], (bitsum, split)
+
+
+def test_split_grows_as_the_square_root_of_n(monkeypatch):
+    """K = max(lo + 1, isqrt(N // 2)) for N = max(ns): no cap is expanded
+    at verify's lengths, and the caps lo < k < 10 are at N = 200."""
+    splits = []
+    cap_sums = moments._cap_sums
+
+    def recorded(form, lengths, bitsum, split):
+        splits.append(split)
+        return cap_sums(form, lengths, bitsum, split)
+
+    monkeypatch.setattr(moments, "_cap_sums", recorded)
+    for ns in ([0], [13, 2], [200, 7]):
+        run_numerators(StringClass.BIMULTUS, 0, ns)
+    assert splits == [3, 3, 10]

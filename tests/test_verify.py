@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,30 @@ def test_compositions_suite_reports_a_map_that_is_not_in_order(monkeypatch, edit
     (r,) = run_checks("compositions", BAD_N + 2)
     assert r.passed is False, str(r)
     assert f"n={BAD_N}" in r.detail, str(r)
+
+
+@pytest.mark.parametrize(
+    "cut,seen",
+    [
+        (lambda stream: islice(stream, 1), 1),
+        (lambda stream: list(stream)[:-1], (1 << BAD_N) - 1),
+        (lambda stream: chain(stream, [(BAD_N + 1,)]), (1 << BAD_N) + 1),
+    ],
+    ids=["first-only", "last-dropped", "one-extra"],
+)
+def test_compositions_suite_counts_the_stream(monkeypatch, cut, seen):
+    """A stream that ends early or runs past the last string passes every
+    per-string and order check; the count names the length."""
+    compositions = verify.compositions
+
+    def planted(n):
+        stream = compositions(n)
+        return iter(cut(stream)) if n == BAD_N else stream
+
+    monkeypatch.setattr(verify, "compositions", planted)
+    (r,) = run_checks("compositions", BAD_N + 2)
+    assert r.passed is False, str(r)
+    assert r.detail == f"n={BAD_N}: {seen} compositions != 2^n {1 << BAD_N}", str(r)
 
 
 #: Spawns `python -m bitruns.cli` with the given arguments and prints its
