@@ -22,6 +22,7 @@ from .errors import (
     BitrunsError,
     NonUnitConstantTerm,
     OracleBoundExceeded,
+    OutOfFormulaRange,
     SeriesOrderExceeded,
 )
 
@@ -65,18 +66,17 @@ MAX_CAP_SUM_LENGTH = 10000
 MAX_CAP_SUM_TOTAL = 400000
 
 #: Largest `table1 --lengths` entry.  The run-run product costs O(N^3)
-#: big-integer additions: 0.6 s at 400 and 6.0 s and 16 MB at this bound
-#: on the same VM.
+#: big-integer additions: on the same VM, 0.32 s at 400 and 3.9 s and
+#: 16 MB at this bound.
 MAX_TABLE1_LENGTH = 1000
 
-#: Largest sum of the `table1 --lengths`: 6.7 s at 1000 alone and 9.1 s
-#: for the 20 lengths 981..1000, so at this bound no list costs much
-#: more than 1.4 times the one length MAX_TABLE1_LENGTH, and a dense
-#: sweep reaches 2..199.
+#: Largest sum of the `table1 --lengths`: 3.9 s at 1000 alone and 5.5 s
+#: for the 20 lengths 981..1000, so no list costs much more than 1.4
+#: times the one length MAX_TABLE1_LENGTH; a dense sweep reaches 2..199.
 MAX_TABLE1_TOTAL = 20000
 
-#: Largest `joint --n`.  The table holds n^2/2 counts of up to n bits:
-#: 5 s and 72 MB at this bound.
+#: Largest `joint --n`.  The table holds n^2/2 counts of up to n bits: at
+#: this bound 2.3 s and 71 MB for solus, 3.0 s and 134 MB unconstrained.
 MAX_JOINT_LENGTH = 1000
 
 #: Largest `compositions --n`.  All 2^n rows are held until they are
@@ -84,9 +84,9 @@ MAX_JOINT_LENGTH = 1000
 #: this bound, about 3.5x the memory and 4.5x the time per 2 more.
 MAX_COMPOSITIONS_N = 20
 
-#: Largest `fewones --nmax`.  With --ones above nmax every length sums
-#: O(n) bounded-composition counts of O(n) terms: 5.1 s at 400, about
-#: 6x per doubling, so over a minute at this bound.
+#: Largest `fewones --nmax`.  With --ones above nmax and --run 2 every
+#: length sums O(n) counts of O(n) terms on growing integers: 4.4 s at
+#: 400, 39 s at 800 and 102 s at this bound, all at 15 MB.
 MAX_FEWONES_NMAX = 1000
 
 #: Largest `--precision`.  Rendering exact values is cheap (`moments`
@@ -274,15 +274,15 @@ def _cmd_fewones(args) -> int:
     _check_bound("--nmax", args.nmax, MAX_FEWONES_NMAX, "length")
     from .jointdp import fewones_closed_form, fewones_count
 
-    rows = []
-    closed_ok = 2 <= args.ones < 6 and args.run >= 2
-    for n in range(1, args.nmax + 1):
-        row = [n, fewones_count(n, args.ones, args.run)]
-        if closed_ok:
-            row.append(fewones_closed_form(n, args.ones, args.run))
-        rows.append(row)
-    header = ["n", "count"] + (["closed_form"] if closed_ok else [])
-    _emit(args, header, rows)
+    columns = [fewones_count, fewones_closed_form]
+    try:  # the closed form's domain, read off the closed form at n = 1
+        fewones_closed_form(1, args.ones, args.run)
+    except OutOfFormulaRange:
+        columns.pop()
+    rows = [
+        [n] + [f(n, args.ones, args.run) for f in columns] for n in range(1, args.nmax + 1)
+    ]
+    _emit(args, ["n", "count", "closed_form"][: len(columns) + 1], rows)
     return EXIT_OK
 
 

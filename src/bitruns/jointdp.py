@@ -27,16 +27,24 @@ operations and holds only itself.
 
 The few-ones questions need no table: the number of strings with fewer
 than ell ones and no zero run of length k is the sum of N(n - s, s, k - 1)
-over s < ell, and for ell <= 5 piecewise polynomial closed forms are
-available as well.  The few-ones approximation to the run-bitsum
-product numerator, ``rs_numerator_approx``, is a sum over the solus
-table instead: R0*S over the cells with fewer than ell_max ones or a
-longest zero run R0 <= 1.
+over s < ell.  With x = n - s, each solus term above is C(n - c, s) with
+c = s - 1 + ik + j(k - 1), a polynomial in n from its cut n = c + s on,
+so between consecutive cuts the count is one polynomial in n (Sturmfels
+1995).  ``fewones_closed_form`` sums these pieces once per (ell, k) and
+evaluates the one that holds at n; it covers ell = 2..5, k >= 2 and
+n >= 1, where it reproduces the published piecewise forms.  The few-ones
+approximation to the run-bitsum product numerator, ``rs_numerator_approx``,
+is a sum over the solus table instead: R0*S over the cells with fewer
+than ell_max ones or a longest zero run R0 <= 1.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from bisect import bisect_right
+from functools import lru_cache
+from itertools import accumulate
+from math import factorial
+from operator import add, mul
 from typing import NamedTuple
 
 from .ensembles import StringClass
@@ -134,10 +142,6 @@ def fewones_count(
     )
 
 
-def _delta(a: int, b: int) -> int:
-    return 1 if a == b else 0
-
-
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
@@ -145,93 +149,40 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _cf2(n: int, k: int) -> int:
-    if 1 <= n <= k - 1:
-        return n + 1
-    if k <= n <= 2 * k - 1:
-        return 2 * k - n
-    return 0
+@lru_cache(maxsize=64)
+def _pieces(ell: int, k: int) -> tuple:
+    """(cuts, polys): (ell - 1)! fewones_count(n, ell, k) is polys[i], an
+    integer polynomial in n, constant first, for cuts[i] <= n < cuts[i + 1]."""
+    scale = factorial(ell - 1)
+    steps = {0: [scale] + [0] * (ell - 1), k: [-scale] + [0] * (ell - 1)}  # s = 0
+    for s in range(1, ell):
+        for i, w in enumerate((1, -2, 1)):
+            for j, sign in enumerate(_signed_binomials(s - 1)):
+                c = s - 1 + i * k + j * (k - 1)
+                poly = [w * sign * scale // factorial(s)] + [0] * (ell - 1)
+                for t in range(c, c + s):  # times (n - t): s! C(n - c, s)
+                    poly = [a - t * b for a, b in zip([0] + poly, poly)]
+                step = steps.setdefault(c + s, [0] * ell)
+                step[:] = map(add, step, poly)
+    cuts = sorted(steps)
+    polys = accumulate((steps[cut] for cut in cuts), lambda p, q: list(map(add, p, q)))
+    return tuple(cuts), tuple(map(tuple, polys))
 
 
-# _cf3, _cf4 and _cf5 sum the increments of a running-sum region from
-# the value at its start: one call per n would pass the recursion limit
-# for regions about a thousand lengths long.
-
-
-def _cf3(n: int, k: int) -> int:
-    if n < 1 or n > 3 * k - 1:
-        return 0
-    if n <= k - 1:
-        return 2 + _exact_div(n * n - n, 2)
-    if n <= 2 * k:
-        steps = (k - 2 if i <= k + 2 else 3 * k - 2 * i + 2 for i in range(k, n + 1))
-        return _cf3(k - 1, k) + sum(steps)
-    m = 3 * k - n
-    return _exact_div(m + m * m, 2)
-
-
-def _w4(m: int) -> int:
-    if m == 1:
-        return -2
-    if m == 2:
-        return 2
-    return 3 * m * m - 13 * m + 20
-
-
-def _u4(k: int, n: int) -> int:
-    if k + 1 <= n <= 2 * k:
-        return _exact_div(-k * k + (2 * n - 5) * k - _w4(n - k), 2)
-    if n == 2 * k + 1:
-        return 2 * (n - k - 3)
-    return 0
-
-
-def _v4(k: int, n: int) -> int:
-    return _exact_div(-20 * k * k + (16 * n - 30) * k - (3 * n * n - 11 * n + 12), 2)
-
-
-def _cf4(n: int, k: int) -> int:
-    if n < 1 or n > 4 * k - 1:
-        return 0
-    if n == 1:
-        return 2
-    if n <= k:
-        m = n - 1
-        return _exact_div(6 * (1 - _delta(k, n)) + 14 * m - 3 * m * m + m**3, 6)
-    if n <= 3 * k:
-        up = 2 * k + 2
-        steps = (_u4(k, i) if i <= up else -_v4(k, i) for i in range(k + 1, n + 1))
-        return _cf4(k, k) + sum(steps)
-    m = 4 * k - n
-    return _exact_div(2 * m + 3 * m * m + m**3, 6)
-
-
-def _w5(m: int) -> int:
-    if m == 1:
-        return 54
-    if m in (2, 3):
-        return 30
-    return 4 * m**3 - 42 * m * m + 176 * m - 240
-
-
-def _u5(k: int, n: int) -> int:
-    num = k**3 - (3 * n - 12) * k * k + (3 * n * n - 24 * n + 59) * k - _w5(n - k)
-    return _delta(2 * k + 1, n) + _exact_div(num, 6)
-
-
-def _v5(k: int, n: int) -> int:
-    num = (
-        -195 * k**3
-        + (165 * n - 426) * k * k
-        - (45 * n * n - 228 * n + 309) * k
-        + (4 * n**3 - 30 * n * n + 80 * n - 72)
-    )
-    return 3 * _delta(3 * k + 2, n) + _exact_div(num, 6)
-
-
-def fewones_peak_value_mid(k: int) -> int:
-    """a_{3k+1} in the ell = 5 sequence."""
-    return _exact_div(11 * k**4 - 2 * k**3 - 35 * k * k - 22 * k + 72, 24)
+def fewones_closed_form(n: int, ell: int, k: int) -> int:
+    """Piecewise polynomial closed form for fewones_count(n, ell, k) on
+    the no-adjacent-1s class, for ell in 2..5, k >= 2 and n >= 1: the
+    piece that holds at n, derived from fewones_count's own terms (see
+    the module docstring), evaluated in O(ell) operations."""
+    if not 2 <= ell <= 5:
+        raise OutOfFormulaRange(f"no closed form for ell={ell}")
+    if k < 2:
+        raise OutOfFormulaRange(f"closed forms need k >= 2, got {k}")
+    if n < 1:
+        raise OutOfFormulaRange(f"closed forms cover n >= 1, got {n}")
+    cuts, polys = _pieces(ell, k)
+    poly = polys[bisect_right(cuts, n) - 1]
+    return _exact_div(sum(a * n**m for m, a in enumerate(poly)), factorial(ell - 1))
 
 
 def fewones_peak(k: int):
@@ -249,49 +200,6 @@ def fewones_peak(k: int):
         idx = _exact_div(5 * k + 4, 2)
         val = _exact_div(115 * k**4 - 184 * k**3 - 52 * k * k + 16 * k + 192, 192)
     return idx, val
-
-
-def _cf5(n: int, k: int) -> int:
-    if n < 1 or n > 5 * k - 1:
-        return 0
-    if n <= 2 or 2 * k + 2 <= n <= 3 * k:
-        # outside the published piecewise regions
-        return fewones_count(n, 5, k)
-    if n <= k:
-        m = n - 2
-        num = 24 * (4 - _delta(k, n)) - 6 * m + 35 * m * m - 6 * m**3 + m**4
-        return _exact_div(num, 24)
-    if n <= 2 * k + 1:
-        return _cf5(k, k) + sum(_u5(k, i) for i in range(k + 1, n + 1))
-    if n <= 4 * k:
-        steps = (_v5(k, i) for i in range(3 * k + 2, n + 1))
-        return fewones_peak_value_mid(k) - sum(steps)
-    m = 5 * k - n
-    return _exact_div(6 * m + 11 * m * m + 6 * m**3 + m**4, 24)
-
-
-def fewones_closed_form(n: int, ell: int, k: int) -> int:
-    """Piecewise closed form for fewones_count(n, ell, k) on the
-    no-adjacent-1s class, available for ell in 2..5 and k >= 2.
-
-    The ell = 5 form has no published pieces for n <= 2, for the plateau
-    2k + 2 <= n <= 3k, or for k = 2; those fall back to fewones_count.
-    """
-    if not 2 <= ell <= 5:
-        raise OutOfFormulaRange(f"no closed form for ell={ell}")
-    if k < 2:
-        raise OutOfFormulaRange(f"closed forms need k >= 2, got {k}")
-    if n < 1:
-        raise OutOfFormulaRange(f"closed forms cover n >= 1, got {n}")
-    if ell == 2:
-        return _cf2(n, k)
-    if ell == 3:
-        return _cf3(n, k)
-    if ell == 4:
-        return _cf4(n, k)
-    if k == 2:
-        return fewones_count(n, 5, k)
-    return _cf5(n, k)
 
 
 def rs_numerator_approx(order: int, ell_max: int = 5) -> tuple:

@@ -243,3 +243,41 @@ def test_verify_digest_is_pinned(capsys, fmt):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY[fmt]
+
+
+#: (format, ones, run, nmax) -> digest of `bitruns --format F fewones
+#: --ones L --run K --nmax N`, recorded from the published piecewise
+#: closed forms (kept in test_jointdp) that the derived pieces replaced.
+#: Each csv case runs to n = L*K, one past the last nonzero count.
+FEWONES = {
+    ("csv", 2, 2, 4): "dbd55d88d5bab071995e5a41d814dc96cb6ae4c107fe76ecd334ed8c394abffd",
+    ("csv", 2, 3, 6): "7904f586e04e51399b095ca7ed9787009e8769ed5a70f7d3bef78af0d2da977f",
+    ("csv", 2, 7, 14): "0dfa3a269dce8f6a5bd04f68bcaf61567b38beb727ad9cde2333325f87c25e57",
+    ("csv", 2, 40, 80): "9194ad1166650fdd89ec3ab703f4e4c24fd8ff6ed8ea4075a40e47f9768ac366",
+    ("csv", 3, 2, 6): "69c94447ba5cc3a9e3bdebaf07d84f1bf9670f122df8c08e3995f8daae0abf93",
+    ("csv", 3, 3, 9): "b28dfd3687190fd36fbc624216f595ce4e4bc2214e8604e40ace1225c279a4a5",
+    ("csv", 3, 7, 21): "c9cb143c8134a591cb8e54d0ab76a4256432cd1135cc310e5845b0c23da64dc8",
+    ("csv", 3, 40, 120): "09e5ac37525719286dfa33cfe6a345f11676f7ee739c5f1ba56a1fd93a32733f",
+    ("csv", 4, 2, 8): "291fc43b99892d75ded79efdd198fc8fc894f73e344d776d96944123a1bcafd7",
+    ("csv", 4, 3, 12): "d7b0af9e3c184d4b3543bb9ebaa308d43276c1397c0efc669195b93104b6d18b",
+    ("csv", 4, 7, 28): "191275a6950858375e2a49ad10b3cf32ed5604106e6faed13a1c128c1ded6b02",
+    ("csv", 4, 40, 160): "12e8ae0cd7bcd1266043388ec6bed79144cbd4f8fece80739fb2214777eb175a",
+    ("csv", 5, 2, 10): "4936452e04e18a0e979a9e03c8e1d690e7435bff9d1ee598a38e3471fa3d70ae",
+    ("csv", 5, 3, 15): "4e5fc3601a53465dc6b3e3f3852e13761aff4248163be5f5f83c5bf547a817c4",
+    ("csv", 5, 7, 35): "fadca368a03c1a85fa36a7ed546c24ebe807ebb9d664b8ac895db8363e32d234",
+    ("csv", 5, 40, 200): "e61c74935046fb4d5e6a672a54dd6307f8135bf4057905ab66ff32689f081fd5",
+    ("plain", 5, 7, 34): "845e41968ee714eee1b822b0ffd50755a7afc224a9804167eca583ed141a0f23",
+    ("json", 5, 7, 34): "ef13c2525e56ef6761512e837f3b4a7bed496360398a1eee48e51fb5af19bc27",
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(FEWONES), ids=["-".join(map(str, c)) for c in FEWONES]
+)
+def test_fewones_digest_is_pinned(capsys, case):
+    fmt, ones, run, nmax = case
+    argv = ["--format", fmt, "fewones", "--ones", str(ones), "--run", str(run), "--nmax", str(nmax)]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == FEWONES[case]

@@ -11,7 +11,6 @@ from bitruns.jointdp import (
     fewones_closed_form,
     fewones_count,
     fewones_peak,
-    fewones_peak_value_mid,
     joint_table,
     rs_numerator_approx,
 )
@@ -274,9 +273,131 @@ def test_fewones_count_rejects_bad_args():
         fewones_count(5, 0, 3)
 
 
+# ---------------------------------------------------------------------------
+# Published reference: the piecewise closed forms for ell = 2..5 printed in
+# arXiv 2005.12185 (criterion 5 of test_acceptance), typed in as published.
+# The middle pieces are running sums of published increments from a
+# published starting value.  None marks a length with no published piece:
+# for ell = 5, n <= 2, the plateau 2k + 2 <= n <= 3k, and every n at k = 2.
+
+
+def _delta(a, b):
+    return 1 if a == b else 0
+
+
+def _div(num, den):
+    q, r = divmod(num, den)
+    assert r == 0, (num, den)
+    return q
+
+
+def _cf2(n, k):
+    if 1 <= n <= k - 1:
+        return n + 1
+    if k <= n <= 2 * k - 1:
+        return 2 * k - n
+    return 0
+
+
+def _cf3(n, k):
+    if n < 1 or n > 3 * k - 1:
+        return 0
+    if n <= k - 1:
+        return 2 + _div(n * n - n, 2)
+    if n <= 2 * k:
+        steps = (k - 2 if i <= k + 2 else 3 * k - 2 * i + 2 for i in range(k, n + 1))
+        return _cf3(k - 1, k) + sum(steps)
+    m = 3 * k - n
+    return _div(m + m * m, 2)
+
+
+def _w4(m):
+    if m == 1:
+        return -2
+    if m == 2:
+        return 2
+    return 3 * m * m - 13 * m + 20
+
+
+def _u4(k, n):
+    if k + 1 <= n <= 2 * k:
+        return _div(-k * k + (2 * n - 5) * k - _w4(n - k), 2)
+    if n == 2 * k + 1:
+        return 2 * (n - k - 3)
+    return 0
+
+
+def _v4(k, n):
+    return _div(-20 * k * k + (16 * n - 30) * k - (3 * n * n - 11 * n + 12), 2)
+
+
+def _cf4(n, k):
+    if n < 1 or n > 4 * k - 1:
+        return 0
+    if n == 1:
+        return 2
+    if n <= k:
+        m = n - 1
+        return _div(6 * (1 - _delta(k, n)) + 14 * m - 3 * m * m + m**3, 6)
+    if n <= 3 * k:
+        up = 2 * k + 2
+        steps = (_u4(k, i) if i <= up else -_v4(k, i) for i in range(k + 1, n + 1))
+        return _cf4(k, k) + sum(steps)
+    m = 4 * k - n
+    return _div(2 * m + 3 * m * m + m**3, 6)
+
+
+def _w5(m):
+    if m == 1:
+        return 54
+    if m in (2, 3):
+        return 30
+    return 4 * m**3 - 42 * m * m + 176 * m - 240
+
+
+def _u5(k, n):
+    num = k**3 - (3 * n - 12) * k * k + (3 * n * n - 24 * n + 59) * k - _w5(n - k)
+    return _delta(2 * k + 1, n) + _div(num, 6)
+
+
+def _v5(k, n):
+    num = (
+        -195 * k**3
+        + (165 * n - 426) * k * k
+        - (45 * n * n - 228 * n + 309) * k
+        + (4 * n**3 - 30 * n * n + 80 * n - 72)
+    )
+    return 3 * _delta(3 * k + 2, n) + _div(num, 6)
+
+
+def _peak_value_mid(k):
+    """a_{3k+1} of the ell = 5 sequence."""
+    return _div(11 * k**4 - 2 * k**3 - 35 * k * k - 22 * k + 72, 24)
+
+
+def _cf5(n, k):
+    if k == 2 or n <= 2 or 2 * k + 2 <= n <= 3 * k:
+        return None
+    if n > 5 * k - 1:
+        return 0
+    if n <= k:
+        m = n - 2
+        num = 24 * (4 - _delta(k, n)) - 6 * m + 35 * m * m - 6 * m**3 + m**4
+        return _div(num, 24)
+    if n <= 2 * k + 1:
+        return _cf5(k, k) + sum(_u5(k, i) for i in range(k + 1, n + 1))
+    if n <= 4 * k:
+        return _peak_value_mid(k) - sum(_v5(k, i) for i in range(3 * k + 2, n + 1))
+    m = 5 * k - n
+    return _div(6 * m + 11 * m * m + 6 * m**3 + m**4, 24)
+
+
+_PUBLISHED = {2: _cf2, 3: _cf3, 4: _cf4, 5: _cf5}
+
+
 def test_closed_forms_equal_counts():
     for ell in (2, 3, 4, 5):
-        for k in (2, 3, 4, 6):
+        for k in range(2, 41):
             for n in range(1, ell * k + 2):
                 assert fewones_closed_form(n, ell, k) == fewones_count(n, ell, k), (
                     ell,
@@ -285,13 +406,30 @@ def test_closed_forms_equal_counts():
                 )
 
 
+def test_closed_forms_equal_the_published_pieces():
+    published = 0
+    for ell, form in _PUBLISHED.items():
+        for k in range(2, 41):
+            for n in range(1, ell * k + 2):
+                want = form(n, k)
+                if want is not None:
+                    published += 1
+                    assert fewones_closed_form(n, ell, k) == want, (ell, k, n)
+    # every length for ell = 2..4; for ell = 5 and k >= 3, the 5k + 1
+    # lengths less n = 1, 2 and the k - 1 of the plateau
+    want = sum(ell * k + 1 for ell in (2, 3, 4) for k in range(2, 41))
+    assert published == want + sum(4 * k for k in range(3, 41))
+
+
 @pytest.mark.parametrize(
     "n, ell, k", [(3500, 3, 2000), (2500, 4, 1000), (4001, 5, 2000), (7800, 5, 2000)]
 )
 def test_closed_forms_deep_in_their_running_sums(n, ell, k):
-    """Each running-sum region is thousands of lengths long here: the
-    closed form adds up its increments without a call per length."""
-    assert fewones_closed_form(n, ell, k) == fewones_count(n, ell, k)
+    """Each published running-sum region is thousands of lengths long
+    here; the derived piece holds there in O(ell) operations."""
+    want = fewones_count(n, ell, k)
+    assert fewones_closed_form(n, ell, k) == want
+    assert _PUBLISHED[ell](n, k) == want
 
 
 def test_closed_form_out_of_range():
@@ -309,7 +447,8 @@ def test_fewones_peak():
         idx, val = fewones_peak(k)
         assert val == max(seq)
         assert seq[idx - 1] == val
-        assert fewones_peak_value_mid(k) == fewones_count(3 * k + 1, 5, k)
+    for k in range(2, 41):
+        assert _peak_value_mid(k) == fewones_count(3 * k + 1, 5, k), k
     with pytest.raises(OutOfFormulaRange):
         fewones_peak(1)
 
