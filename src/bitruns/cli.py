@@ -76,7 +76,7 @@ MAX_TABLE1_LENGTH = 1000
 MAX_TABLE1_TOTAL = 20000
 
 #: Largest `joint --n`.  The table holds n^2/2 counts of up to n bits: at
-#: this bound 2.3 s and 71 MB for solus, 3.0 s and 134 MB unconstrained.
+#: this bound 2.3 s and 72 MB for solus, 3.4 s and 134 MB unconstrained.
 MAX_JOINT_LENGTH = 1000
 
 #: Largest `compositions --n`.  All 2^n rows are held until they are
@@ -85,8 +85,8 @@ MAX_JOINT_LENGTH = 1000
 MAX_COMPOSITIONS_N = 20
 
 #: Largest `fewones --nmax`.  With --ones above nmax and --run 2 every
-#: length sums O(n) counts of O(n) terms on growing integers: 4.4 s at
-#: 400, 39 s at 800 and 102 s at this bound, all at 15 MB.
+#: length sums O(n) counts of O(n) terms on growing integers: 3.9 s at
+#: 400, 38 s at 800 and 82 s at this bound, all at 15 MB.
 MAX_FEWONES_NMAX = 1000
 
 #: Largest `--precision`.  Rendering exact values is cheap (`moments`

@@ -9,16 +9,15 @@ bounded-composition counts.
 
 Fix s ones, so a length-n string has x = n - s zeros, and let N(x, s, y)
 count the class strings whose zero runs are all <= y.  The zero runs are
-the s + 1 gaps around the ones, so N counts bounded compositions of x:
-
-* unconstrained: s + 1 gaps in [0, y], so by inclusion-exclusion
-  N = sum_j (-1)^j C(s+1, j) C(x - j(y+1) + s, s);
-* solus (no two adjacent 1s): the s - 1 inner gaps lie in [1, y] and the
-  two outer gaps in [0, y], so N is [z^x] of
-  z^(s-1) (1 - z^(y+1))^2 (1 - z^y)^(s-1) / (1 - z)^(s+1): three single
-  sums, one per term i = 0, 1, 2 of (1 - z^(y+1))^2 with weight
-  1, -2, 1, of sum_j (-1)^j C(s-1, j) C(x - (s-1) - i(y+1) - jy + s, s).
-  The edges are s = 0 (one string if x <= y) and y = 0 (only "1").
+the s + 1 gaps around the ones: o outer gaps in [0, y] and r inner gaps
+in [g, y], where g is the fewest zeros between two 1s.  So N counts
+bounded compositions of x,
+  N = [z^x] z^(gr) (1 - z^(y+1))^o (1 - z^(y+1-g))^r / (1 - z)^(s+1),
+the sum of (-1)^(i+j) C(o, i) C(r, j) C(x - gr - i(y+1) - j(y+1-g) + s, s)
+over i outer and j inner gaps forced above y; if y < g and r > 0, no
+inner gap fits and N = 0.  Unconstrained 1s may touch, so all s + 1 gaps
+are alike: (g, o, r) = (0, 0, s + 1).  Solus strings have no two
+adjacent 1s: (g, o, r) = (1, min(s + 1, 2), max(s - 1, 0)).
 
 F_n(x, y) = N(x, n - x, y) - N(x, n - x, y - 1) counts length-n strings
 with x zeros whose longest zero run is exactly y.  Each N is a sum of
@@ -27,15 +26,16 @@ operations and holds only itself.
 
 The few-ones questions need no table: the number of strings with fewer
 than ell ones and no zero run of length k is the sum of N(n - s, s, k - 1)
-over s < ell.  With x = n - s, each solus term above is C(n - c, s) with
-c = s - 1 + ik + j(k - 1), a polynomial in n from its cut n = c + s on,
-so between consecutive cuts the count is one polynomial in n (Sturmfels
-1995).  ``fewones_closed_form`` sums these pieces once per (ell, k) and
-evaluates the one that holds at n; it covers ell = 2..5, k >= 2 and
-n >= 1, where it reproduces the published piecewise forms.  The few-ones
-approximation to the run-bitsum product numerator, ``rs_numerator_approx``,
-is a sum over the solus table instead: R0*S over the cells with fewer
-than ell_max ones or a longest zero run R0 <= 1.
+over s < ell.  With x = n - s and y = k - 1, each solus term above is
+C(n - c, s) with c = gr + ik + j(k - g), a polynomial in n from its cut
+n = c + s on, so between consecutive cuts the count is one polynomial in
+n (Sturmfels 1995).  ``fewones_closed_form`` sums these pieces once per
+(ell, k) and evaluates the one that holds at n; it covers ell = 2..5,
+k >= 2 and n >= 1, where it reproduces the published piecewise forms.
+``fewones_peak`` reads its value off the same pieces, at the published
+argmax.  The few-ones approximation to the run-bitsum product numerator,
+``rs_numerator_approx``, is a sum over the solus table instead: R0*S over
+the cells with fewer than ell_max ones or a longest zero run R0 <= 1.
 """
 
 from __future__ import annotations
@@ -59,38 +59,39 @@ def _signed_binomials(r: int) -> list:
     return row
 
 
+def _gaps(s: int, string_class: StringClass) -> tuple:
+    """(g, o, r) for s ones: o outer gaps in [0, y], r inner ones in [g, y]."""
+    if string_class is StringClass.UNCONSTRAINED:
+        return 0, 0, s + 1  # 1s may touch, so all s + 1 gaps are alike
+    if string_class is StringClass.SOLUS:
+        return 1, min(s + 1, 2), max(s - 1, 0)
+    raise UnsupportedClass(f"no bounded-composition count for {string_class}")
+
+
 def _at_most(x: int, s: int, string_class: StringClass):
     """y -> the number of class strings with x zeros and s ones whose zero
     runs are all <= y, for y >= 0."""
-    if string_class not in (StringClass.UNCONSTRAINED, StringClass.SOLUS):
-        raise UnsupportedClass(f"no bounded-composition count for {string_class}")
+    g, o, r = _gaps(s, string_class)
     # col[m] = C(m + s, s) = [z^m] 1/(1 - z)^(s + 1)
     col = [1]
     for m in range(1, x + 1):
         col.append(col[-1] * (m + s) // m)
-
-    if string_class is StringClass.UNCONSTRAINED:
-        signs = _signed_binomials(s + 1)
-
-        def count(y: int) -> int:
-            # j runs over the parts forced above y: col[x - j(y + 1)]
-            return sum(map(mul, signs, col[x :: -(y + 1)]))
-
-        return count
-
-    signs = _signed_binomials(max(s - 1, 0))
+    outer = _signed_binomials(o)[1:]
+    inner = _signed_binomials(r)
+    a = x - g * r
 
     def count(y: int) -> int:
-        if s == 0:
-            return 1 if x <= y else 0
-        if y == 0:
-            return 1 if s == 1 and x == 0 else 0  # the string "1"
-        total = 0
-        for c, i in ((1, 0), (-2, 1), (1, 2)):
-            a = x - (s - 1) - i * (y + 1)
-            if a >= 0:
-                # j runs over the inner gaps forced above y: col[a - j y]
-                total += c * sum(map(mul, signs, col[a::-y]))
+        if a < 0 or y < g and r:
+            return 0  # too few zeros for the inner gaps, or none fits [g, y]
+        # col[a - i(y + 1) - j(y + 1 - g)], i outer and j inner gaps above y
+        step = g - y - 1 or -1  # with r = 0 no step is taken
+        total = sum(map(mul, inner, col[a::step]))
+        b = a
+        for w in outer:
+            b -= y + 1
+            if b < 0:
+                break
+            total += w * sum(map(mul, inner, col[b::step]))
         return total
 
     return count
@@ -154,11 +155,12 @@ def _pieces(ell: int, k: int) -> tuple:
     """(cuts, polys): (ell - 1)! fewones_count(n, ell, k) is polys[i], an
     integer polynomial in n, constant first, for cuts[i] <= n < cuts[i + 1]."""
     scale = factorial(ell - 1)
-    steps = {0: [scale] + [0] * (ell - 1), k: [-scale] + [0] * (ell - 1)}  # s = 0
-    for s in range(1, ell):
-        for i, w in enumerate((1, -2, 1)):
-            for j, sign in enumerate(_signed_binomials(s - 1)):
-                c = s - 1 + i * k + j * (k - 1)
+    steps = {}
+    for s in range(ell):
+        g, o, r = _gaps(s, StringClass.SOLUS)
+        for i, w in enumerate(_signed_binomials(o)):
+            for j, sign in enumerate(_signed_binomials(r)):
+                c = g * r + i * k + j * (k - g)
                 poly = [w * sign * scale // factorial(s)] + [0] * (ell - 1)
                 for t in range(c, c + s):  # times (n - t): s! C(n - c, s)
                     poly = [a - t * b for a, b in zip([0] + poly, poly)]
@@ -186,20 +188,13 @@ def fewones_closed_form(n: int, ell: int, k: int) -> int:
 
 
 def fewones_peak(k: int):
-    """(argmax index, max value) of the ell = 5 sequence for threshold k.
-
-    Ties are possible (k = 2); the returned index always attains the
-    returned maximum.
-    """
+    """(argmax index, max value) of the ell = 5 sequence for threshold k:
+    the published index (5k + 4 + k mod 2) / 2 and the derived closed form
+    there.  Ties are possible (k = 2); the index always attains the max."""
     if k < 2:
         raise OutOfFormulaRange("peak formulas need k >= 2")
-    if k >= 3 and k % 2 == 1:
-        idx = _exact_div(5 * k + 5, 2)
-        val = _exact_div(115 * k**4 - 184 * k**3 - 22 * k * k - 104 * k + 387, 192)
-    else:
-        idx = _exact_div(5 * k + 4, 2)
-        val = _exact_div(115 * k**4 - 184 * k**3 - 52 * k * k + 16 * k + 192, 192)
-    return idx, val
+    idx = _exact_div(5 * k + 4 + k % 2, 2)
+    return idx, fewones_closed_form(idx, 5, k)
 
 
 def rs_numerator_approx(order: int, ell_max: int = 5) -> tuple:

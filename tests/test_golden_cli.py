@@ -281,3 +281,38 @@ def test_fewones_digest_is_pinned(capsys, case):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == FEWONES[case]
+
+
+#: (format, class, n) -> digest of `bitruns --format F joint --class C
+#: --n N`, recorded from the per-class bounded-composition sums that the
+#: one zero-gap rule replaced.  n = 0, 1 and 2 reach the edges s = 0 and
+#: y = 0; n = 200 reaches the inclusion-exclusion terms.
+JOINT = {
+    ("csv", "unconstrained", 0): "9d4af6c5c9045e6845659dd3766defe689f8cecdb948e811b81ce5ef96a15559",
+    ("csv", "unconstrained", 1): "7cf0de034df80a290660a36ecc719e9cc7f3f4fffa5c748a14f61a380f108070",
+    ("csv", "unconstrained", 2): "a621b94bc29796d089c400e3f31977d36f2e39875bfdcde94d7082b5f01544ba",
+    ("csv", "unconstrained", 13): "76734c10d87484b7e54d61e704bcd59e3e0f49f54916c88ff122039c06ba46ed",
+    ("csv", "unconstrained", 60): "e54e1e89beaba0ecd518227da512034a93501eb312f3c00210b2dd1e3dae567a",
+    ("csv", "unconstrained", 200): "1f531bfee89ed16a29d9a1ab81c311566f305147ca548ad1cd694193cc6abcdb",
+    ("csv", "solus", 0): "9d4af6c5c9045e6845659dd3766defe689f8cecdb948e811b81ce5ef96a15559",
+    ("csv", "solus", 1): "7cf0de034df80a290660a36ecc719e9cc7f3f4fffa5c748a14f61a380f108070",
+    ("csv", "solus", 2): "67e261f9e01ae9edca61c75f0c8433c57c0053504f2913a98db8fd82576be7a9",
+    ("csv", "solus", 13): "1743cda5239f1df0374bc97b5ebec4af5870f490207a4d6eddc81bf223090960",
+    ("csv", "solus", 60): "7382fa11ecc87aac6fb1a27e0878802d79beb6792559dcdcf453b19486d281ea",
+    ("csv", "solus", 200): "f2091fe26245aea888029db7151c28739e1950d39301715d8023c233ee1908b9",
+    ("plain", "unconstrained", 12): "479635e7a04c0585f490f0425cac37e41fa676dd933544889f3199d2c5a8b7f8",
+    ("plain", "solus", 12): "8df17d31b5ac0d80e47080235010301c5a672e5640841b9640891fe1e3835c5a",
+    ("json", "unconstrained", 12): "4f35337fce634af5eb883f7774ef45e4bf2137addba53ce8d3e08147abe471a6",
+    ("json", "solus", 12): "f919e6f4bc7a2934f5083f309bac4e74074911392d11655a3186d43165dca62b",
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(JOINT), ids=["-".join(map(str, c)) for c in JOINT]
+)
+def test_joint_digest_is_pinned(capsys, case):
+    fmt, cls, n = case
+    code = main(["--format", fmt, "joint", "--class", cls, "--n", str(n)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == JOINT[case]

@@ -8,6 +8,7 @@ from bitruns.ensembles import StringClass, oracle_tally
 from bitruns.errors import DegenerateVariance, OutOfFormulaRange, UnsupportedClass
 from bitruns.crossrun import joint_rs_report_table
 from bitruns.jointdp import (
+    _pieces,
     fewones_closed_form,
     fewones_count,
     fewones_peak,
@@ -274,8 +275,9 @@ def test_fewones_count_rejects_bad_args():
 
 
 # ---------------------------------------------------------------------------
-# Published reference: the piecewise closed forms for ell = 2..5 printed in
-# arXiv 2005.12185 (criterion 5 of test_acceptance), typed in as published.
+# Published reference: the piecewise closed forms for ell = 2..5 and the
+# ell = 5 peak values printed in arXiv 2005.12185 (criterion 5 of
+# test_acceptance), typed in as published.
 # The middle pieces are running sums of published increments from a
 # published starting value.  None marks a length with no published piece:
 # for ell = 5, n <= 2, the plateau 2k + 2 <= n <= 3k, and every n at k = 2.
@@ -441,16 +443,38 @@ def test_closed_form_out_of_range():
         fewones_closed_form(0, 3, 3)
 
 
+def _peak_value(k):
+    """The published maximum of the ell = 5 sequence."""
+    if k >= 3 and k % 2 == 1:
+        return _div(115 * k**4 - 184 * k**3 - 22 * k * k - 104 * k + 387, 192)
+    return _div(115 * k**4 - 184 * k**3 - 52 * k * k + 16 * k + 192, 192)
+
+
 def test_fewones_peak():
-    for k in range(2, 8):
-        seq = [fewones_count(n, 5, k) for n in range(1, 5 * k)]
-        idx, val = fewones_peak(k)
-        assert val == max(seq)
-        assert seq[idx - 1] == val
     for k in range(2, 41):
         assert _peak_value_mid(k) == fewones_count(3 * k + 1, 5, k), k
+        # the published index is an argmax of the derived closed form, and
+        # the value there is the published one
+        seq = [fewones_closed_form(n, 5, k) for n in range(1, 5 * k + 1)]
+        idx, val = fewones_peak(k)
+        assert seq[idx - 1] == max(seq) == val == _peak_value(k), k
+    for k in (1001, 10**6):
+        assert fewones_peak(k)[1] == _peak_value(k), k
     with pytest.raises(OutOfFormulaRange):
         fewones_peak(1)
+
+
+def test_pieces_are_canonical():
+    """No two neighbouring pieces share a polynomial, so there is nothing
+    to merge: each cut changes the count's polynomial."""
+    pairs = 0
+    for ell in range(2, 6):
+        for k in range(2, 41):
+            cuts, polys = _pieces(ell, k)
+            for i, (p, q) in enumerate(zip(polys, polys[1:]), 1):
+                assert p != q, (ell, k, cuts[i])
+                pairs += 1
+    assert pairs == 2282
 
 
 def test_rs_numerator_approx_prefix():
