@@ -34,7 +34,7 @@ import mpmath
 
 from .catalog import bivariate_denominator, count_gf
 from .ensembles import StringClass
-from .errors import UndefinedFamily
+from .errors import UnsupportedClass
 from .moments import run_variance_table
 
 #: least working precision, in significant digits
@@ -142,7 +142,7 @@ def mean_asymptote(n: int, string_class: StringClass, bit: int) -> mpmath.mpf:
     try:
         offset = MEAN_OFFSETS[(string_class, bit)]
     except KeyError:
-        raise UndefinedFamily(
+        raise UnsupportedClass(
             f"no mean asymptote for {string_class} bit={bit}"
         ) from None
     lb = _dominant_root(string_class, mpmath.mp.dps).log_beta

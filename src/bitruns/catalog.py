@@ -64,7 +64,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .ensembles import StringClass
-from .errors import UndefinedFamily, UnsupportedClass
+from .errors import UnsupportedClass
 from .series import RationalGF, terms, terms_mul
 
 
@@ -195,7 +195,7 @@ class CapForm(NamedTuple):
 
 def cap_form(string_class: StringClass, bit: int) -> CapForm:
     """The pieces of H_k, and for bit 0 of R_k, when the runs of `bit`
-    are capped; raises UndefinedFamily where the runs of `bit` have one
+    are capped; raises UnsupportedClass where the runs of `bit` have one
     allowed length."""
     run_family(string_class, bit)
     zeros, ones, den = _parts(string_class, None, None)
@@ -229,11 +229,11 @@ def bitsum_gfs(string_class: StringClass) -> tuple:
 
 def run_family(string_class: StringClass, bit: int) -> None:
     """Check that runs of `bit` in the class form a run family; raises
-    UndefinedFamily where they make no sense (solus and persolus 1-runs).
+    UnsupportedClass where they make no sense (solus and persolus 1-runs).
     The family's H and H_k are ``alternating_gf`` with the runs of `bit`
     capped, read at single lengths through ``cap_form``."""
     if (string_class, bit) not in defined_families():
-        raise UndefinedFamily(f"no run family for {string_class} bit={bit}")
+        raise UnsupportedClass(f"no run family for {string_class} bit={bit}")
 
 
 def defined_families() -> list:

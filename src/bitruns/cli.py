@@ -1,8 +1,9 @@
 """Command line interface: exact tables as csv, json or plain text.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure,
-3 computational limit reached.  A reader that closes the output pipe
-early (say `| head`) ends the command with exit 1 and no message.
+Exit codes: 0 success, 1 usage error or any other BitrunsError,
+2 verification failure, 3 LimitExceeded (a bound reached); 1 and 3 print
+one stderr line.  A reader that closes the output pipe early (say
+`| head`) ends the command with exit 1 and no message.
 
 Every command prints through one printer, each rational or float cell
 at --precision places.  The json document holds the command, its
@@ -18,13 +19,7 @@ import sys
 from functools import partial
 
 from . import __version__
-from .errors import (
-    BitrunsError,
-    NonUnitConstantTerm,
-    OracleBoundExceeded,
-    OutOfFormulaRange,
-    SeriesOrderExceeded,
-)
+from .errors import BitrunsError, LimitExceeded, OutOfFormulaRange
 
 # Every command imports the modules it runs, so --version, --help and a
 # usage error load none of the math.  The parser's choices are therefore
@@ -195,14 +190,14 @@ def _check_bound(flag: str, value: int, bound: int, what: str = "series order") 
     """A usage error below 0 and a limit above `bound`, naming `flag`."""
     _check_least(flag, value, 0)
     if value > bound:
-        raise SeriesOrderExceeded(f"{flag} {value} exceeds the {what} bound {bound}")
+        raise LimitExceeded(f"{flag} {value} exceeds the {what} bound {bound}")
 
 
 def _check_lengths(lengths: list, bound: int, total: int) -> None:
     """Each of the lengths at most `bound`, and their sum at most `total`."""
     _check_bound("--lengths", max(lengths), bound, "length")
     if sum(lengths) > total:
-        raise SeriesOrderExceeded(
+        raise LimitExceeded(
             f"--lengths sum to {sum(lengths)}, which exceeds the length-sum bound {total}"
         )
 
@@ -472,7 +467,7 @@ def main(argv=None) -> int:
     try:
         _check_bound("--precision", args.precision, MAX_PRECISION, "precision")
         return args.fn(args)
-    except (OracleBoundExceeded, SeriesOrderExceeded, NonUnitConstantTerm) as exc:
+    except LimitExceeded as exc:
         sys.stderr.write(f"bitruns: {exc}\n")
         return EXIT_LIMIT
     except (BitrunsError, ValueError) as exc:

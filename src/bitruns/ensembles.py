@@ -32,7 +32,7 @@ import enum
 from collections import Counter
 from typing import Callable, Hashable, Iterator, NamedTuple
 
-from .errors import OracleBoundExceeded
+from .errors import LimitExceeded
 
 #: Largest n the oracle enumerates (2^24 strings): enumerate_classes and
 #: verify's --nmax refuse anything above it.
@@ -130,7 +130,7 @@ def enumerate_classes(n: int) -> dict:
     if n < 0:
         raise ValueError(f"length must be nonnegative, got {n}")
     if n > DEFAULT_ORACLE_BOUND:
-        raise OracleBoundExceeded(f"n={n} exceeds the oracle bound {DEFAULT_ORACLE_BOUND}")
+        raise LimitExceeded(f"n={n} exceeds the oracle bound {DEFAULT_ORACLE_BOUND}")
     # tally by (r0, r1, s, 1s clumped, 0s clumped) first, each
     # 0-statistic read off the complement c = v ^ mask.  c's key is v's
     # with the bits swapped, (r1, r0, n - s, 0s clumped, 1s clumped), so

@@ -1,22 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; the CLI exits 3 on a
+LimitExceeded and 1 on any other BitrunsError."""
 
 
 class BitrunsError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonUnitConstantTerm(BitrunsError):
+class LimitExceeded(BitrunsError):
+    """A length, order, precision or oracle size beyond its bound."""
+
+
+class NonUnitConstantTerm(LimitExceeded):
     """Denominator constant term is not +-1, so an exact integer expansion
     is not available."""
-
-
-class OracleBoundExceeded(BitrunsError):
-    """Exhaustive enumeration was requested beyond the configured bound."""
-
-
-class SeriesOrderExceeded(BitrunsError):
-    """A series order or a length was requested beyond its configured
-    bound."""
 
 
 class EmptyEnsemble(BitrunsError):
@@ -24,15 +20,8 @@ class EmptyEnsemble(BitrunsError):
 
 
 class UnsupportedClass(BitrunsError):
-    """The requested quantity is not available for this string class."""
-
-
-class UndefinedFamily(BitrunsError):
-    """No run family exists for this (class, bit) pair."""
-
-
-class UnsupportedMoment(BitrunsError):
-    """Moment order outside the supported range 1..4."""
+    """The requested quantity or run family is not available for this
+    string class."""
 
 
 class DegenerateVariance(BitrunsError):

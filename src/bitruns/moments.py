@@ -59,7 +59,7 @@ from typing import NamedTuple, Sequence
 
 from .catalog import CapForm, cap_form, count_gf
 from .ensembles import StringClass
-from .errors import EmptyEnsemble, UndefinedFamily, UnsupportedMoment
+from .errors import EmptyEnsemble, UnsupportedClass
 from .series import RationalGF, divide, terms, terms_mul
 
 MAX_MOMENT = 4
@@ -67,8 +67,6 @@ MAX_MOMENT = 4
 
 def moment_weight(m: int, k: int) -> int:
     """Telescoping weight w_m(k) = k^m - (k-1)^m."""
-    if not 1 <= m <= MAX_MOMENT:
-        raise UnsupportedMoment(f"moment order {m} not in 1..{MAX_MOMENT}")
     return k**m - (k - 1) ** m
 
 
@@ -112,7 +110,7 @@ def run_numerators(
         raise ValueError("lengths must be nonnegative")
     form = cap_form(string_class, bit)
     if bitsum and form.t1 is None:
-        raise UndefinedFamily(f"no bitsum-marked run family for bit={bit}")
+        raise UnsupportedClass(f"no bitsum-marked run family for bit={bit}")
     lengths = sorted(set(ns))
     # a cap below K costs one expansion to N, and each row from K up about
     # as much, with about N / K rows: the two balance at K ~ sqrt(N)

@@ -26,7 +26,7 @@ from .ensembles import (
     enumerate_classes,
     oracle_tally,
 )
-from .errors import OracleBoundExceeded
+from .errors import LimitExceeded
 from .jointdp import joint_table
 from .moments import run_variance_table
 
@@ -204,7 +204,7 @@ def run_checks(scope: str = "all", nmax: int = 10) -> list:
     if nmax < 0:
         raise ValueError(f"nmax must be nonnegative, got {nmax}")
     if nmax > DEFAULT_ORACLE_BOUND:
-        raise OracleBoundExceeded(
+        raise LimitExceeded(
             f"nmax={nmax} exceeds the oracle bound {DEFAULT_ORACLE_BOUND}"
         )
     by_length = lru_cache(maxsize=None)(enumerate_classes)

@@ -17,7 +17,7 @@ from bitruns.asymptotics import (
 )
 from bitruns.catalog import bitsum_gfs, count_gf
 from bitruns.ensembles import StringClass
-from bitruns.errors import UndefinedFamily
+from bitruns.errors import UnsupportedClass
 
 U, SOL, MUL, BIM, PER = (
     StringClass.UNCONSTRAINED,
@@ -138,7 +138,7 @@ def test_mean_asymptote():
         50, StringClass.MULTUS, 0
     )
     assert abs(gap - 1) < mpmath.mpf("1e-30")
-    with pytest.raises(UndefinedFamily):
+    with pytest.raises(UnsupportedClass, match="^no mean asymptote for solus bit=1$"):
         mean_asymptote(10, StringClass.SOLUS, 1)
     with pytest.raises(ValueError):
         mean_asymptote(0, StringClass.SOLUS, 0)

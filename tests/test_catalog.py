@@ -25,7 +25,7 @@ from bitruns.ensembles import (
     class_member,
     oracle_tally,
 )
-from bitruns.errors import UndefinedFamily, UnsupportedClass
+from bitruns.errors import UnsupportedClass
 from bitruns.jointdp import _at_most
 from bitruns.moments import moment_weight, run_numerators
 from bitruns.series import RationalGF, terms, terms_mul
@@ -180,9 +180,9 @@ def test_defined_families():
 def test_run_family_undefined():
     # a run family is its (class, bit) pair: run_family only validates
     assert all(run_family(cls, bit) is None for cls, bit in defined_families())
-    with pytest.raises(UndefinedFamily):
+    with pytest.raises(UnsupportedClass, match="^no run family for solus bit=1$"):
         run_family(StringClass.SOLUS, 1)
-    with pytest.raises(UndefinedFamily):
+    with pytest.raises(UnsupportedClass, match="^no run family for persolus bit=1$"):
         run_family(StringClass.PERSOLUS, 1)
 
 
@@ -638,7 +638,7 @@ def test_cap_form_pieces():
     assert f.t1 is None
     assert cap_form(SOL, 0).t1 == _theta_ones(SOL)
     for cls in (SOL, PER):
-        with pytest.raises(UndefinedFamily):
+        with pytest.raises(UnsupportedClass, match=f"^no run family for {cls} bit=1$"):
             cap_form(cls, 1)
 
 

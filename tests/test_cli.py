@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bitruns
+import bitruns.errors
 
 from bitruns.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
@@ -250,6 +251,32 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify")
     assert code == EXIT_VERIFY
     assert "fail" in out
+
+
+#: The error types that exit 3; every other BitrunsError exits 1.
+_LIMIT_ERRORS = {"LimitExceeded", "NonUnitConstantTerm"}
+_ERROR_TYPES = sorted(
+    name
+    for name, cls in vars(bitruns.errors).items()
+    if isinstance(cls, type) and issubclass(cls, bitruns.errors.BitrunsError)
+    and cls is not bitruns.errors.BitrunsError
+)
+
+
+@pytest.mark.parametrize("name", _ERROR_TYPES)
+def test_every_error_type_has_its_exit_code(capsys, monkeypatch, name):
+    """Each BitrunsError subclass, found by introspection so that a new
+    one cannot slip by, ends a command with its exit code, one stderr
+    line and nothing on stdout."""
+    from bitruns import verify
+
+    def refuse(scope, nmax):
+        raise getattr(bitruns.errors, name)(f"planted {name}")
+
+    monkeypatch.setattr(verify, "run_checks", refuse)
+    code, out, err = run_cli(capsys, "verify")
+    want = EXIT_LIMIT if name in _LIMIT_ERRORS else EXIT_USAGE
+    assert (code, out, err) == (want, "", f"bitruns: planted {name}\n")
 
 
 def test_usage_error_exit_code(capsys):

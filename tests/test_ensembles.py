@@ -14,7 +14,7 @@ from bitruns.ensembles import (
     oracle_tally,
     run_stats,
 )
-from bitruns.errors import EmptyEnsemble, OracleBoundExceeded
+from bitruns.errors import EmptyEnsemble, LimitExceeded
 
 from families import oracle
 
@@ -187,13 +187,13 @@ def test_one_pass_matches_per_class_loops():
 
 
 def test_oracle_bound(monkeypatch):
-    with pytest.raises(OracleBoundExceeded, match="n=30 exceeds the oracle bound 24"):
+    with pytest.raises(LimitExceeded, match="^n=30 exceeds the oracle bound 24$"):
         enumerate_classes(30)
     # the bound is read at call time
     monkeypatch.setattr(ensembles, "DEFAULT_ORACLE_BOUND", 5)
-    with pytest.raises(OracleBoundExceeded, match="n=6 exceeds the oracle bound 5"):
+    with pytest.raises(LimitExceeded, match="^n=6 exceeds the oracle bound 5$"):
         enumerate_classes(6)
-    with pytest.raises(OracleBoundExceeded):
+    with pytest.raises(LimitExceeded, match="^n=6 exceeds the oracle bound 5$"):
         cross_report_oracle(6, StringClass.UNCONSTRAINED)
     assert enumerate_classes(5)[StringClass.SOLUS].total == 13
 

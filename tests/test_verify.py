@@ -9,7 +9,7 @@ import pytest
 
 from bitruns import verify
 from bitruns.ensembles import DEFAULT_ORACLE_BOUND, run_stats
-from bitruns.errors import OracleBoundExceeded
+from bitruns.errors import LimitExceeded
 from bitruns.verify import CheckResult, available_scopes, run_checks
 
 
@@ -63,8 +63,9 @@ def test_oracle_bound_checked_before_any_enumeration(monkeypatch):
 
     monkeypatch.setattr(verify, "enumerate_classes", forbidden)
     monkeypatch.setattr(verify, "compositions", forbidden)
+    message = f"^nmax={DEFAULT_ORACLE_BOUND + 1} exceeds the oracle bound {DEFAULT_ORACLE_BOUND}$"
     for scope in available_scopes():
-        with pytest.raises(OracleBoundExceeded):
+        with pytest.raises(LimitExceeded, match=message):
             run_checks(scope, DEFAULT_ORACLE_BOUND + 1)
     with pytest.raises(ValueError):
         run_checks("counts", -1)
